@@ -13,8 +13,6 @@ import numpy as np
 from . import backend
 from .errors import ConfigError, NumericalError, ShapeError
 
-FINITE_CHECKS = True
-
 _grad_enabled = True
 
 
@@ -58,7 +56,7 @@ def as_tensor(x) -> Tensor:
 
 
 def _check_finite(arr):
-    if FINITE_CHECKS and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise NumericalError("non-finite values produced by a forward op")
 
 
@@ -75,7 +73,7 @@ def _make(data, parents, backward_fn) -> Tensor:
 def _accumulate(t: Tensor, g):
     if not t.requires_grad:
         return
-    if FINITE_CHECKS and not np.all(np.isfinite(g)):
+    if not np.all(np.isfinite(g)):
         raise NumericalError("non-finite gradient")
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
@@ -396,19 +394,8 @@ def conv1d(x: Tensor, w: Tensor, b=None, stride=1, padding=0,
 
     out = _make(y, (x, w), bw)
     if b is not None:
-        out = _with_bias(out, as_tensor(b))
+        out = add_bias(out, b)
     return out
-
-
-def _with_bias(y: Tensor, b: Tensor) -> Tensor:
-    view = b.data[None, :, None] if y.data.ndim == 3 else b.data[None, :]
-    axes = (0, 2) if y.data.ndim == 3 else (0,)
-
-    def bw(g):
-        _accumulate(y, g)
-        _accumulate(b, g.sum(axis=axes))
-
-    return _make(y.data + view, (y, b), bw)
 
 
 def conv1d_transpose(x: Tensor, w: Tensor, b=None, stride=1) -> Tensor:
@@ -433,7 +420,7 @@ def conv1d_transpose(x: Tensor, w: Tensor, b=None, stride=1) -> Tensor:
 
     out = _make(y, (x, w), bw)
     if b is not None:
-        out = _with_bias(out, as_tensor(b))
+        out = add_bias(out, b)
     return out
 
 

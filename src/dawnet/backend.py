@@ -1,38 +1,23 @@
-"""Hot numeric kernels with two interchangeable implementations.
+"""Hot numeric kernels in plain numpy.
 
-Every kernel exists twice: a numba ``@njit`` loop version and a pure-numpy
-version built on sliding windows + BLAS ``tensordot``. The active set is
-chosen once at import time from the ``DAWNET_BACKEND`` environment variable
-("numba" or "numpy"; default is numba whenever it imports). Both sets share
-signatures so ``benchmarks/bench_backends.py`` can time them side by side.
-
-All kernels operate on pre-padded, C-contiguous float64 arrays; padding and
-gradient bookkeeping live in :mod:`dawnet.autodiff`.
+Every kernel is one of three correlation primitives on pre-padded float64
+arrays; padding and gradient bookkeeping live in :mod:`dawnet.autodiff`.
 
 Convolution convention is cross-correlation:
 
     conv1d_fw:  y[b,o,l]   = sum_{i,k} x[b,i,l*stride+k] * w[o,i,k]
     tconv1d_fw: y[b,q,i*stride+k] += x[b,p,i] * w[p,q,k]   (adjoint of conv)
     dwt_fw:     y[b,c,s,l] = sum_k   x[b,c,l+k] * kern[s,k]
-"""
 
-import os
+The wavelet kernels are the convolution ones on (B,C,.) viewed as
+(B*C,1,.) and ``kern`` viewed as (S,1,K). Each public name is its own
+module attribute, and none calls another, so each can be wrapped alone.
+"""
 
 import numpy as np
 
-from .errors import ConfigError
+BACKEND = "numpy"
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
 
 def _windows(x, k, stride=1):
     # (B, C, L, k) view over the last axis, strided
@@ -40,270 +25,59 @@ def _windows(x, k, stride=1):
     return w[..., ::stride, :]
 
 
-def _np_conv1d_fw(xp, w, stride):
-    win = _windows(xp, w.shape[2], stride)                   # (B,Ci,Lo,K)
+def _corr(x, w, stride):
+    """(B,Ci,L) x (Co,Ci,K) -> (B,Co,Lo): windowed correlation."""
+    win = _windows(x, w.shape[2], stride)                    # (B,Ci,Lo,K)
     y = np.tensordot(win, w, axes=([1, 3], [1, 2]))          # (B,Lo,Co)
     return np.ascontiguousarray(y.transpose(0, 2, 1))
 
 
-def _np_conv1d_gx(gy, w, stride, lp):
-    b, co, lo = gy.shape
+def _scatter(g, w, stride, lp):
+    """Adjoint of ``_corr`` in x: (B,Co,Lo) x (Co,Ci,K) -> (B,Ci,lp)."""
+    b, _, lo = g.shape
     ci, k = w.shape[1], w.shape[2]
     gxp = np.zeros((b, ci, lp))
     span = (lo - 1) * stride + 1
     for kk in range(k):
-        contrib = np.tensordot(gy, w[:, :, kk], axes=([1], [0]))  # (B,Lo,Ci)
+        contrib = np.tensordot(g, w[:, :, kk], axes=([1], [0]))  # (B,Lo,Ci)
         gxp[:, :, kk:kk + span:stride] += contrib.transpose(0, 2, 1)
     return gxp
 
 
-def _np_conv1d_gw(gy, xp, stride, k):
-    win = _windows(xp, k, stride)                            # (B,Ci,Lo,K)
-    gw = np.tensordot(gy, win, axes=([0, 2], [0, 2]))        # (Co,Ci,K)
-    return np.ascontiguousarray(gw)
+def _corr_gw(g, x, stride, k):
+    """Adjoint of ``_corr`` in w: (B,Co,Lo) x (B,Ci,L) -> (Co,Ci,K)."""
+    win = _windows(x, k, stride)                             # (B,Ci,Lo,K)
+    return np.ascontiguousarray(np.tensordot(g, win, axes=([0, 2], [0, 2])))
 
 
-def _np_tconv1d_fw(x, w, stride):
-    b, cp, l = x.shape
-    cq, k = w.shape[1], w.shape[2]
-    lo = (l - 1) * stride + k
-    y = np.zeros((b, cq, lo))
-    span = (l - 1) * stride + 1
-    for kk in range(k):
-        contrib = np.tensordot(x, w[:, :, kk], axes=([1], [0]))  # (B,L,Cq)
-        y[:, :, kk:kk + span:stride] += contrib.transpose(0, 2, 1)
-    return y
+conv1d_fw = _corr                    # (xp, w, stride)
+conv1d_gx = _scatter                 # (gy, w, stride, lp)
+conv1d_gw = _corr_gw                 # (gy, xp, stride, k)
+tconv1d_gx = _corr                   # (gy, w, stride)
 
 
-def _np_tconv1d_gx(gy, w, stride):
-    win = _windows(gy, w.shape[2], stride)                   # (B,Cq,L,K)
-    gx = np.tensordot(win, w, axes=([1, 3], [1, 2]))         # (B,L,Cp)
-    return np.ascontiguousarray(gx.transpose(0, 2, 1))
+def tconv1d_fw(x, w, stride):
+    return _scatter(x, w, stride, (x.shape[2] - 1) * stride + w.shape[2])
 
 
-def _np_tconv1d_gw(gy, x, stride, k):
-    win = _windows(gy, k, stride)                            # (B,Cq,L,K)
-    gw = np.tensordot(x, win, axes=([0, 2], [0, 2]))         # (Cp,Cq,K)
-    return np.ascontiguousarray(gw)
+def tconv1d_gw(gy, x, stride, k):
+    return _corr_gw(x, gy, stride, k)
 
 
-def _np_dwt_fw(xp, kern):
-    win = _windows(xp, kern.shape[1])                        # (B,C,L,K)
-    y = np.tensordot(win, kern, axes=([3], [1]))             # (B,C,L,S)
-    return np.ascontiguousarray(y.transpose(0, 1, 3, 2))
+def dwt_fw(xp, kern):
+    b, c, lp = xp.shape
+    y = _corr(xp.reshape(b * c, 1, lp), kern[:, None, :], 1)
+    return y.reshape(b, c, kern.shape[0], -1)
 
 
-def _np_dwt_gx(gy, kern, lp):
-    b, c, s, l = gy.shape
-    k = kern.shape[1]
-    gxp = np.zeros((b, c, lp))
-    for kk in range(k):
-        gxp[:, :, kk:kk + l] += np.tensordot(gy, kern[:, kk], axes=([2], [0]))
-    return gxp
+def dwt_gx(gy, kern, lp):
+    b, c, s, lo = gy.shape
+    return _scatter(gy.reshape(b * c, s, lo), kern[:, None, :], 1,
+                    lp).reshape(b, c, lp)
 
 
-def _np_dwt_gk(gy, xp):
-    k = xp.shape[2] - gy.shape[3] + 1
-    win = _windows(xp, k)                                    # (B,C,L,K)
-    return np.ascontiguousarray(
-        np.tensordot(gy, win, axes=([0, 1, 3], [0, 1, 2])))  # (S,K)
-
-
-NUMPY_IMPL = {
-    "conv1d_fw": _np_conv1d_fw,
-    "conv1d_gx": _np_conv1d_gx,
-    "conv1d_gw": _np_conv1d_gw,
-    "tconv1d_fw": _np_tconv1d_fw,
-    "tconv1d_gx": _np_tconv1d_gx,
-    "tconv1d_gw": _np_tconv1d_gw,
-    "dwt_fw": _np_dwt_fw,
-    "dwt_gx": _np_dwt_gx,
-    "dwt_gk": _np_dwt_gk,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_conv1d_fw(xp, w, stride):
-        b, ci, lp = xp.shape
-        co, _, k = w.shape
-        lo = (lp - k) // stride + 1
-        y = np.zeros((b, co, lo))
-        for bb in range(b):
-            for o in range(co):
-                for i in range(ci):
-                    for l in range(lo):
-                        base = l * stride
-                        acc = 0.0
-                        for kk in range(k):
-                            acc += xp[bb, i, base + kk] * w[o, i, kk]
-                        y[bb, o, l] += acc
-        return y
-
-    @njit(cache=True)
-    def _nb_conv1d_gx(gy, w, stride, lp):
-        b, co, lo = gy.shape
-        ci, k = w.shape[1], w.shape[2]
-        gxp = np.zeros((b, ci, lp))
-        for bb in range(b):
-            for o in range(co):
-                for i in range(ci):
-                    for l in range(lo):
-                        g = gy[bb, o, l]
-                        base = l * stride
-                        for kk in range(k):
-                            gxp[bb, i, base + kk] += g * w[o, i, kk]
-        return gxp
-
-    @njit(cache=True)
-    def _nb_conv1d_gw(gy, xp, stride, k):
-        b, co, lo = gy.shape
-        ci = xp.shape[1]
-        gw = np.zeros((co, ci, k))
-        for o in range(co):
-            for bb in range(b):
-                for i in range(ci):
-                    for l in range(lo):
-                        g = gy[bb, o, l]
-                        base = l * stride
-                        for kk in range(k):
-                            gw[o, i, kk] += g * xp[bb, i, base + kk]
-        return gw
-
-    @njit(cache=True)
-    def _nb_tconv1d_fw(x, w, stride):
-        b, cp, l = x.shape
-        cq, k = w.shape[1], w.shape[2]
-        lo = (l - 1) * stride + k
-        y = np.zeros((b, cq, lo))
-        for bb in range(b):
-            for p in range(cp):
-                for q in range(cq):
-                    for i in range(l):
-                        v = x[bb, p, i]
-                        base = i * stride
-                        for kk in range(k):
-                            y[bb, q, base + kk] += v * w[p, q, kk]
-        return y
-
-    @njit(cache=True)
-    def _nb_tconv1d_gx(gy, w, stride):
-        b, cq, lo = gy.shape
-        cp, k = w.shape[0], w.shape[2]
-        l = (lo - k) // stride + 1
-        gx = np.zeros((b, cp, l))
-        for bb in range(b):
-            for p in range(cp):
-                for q in range(cq):
-                    for i in range(l):
-                        base = i * stride
-                        acc = 0.0
-                        for kk in range(k):
-                            acc += gy[bb, q, base + kk] * w[p, q, kk]
-                        gx[bb, p, i] += acc
-        return gx
-
-    @njit(cache=True)
-    def _nb_tconv1d_gw(gy, x, stride, k):
-        b, cp, l = x.shape
-        cq = gy.shape[1]
-        gw = np.zeros((cp, cq, k))
-        for p in range(cp):
-            for bb in range(b):
-                for q in range(cq):
-                    for i in range(l):
-                        v = x[bb, p, i]
-                        base = i * stride
-                        for kk in range(k):
-                            gw[p, q, kk] += v * gy[bb, q, base + kk]
-        return gw
-
-    @njit(cache=True)
-    def _nb_dwt_fw(xp, kern):
-        b, c, lp = xp.shape
-        s, k = kern.shape
-        lo = lp - k + 1
-        y = np.zeros((b, c, s, lo))
-        for bb in range(b):
-            for cc in range(c):
-                for ss in range(s):
-                    for l in range(lo):
-                        acc = 0.0
-                        for kk in range(k):
-                            acc += xp[bb, cc, l + kk] * kern[ss, kk]
-                        y[bb, cc, ss, l] = acc
-        return y
-
-    @njit(cache=True)
-    def _nb_dwt_gx(gy, kern, lp):
-        b, c, s, lo = gy.shape
-        k = kern.shape[1]
-        gxp = np.zeros((b, c, lp))
-        for bb in range(b):
-            for cc in range(c):
-                for ss in range(s):
-                    for l in range(lo):
-                        g = gy[bb, cc, ss, l]
-                        for kk in range(k):
-                            gxp[bb, cc, l + kk] += g * kern[ss, kk]
-        return gxp
-
-    @njit(cache=True)
-    def _nb_dwt_gk(gy, xp):
-        b, c, s, lo = gy.shape
-        k = xp.shape[2] - lo + 1
-        gk = np.zeros((s, k))
-        for ss in range(s):
-            for bb in range(b):
-                for cc in range(c):
-                    for l in range(lo):
-                        g = gy[bb, cc, ss, l]
-                        for kk in range(k):
-                            gk[ss, kk] += g * xp[bb, cc, l + kk]
-        return gk
-
-    NUMBA_IMPL = {
-        "conv1d_fw": _nb_conv1d_fw,
-        "conv1d_gx": _nb_conv1d_gx,
-        "conv1d_gw": _nb_conv1d_gw,
-        "tconv1d_fw": _nb_tconv1d_fw,
-        "tconv1d_gx": _nb_tconv1d_gx,
-        "tconv1d_gw": _nb_tconv1d_gw,
-        "dwt_fw": _nb_dwt_fw,
-        "dwt_gx": _nb_dwt_gx,
-        "dwt_gk": _nb_dwt_gk,
-    }
-else:  # pragma: no cover
-    NUMBA_IMPL = None
-
-
-def _select_backend() -> str:
-    requested = os.environ.get("DAWNET_BACKEND", "").strip().lower()
-    if requested in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba":
-        if not HAVE_NUMBA:
-            raise ConfigError("DAWNET_BACKEND=numba but numba is not importable")
-        return "numba"
-    raise ConfigError(f"unknown DAWNET_BACKEND value: {requested!r}")
-
-
-BACKEND = _select_backend()
-_ACTIVE = NUMBA_IMPL if BACKEND == "numba" else NUMPY_IMPL
-
-conv1d_fw = _ACTIVE["conv1d_fw"]
-conv1d_gx = _ACTIVE["conv1d_gx"]
-conv1d_gw = _ACTIVE["conv1d_gw"]
-tconv1d_fw = _ACTIVE["tconv1d_fw"]
-tconv1d_gx = _ACTIVE["tconv1d_gx"]
-tconv1d_gw = _ACTIVE["tconv1d_gw"]
-dwt_fw = _ACTIVE["dwt_fw"]
-dwt_gx = _ACTIVE["dwt_gx"]
-dwt_gk = _ACTIVE["dwt_gk"]
+def dwt_gk(gy, xp):
+    b, c, s, lo = gy.shape
+    k = xp.shape[2] - lo + 1
+    gk = _corr_gw(gy.reshape(b * c, s, lo), xp.reshape(b * c, 1, -1), 1, k)
+    return gk.reshape(s, k)

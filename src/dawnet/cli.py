@@ -296,12 +296,8 @@ def cmd_ablate(args) -> int:
         threshold = result["threshold"]
         lambda2 = (args.lambda2
                    if model.config.uses_wavelet_loss else 0.0)
-        bank = result["bank"]
-        if lambda2 > 0.0 and bank is None:
-            bank = wavelet.build_bank(train_cfg.wavelet_scales)
         report = ev.evaluate(model, bundle.test, bundle.norm_stats,
-                             threshold, bank if lambda2 > 0 else None,
-                             args.lambda1, lambda2)
+                             threshold, result["bank"], args.lambda1, lambda2)
         elapsed = time.perf_counter() - t0
         ev.write_report_files(report, variant_dir)
         rows.append((flag_name, report))
@@ -402,7 +398,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ShapeError, FormatError, GenerationError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DawnetError as exc:

@@ -125,7 +125,10 @@ def read_dataset(path) -> DatasetBundle:
     sidecar = path.with_name(path.name + ".json")
     config = None
     if sidecar.exists():
-        config = ScenarioConfig.from_dict(json.loads(sidecar.read_text()))
+        try:
+            config = ScenarioConfig.from_dict(json.loads(sidecar.read_text()))
+        except (ValueError, TypeError) as exc:
+            raise FormatError(f"bad sidecar {sidecar.name}: {exc}") from exc
     return DatasetBundle(train=train, validation=val, test=test,
                          norm_stats=tuple(norm_stats), config=config)
 
@@ -183,7 +186,12 @@ def read_checkpoint(path):
     params = []
     for _ in range(n_params):
         (name_len,) = r.unpack("H")
-        name = r.take(name_len).decode("utf-8")
+        at = r.pos
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"parameter name is not UTF-8: {exc}",
+                              offset=at) from exc
         (rank,) = r.unpack("B")
         dims = r.unpack(f"{rank}I") if rank else ()
         count = 1

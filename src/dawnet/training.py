@@ -236,9 +236,6 @@ def train_and_calibrate(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
     _, history, bank = train(bundle, model, cfg)
     train_s = time.perf_counter() - t0
     eff_lambda2 = cfg.lambda2 if model.config.uses_wavelet_loss else 0.0
-    if eff_lambda2 > 0 and bank is None:
-        bank = wavelet.build_bank(cfg.wavelet_scales,
-                                  learnable=cfg.learnable_bank)
     threshold = calibrate_threshold(model, bundle.validation,
                                     bundle.norm_stats, bank,
                                     cfg.lambda1, eff_lambda2)

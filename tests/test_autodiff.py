@@ -90,6 +90,13 @@ def test_shape_errors():
     with pytest.raises(ConfigError):
         ad.conv1d(_t(np.ones((1, 1, 8))), _t(np.ones((1, 1, 3))), stride=0)
     with pytest.raises(ShapeError):
+        # a bias of the wrong length must not broadcast over channels
+        ad.conv1d(_t(np.ones((1, 1, 8))), _t(np.ones((1, 1, 3))),
+                  b=_t(np.ones(2)))
+    with pytest.raises(ShapeError):
+        ad.conv1d_transpose(_t(np.ones((1, 1, 4))), _t(np.ones((1, 2, 3))),
+                            b=_t(np.ones((2, 1))))
+    with pytest.raises(ShapeError):
         ad.backward(_t(np.ones(3)))
 
 

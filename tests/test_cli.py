@@ -174,7 +174,15 @@ def test_bad_scales_exits_2(tmp_path, workspace):
     assert rc == 2
 
 
-def test_missing_dataset_file_exits_2(tmp_path):
-    rc = cli.main(["train", "--data", str(tmp_path / "absent.dawn"),
-                   "--epochs", "1", "--out", str(tmp_path / "m.dawm")])
-    assert rc == 2
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "{tmp}/absent.dawn", "--epochs", "1",
+     "--out", "{tmp}/m.dawm"],
+    ["eval", "--model", "{model}", "--data", "{tmp}", "--out-dir", "{tmp}/ev"],
+    ["eval", "--model", "{tmp}", "--data", "{data}", "--out-dir", "{tmp}/ev"],
+    ["gen-data", "--out", "{tmp}", "--train", "2", "--val", "2",
+     "--test-per-class", "2"],
+], ids=["missing", "data-dir", "model-dir", "out-dir"])
+def test_missing_dataset_file_exits_2(tmp_path, workspace, argv):
+    _, data, model = workspace
+    argv = [a.format(tmp=tmp_path, data=data, model=model) for a in argv]
+    assert cli.main(argv) == 2

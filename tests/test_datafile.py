@@ -105,6 +105,18 @@ def test_dataset_missing_sidecar_is_tolerated(tmp_path):
     assert len(back.train) == 4
 
 
+@pytest.mark.parametrize("text", ["{not json", '{"no_such_key": 1}'],
+                         ids=["not-json", "unknown-key"])
+def test_dataset_bad_sidecar(tmp_path, text):
+    bundle = _bundle(seed=2, counts=(4, 2, 2))
+    p = tmp_path / "ds.bin"
+    datafile.write_dataset(p, bundle)
+    (tmp_path / "ds.bin.json").write_text(text)
+    with pytest.raises(FormatError) as exc:
+        datafile.read_dataset(p)
+    assert "ds.bin.json" in str(exc.value)
+
+
 # --- checkpoint container ----------------------------------------------------
 
 def _params():
@@ -160,3 +172,14 @@ def test_checkpoint_corrupt_config(tmp_path):
     with pytest.raises(FormatError) as exc:
         datafile.read_checkpoint(p)
     assert "config" in str(exc.value)
+
+
+def test_checkpoint_name_not_utf8(tmp_path):
+    p = tmp_path / "m.bin"
+    datafile.write_checkpoint(p, {}, [("gate", np.array(1.0))])
+    blob = p.read_bytes()
+    at = blob.index(b"gate")
+    p.write_bytes(blob[:at] + b"\xff\xfe\xfd\xfc" + blob[at + 4:])
+    with pytest.raises(FormatError) as exc:
+        datafile.read_checkpoint(p)
+    assert exc.value.offset == at

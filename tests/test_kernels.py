@@ -1,4 +1,4 @@
-"""Backend kernel checks: frozen examples, adjoint identities, impl parity."""
+"""Backend kernel checks: frozen examples, adjoint identities, defining sums."""
 
 import numpy as np
 import pytest
@@ -104,56 +104,63 @@ def test_dwt_linear():
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
-# --- numpy vs numba parity -------------------------------------------------
+# --- defining sums ---------------------------------------------------------
 
-def _parity_cases():
+def _taps(x, k, s, n):
+    # x[..., l*s + k] for l in range(n)
+    return x[..., k:k + (n - 1) * s + 1:s]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_kernels_match_defining_sums(s):
     rng = _rng(6)
-    x = _rand(rng, 2, 3, 21)
-    w = _rand(rng, 4, 3, 5)
-    cases = []
-    for s in (1, 2, 3):
-        lo = (21 - 5) // s + 1
-        g = _rand(rng, 2, 4, lo)
-        cases.append((x, w, g, s))
-    return cases
+    length, k = 21, 5
+    lo = (length - k) // s + 1
+    x = _rand(rng, 2, 3, length)
+    w = _rand(rng, 4, 3, k)
+    g = _rand(rng, 2, 4, lo)
 
+    y = sum(np.einsum("bil,oi->bol", _taps(x, kk, s, lo), w[:, :, kk])
+            for kk in range(k))
+    np.testing.assert_allclose(backend.conv1d_fw(x, w, s), y, atol=1e-12)
+    gx = np.zeros_like(x)
+    for kk in range(k):
+        _taps(gx, kk, s, lo)[...] += np.einsum("bol,oi->bil", g, w[:, :, kk])
+    np.testing.assert_allclose(backend.conv1d_gx(g, w, s, length), gx,
+                               atol=1e-12)
+    gw = np.stack([np.einsum("bol,bil->oi", g, _taps(x, kk, s, lo))
+                   for kk in range(k)], axis=2)
+    np.testing.assert_allclose(backend.conv1d_gw(g, x, s, k), gw, atol=1e-12)
 
-@pytest.mark.skipif(not backend.HAVE_NUMBA, reason="numba unavailable")
-def test_backend_parity():
-    npi, nbi = backend.NUMPY_IMPL, backend.NUMBA_IMPL
-    for x, w, g, s in _parity_cases():
-        np.testing.assert_allclose(npi["conv1d_fw"](x, w, s),
-                                   nbi["conv1d_fw"](x, w, s), atol=1e-12)
-        np.testing.assert_allclose(npi["conv1d_gx"](g, w, s, 21),
-                                   nbi["conv1d_gx"](g, w, s, 21), atol=1e-12)
-        np.testing.assert_allclose(npi["conv1d_gw"](g, x, s, 5),
-                                   nbi["conv1d_gw"](g, x, s, 5), atol=1e-12)
-    rng = _rng(7)
+    # transposed conv: (B,Cp,L) x (Cp,Cq,K) -> (B,Cq,(L-1)*s+K)
     xt = _rand(rng, 2, 4, 6)
-    wt = _rand(rng, 4, 3, 5)
-    for s in (1, 2, 3):
-        gt = _rand(rng, 2, 3, (6 - 1) * s + 5)
-        np.testing.assert_allclose(npi["tconv1d_fw"](xt, wt, s),
-                                   nbi["tconv1d_fw"](xt, wt, s), atol=1e-12)
-        np.testing.assert_allclose(npi["tconv1d_gx"](gt, wt, s),
-                                   nbi["tconv1d_gx"](gt, wt, s), atol=1e-12)
-        np.testing.assert_allclose(npi["tconv1d_gw"](gt, xt, s, 5),
-                                   nbi["tconv1d_gw"](gt, xt, s, 5), atol=1e-12)
-    xd = _rand(rng, 2, 3, 30)
-    kern = _rand(rng, 3, 8)
-    gd = _rand(rng, 2, 3, 3, 30 - 8 + 1)
-    np.testing.assert_allclose(npi["dwt_fw"](xd, kern), nbi["dwt_fw"](xd, kern),
-                               atol=1e-12)
-    np.testing.assert_allclose(npi["dwt_gx"](gd, kern, 30),
-                               nbi["dwt_gx"](gd, kern, 30), atol=1e-12)
-    np.testing.assert_allclose(npi["dwt_gk"](gd, xd), nbi["dwt_gk"](gd, xd),
+    lt = (6 - 1) * s + k
+    gt = _rand(rng, 2, 3, lt)
+    yt = np.zeros((2, 3, lt))
+    for kk in range(k):
+        _taps(yt, kk, s, 6)[...] += np.einsum("bpi,pq->bqi", xt, w[:, :, kk])
+    np.testing.assert_allclose(backend.tconv1d_fw(xt, w, s), yt, atol=1e-12)
+    gxt = sum(np.einsum("bqi,pq->bpi", _taps(gt, kk, s, 6), w[:, :, kk])
+              for kk in range(k))
+    np.testing.assert_allclose(backend.tconv1d_gx(gt, w, s), gxt, atol=1e-12)
+    gwt = np.stack([np.einsum("bpi,bqi->pq", xt, _taps(gt, kk, s, 6))
+                    for kk in range(k)], axis=2)
+    np.testing.assert_allclose(backend.tconv1d_gw(gt, xt, s, k), gwt,
                                atol=1e-12)
 
-
-def test_backend_env_selection(monkeypatch):
-    monkeypatch.setenv("DAWNET_BACKEND", "numpy")
-    assert backend._select_backend() == "numpy"
-    monkeypatch.setenv("DAWNET_BACKEND", "bogus")
-    from dawnet.errors import ConfigError
-    with pytest.raises(ConfigError):
-        backend._select_backend()
+    # wavelet transform, stride 1: (B,C,Lp) x (S,K) -> (B,C,S,Lp-K+1)
+    kd = 3 + s
+    ld = length - kd + 1
+    kern = _rand(rng, 3, kd)
+    gd = _rand(rng, 2, 3, 3, ld)
+    yd = sum(np.einsum("bcl,s->bcsl", _taps(x, kk, 1, ld), kern[:, kk])
+             for kk in range(kd))
+    np.testing.assert_allclose(backend.dwt_fw(x, kern), yd, atol=1e-12)
+    gxd = np.zeros_like(x)
+    for kk in range(kd):
+        _taps(gxd, kk, 1, ld)[...] += np.einsum("bcsl,s->bcl", gd, kern[:, kk])
+    np.testing.assert_allclose(backend.dwt_gx(gd, kern, length), gxd,
+                               atol=1e-12)
+    gk = np.stack([np.einsum("bcsl,bcl->s", gd, _taps(x, kk, 1, ld))
+                   for kk in range(kd)], axis=1)
+    np.testing.assert_allclose(backend.dwt_gk(gd, x), gk, atol=1e-12)
