@@ -424,6 +424,11 @@ def conv1d_transpose(x: Tensor, w: Tensor, b=None, stride=1) -> Tensor:
     return out
 
 
+def _dwt_pads(k: int) -> tuple:
+    """(left, right) reflect padding that keeps a K-tap dwt length-preserving."""
+    return k // 2, k - 1 - k // 2
+
+
 def dwt(x: Tensor, kernels) -> Tensor:
     """Depthwise multi-scale correlation with reflection padding.
 
@@ -436,9 +441,7 @@ def dwt(x: Tensor, kernels) -> Tensor:
         raise ShapeError("dwt expects a (B,C,L) tensor")
     if kern.data.ndim != 2:
         raise ShapeError("dwt kernels must be (S,K)")
-    k = kern.data.shape[1]
-    pl = k // 2
-    pr = k - 1 - pl
+    pl, pr = _dwt_pads(kern.data.shape[1])
     xp = np.ascontiguousarray(_pad_last(x.data, pl, pr, "reflect"))
     y = backend.dwt_fw(xp, np.ascontiguousarray(kern.data))
 
@@ -451,6 +454,57 @@ def dwt(x: Tensor, kernels) -> Tensor:
             _accumulate(kern, backend.dwt_gk(g, xp))
 
     return _make(y, (x, kern), bw)
+
+
+def dwt_gram(kernels: np.ndarray, length: int) -> np.ndarray:
+    """Dense (L, L) G = W^T W of the linear map W = :func:`dwt` at ``length``.
+
+    In padded coordinates every output sample adds A = sum_s k_s k_s^T at
+    its own diagonal offset; the reflect padding then folds in through its
+    adjoint on both axes. Every row of W reads K consecutive samples, so G
+    is banded with half-width K-1.
+    """
+    k = kernels.shape[1]
+    pl, pr = _dwt_pads(k)
+    if max(pl, pr) >= length:
+        raise ShapeError(f"reflect padding ({pl},{pr}) needs input length "
+                         f"> {max(pl, pr)}")
+    a = kernels.T @ kernels
+    padded = np.zeros((length + k - 1, length + k - 1))
+    for i in range(length):
+        padded[i:i + k, i:i + k] += a
+    return _unpad_fold(_unpad_fold(padded, pl, pr, "reflect").T,
+                       pl, pr, "reflect")
+
+
+def dwt_energy(xhat: Tensor, x: Tensor, kernels, gram) -> Tensor:
+    """sum((dwt(xhat) - dwt(x))**2) / (B*C*L) for (B,C,L) inputs.
+
+    That is S times the mean over the (B,C,S,L) coefficients. The dwt is
+    linear, so with d = xhat - x the value is d.Gd/(B*C*L) and the input
+    gradient 2Gd/(B*C*L), where ``gram(d)`` returns Gd over the last axis
+    (G as in :func:`dwt_gram`). Only the kernel gradient needs the
+    coefficients themselves.
+    """
+    xhat, x, kern = as_tensor(xhat), as_tensor(x), as_tensor(kernels)
+    if xhat.data.ndim != 3 or xhat.data.shape != x.data.shape:
+        raise ShapeError(f"dwt_energy expects two equal (B,C,L) shapes, "
+                         f"got {xhat.data.shape} and {x.data.shape}")
+    d = xhat.data - x.data
+    gd = gram(d)
+    c = 1.0 / d.size
+
+    def bw(g):
+        gx = (2.0 * c * g) * gd
+        _accumulate(xhat, gx)
+        _accumulate(x, -gx)
+        if kern.requires_grad:
+            pl, pr = _dwt_pads(kern.data.shape[1])
+            dp = np.ascontiguousarray(_pad_last(d, pl, pr, "reflect"))
+            coeffs = backend.dwt_fw(dp, np.ascontiguousarray(kern.data))
+            _accumulate(kern, backend.dwt_gk((2.0 * c * g) * coeffs, dp))
+
+    return _make(np.array(c * np.vdot(d, gd)), (xhat, x, kern), bw)
 
 
 # ---------------------------------------------------------------------------

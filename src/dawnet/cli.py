@@ -220,8 +220,7 @@ def _load_checkpoint(path):
     threshold = Threshold(**config["threshold"])
     lambda1 = float(train_block["lambda1"])
     # ablations without the wavelet term score without it, too
-    lambda2 = (float(train_block["lambda2"])
-               if model_cfg.uses_wavelet_loss else 0.0)
+    lambda2 = model_cfg.effective_lambda2(train_block["lambda2"])
     bank = None
     if lambda2 > 0.0:
         bank = wavelet.build_bank(tuple(train_block["wavelet_scales"]),
@@ -294,10 +293,9 @@ def cmd_ablate(args) -> int:
                             dataset_digest)
         model = result["model"]
         threshold = result["threshold"]
-        lambda2 = (args.lambda2
-                   if model.config.uses_wavelet_loss else 0.0)
         report = ev.evaluate(model, bundle.test, bundle.norm_stats,
-                             threshold, result["bank"], args.lambda1, lambda2)
+                             threshold, result["bank"], args.lambda1,
+                             model.config.effective_lambda2(args.lambda2))
         elapsed = time.perf_counter() - t0
         ev.write_report_files(report, variant_dir)
         rows.append((flag_name, report))
@@ -305,13 +303,14 @@ def cmd_ablate(args) -> int:
         for name in ("report.json", "roc.csv", "confusion.csv"):
             outputs[f"{flag_name}/{name}"] = variant_dir / name
         volatile[f"{flag_name}_elapsed_s"] = elapsed
+        volatile[f"{flag_name}_mean_batch_time_s"] = report.mean_batch_time_s
 
     table_path = out_dir / "ablation.csv"
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("variant,accuracy,f1,auc,time_s\n")
+        fh.write("variant,accuracy,f1,auc\n")
         for name, report in rows:
             fh.write(f"{name},{report.accuracy:.6f},{report.f1:.6f},"
-                     f"{report.auc:.6f},{report.mean_batch_time_s:.6f}\n")
+                     f"{report.auc:.6f}\n")
     outputs["ablation.csv"] = table_path
     _write_manifest(
         out_dir / "manifest.json",

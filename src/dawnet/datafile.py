@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .simulate import DatasetBundle, ScenarioConfig, Snapshot
 
 DATASET_MAGIC = b"DAWN"
@@ -73,6 +73,10 @@ def write_dataset(path, bundle: DatasetBundle) -> None:
     """Write the bundle plus a JSON sidecar (<path>.json) with the config."""
     path = Path(path)
     cfg = bundle.config
+    if cfg is None:
+        raise ConfigError(f"cannot write {path.name}: the bundle has no "
+                          f"scenario config (its .json sidecar was missing "
+                          f"when it was read)")
     sc, fb = cfg.sample_count, cfg.fft_bins
     head = [
         DATASET_MAGIC,

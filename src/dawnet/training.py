@@ -136,7 +136,7 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
     if any(s.label != 0 for s in bundle.train):
         raise ConfigError("training split must contain only label-0 snapshots")
 
-    eff_lambda2 = cfg.lambda2 if model.config.uses_wavelet_loss else 0.0
+    eff_lambda2 = model.config.effective_lambda2(cfg.lambda2)
     bank = None
     if eff_lambda2 > 0:
         bank = wavelet.build_bank(cfg.wavelet_scales,
@@ -193,15 +193,7 @@ def per_sample_losses(model, snapshots, norm_stats, bank, lambda1: float,
             if lambda2 > 0:
                 if bank is None:
                     raise ConfigError("wavelet term requested without a bank")
-                b, n = recon.shape
-                d_hat = ad.dwt(ad.Tensor(recon.reshape(b, 1, n)),
-                               bank.kernels).data
-                d_ref = ad.dwt(ad.Tensor(target[sl].reshape(b, 1, n)),
-                               bank.kernels).data
-                wdiff = d_hat - d_ref
-                # sum over scales of per-scale means = S * flat mean
-                wave = bank.num_scales * np.mean(
-                    wdiff * wdiff, axis=(1, 2, 3))
+                wave = wavelet.residual_energy(diff, bank)
                 scores = scores + lambda2 * wave
             out[sl] = scores
     return out
@@ -235,10 +227,9 @@ def train_and_calibrate(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
     t0 = time.perf_counter()
     _, history, bank = train(bundle, model, cfg)
     train_s = time.perf_counter() - t0
-    eff_lambda2 = cfg.lambda2 if model.config.uses_wavelet_loss else 0.0
-    threshold = calibrate_threshold(model, bundle.validation,
-                                    bundle.norm_stats, bank,
-                                    cfg.lambda1, eff_lambda2)
+    threshold = calibrate_threshold(
+        model, bundle.validation, bundle.norm_stats, bank, cfg.lambda1,
+        model.config.effective_lambda2(cfg.lambda2))
     return {
         "history": history,
         "bank": bank,

@@ -1,4 +1,12 @@
-"""Real Morlet filter bank and the multi-scale decomposition loss."""
+"""Real Morlet filter bank and the multi-scale decomposition loss.
+
+The decomposition W (reflect padding, then one correlation per scale) is
+linear, so the loss on a residual d = xhat - x is the quadratic form
+d^T G d with G = W^T W (:func:`autodiff.dwt_gram`). G is banded with
+half-width K-1, so it is block tridiagonal in K x K blocks: the bank keeps
+it as ceil(L/K) column panels of 3K x K and applies it with one batched
+matmul. :func:`dwt` remains the defining transform.
+"""
 
 import numpy as np
 
@@ -29,6 +37,7 @@ class WaveletBank:
         self.scales = tuple(float(s) for s in scales)
         self.kernels = kernels
         self.learnable = bool(learnable)
+        self._gram = (None, None)   # (key, column panels) of the last G
 
     @property
     def num_scales(self) -> int:
@@ -41,6 +50,50 @@ class WaveletBank:
     def renormalize(self):
         """Project each kernel row back onto the unit sphere (post-update)."""
         self.kernels.data = ad.l2_normalize(self.kernels.data)
+
+    def gram(self, d: np.ndarray) -> np.ndarray:
+        """G d over the last axis of ``d``, G = W^T W at that length.
+
+        G is built on first use and cached under (length, kernel bytes), so
+        any change to the kernels, in place or by assignment, rebuilds it.
+        """
+        kern = self.kernels.data
+        length = d.shape[-1]
+        key = (length, kern.shape, kern.tobytes())
+        if self._gram[0] != key:
+            self._gram = (key, _gram_panels(kern, length))
+        rows = d.reshape(-1, length)
+        return _apply_panels(self._gram[1], rows).reshape(d.shape)
+
+
+def _gram_panels(kern: np.ndarray, length: int) -> np.ndarray:
+    """Column panels (nb, 3K, K) of G at ``length``.
+
+    Panel i holds block rows i-1..i+1 of block column i, with zeros past
+    either end.
+    """
+    k = kern.shape[1]
+    nb = -(-length // k)
+    framed = np.zeros(((nb + 2) * k, nb * k))
+    framed[k:k + length, :length] = ad.dwt_gram(kern, length)
+    return np.stack([framed[i * k:(i + 3) * k, i * k:(i + 1) * k]
+                     for i in range(nb)])
+
+
+def _apply_panels(panels: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(rows, L) -> (rows, L): G d as one matmul batched over block columns.
+
+    G is symmetric, so output block i is d's three-block window around
+    block i times panel i.
+    """
+    nb, _, k = panels.shape
+    rows, length = d.shape
+    framed = np.zeros((rows, (nb + 2) * k))
+    framed[:, k:k + length] = d
+    windows = np.lib.stride_tricks.sliding_window_view(
+        framed, 3 * k, axis=1)[:, ::k]                       # (rows, nb, 3K)
+    out = np.matmul(windows.transpose(1, 0, 2), panels)      # (nb, rows, K)
+    return out.transpose(1, 0, 2).reshape(rows, nb * k)[:, :length]
 
 
 def build_bank(scales, learnable: bool = False) -> WaveletBank:
@@ -61,12 +114,19 @@ def dwt(x: ad.Tensor, bank: WaveletBank) -> ad.Tensor:
     return ad.dwt(x, bank.kernels)
 
 
+def residual_energy(d: np.ndarray, bank: WaveletBank) -> np.ndarray:
+    """S * mean((W d)^2) over scales and samples of each row of ``d``.
+
+    For (..., L) residual rows this is d.G d / L, shape (...).
+    """
+    return np.sum(d * bank.gram(d), axis=-1) / d.shape[-1]
+
+
 def wavelet_loss(xhat: ad.Tensor, x: ad.Tensor, bank: WaveletBank) -> ad.Tensor:
     """Sum over scales of per-scale mean squared coefficient error.
 
     All scale slices share the same element count, so the sum equals
-    S * mse over the full (B,C,S,L) stack.
+    S * mse over the full (B,C,S,L) stack of dwt(xhat) - dwt(x), which is
+    d^T G d / (B*C*L) for the residual d = xhat - x.
     """
-    d_hat = dwt(xhat, bank)
-    d_ref = dwt(x, bank)
-    return ad.scale(ad.mse(d_hat, d_ref), float(bank.num_scales))
+    return ad.dwt_energy(xhat, x, bank.kernels, bank.gram)

@@ -236,7 +236,7 @@ def desk_run():
                                       seed=cfg.seed)
         t0 = time.perf_counter()
         result = tr.train_and_calibrate(bundle, net, cfg)
-        lambda2 = cfg.lambda2 if net.config.uses_wavelet_loss else 0.0
+        lambda2 = net.config.effective_lambda2(cfg.lambda2)
         reports[ablation] = ev.evaluate(
             net, bundle.test, bundle.norm_stats, result["threshold"],
             result["bank"], cfg.lambda1, lambda2)

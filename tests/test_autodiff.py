@@ -97,6 +97,12 @@ def test_shape_errors():
         ad.conv1d_transpose(_t(np.ones((1, 1, 4))), _t(np.ones((1, 2, 3))),
                             b=_t(np.ones((2, 1))))
     with pytest.raises(ShapeError):
+        ad.dwt_energy(_t(np.ones((1, 1, 8))), _t(np.ones((1, 2, 8))),
+                      np.ones((1, 3)), lambda d: d)
+    with pytest.raises(ShapeError):
+        # reflect padding of a 9-tap bank needs at least 5 samples
+        ad.dwt_gram(np.ones((1, 9)), 4)
+    with pytest.raises(ShapeError):
         ad.backward(_t(np.ones(3)))
 
 

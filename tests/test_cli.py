@@ -136,7 +136,7 @@ def test_ablate_table_rows_in_order(tmp_path, workspace):
                    "--batch", "8", "--seed", "3", "--out-dir", str(out_dir)])
     assert rc == 0
     lines = (out_dir / "ablation.csv").read_text().strip().split("\n")
-    assert lines[0] == "variant,accuracy,f1,auc,time_s"
+    assert lines[0] == "variant,accuracy,f1,auc"
     assert [ln.split(",")[0] for ln in lines[1:]] == [
         "full", "no-attn", "no-wavelet", "vanilla"]
     manifest = json.loads((out_dir / "manifest.json").read_text())
@@ -144,6 +144,23 @@ def test_ablate_table_rows_in_order(tmp_path, workspace):
     for variant in ("full", "no-attn", "no-wavelet", "vanilla"):
         assert (out_dir / variant / "checkpoint.dawm").exists()
         assert f"{variant}/report.json" in manifest["outputs"]
+        assert manifest["volatile"][f"{variant}_mean_batch_time_s"] > 0
+
+
+def test_ablate_same_seed_same_artifacts(tmp_path, workspace, monkeypatch):
+    _, data, _ = workspace
+    stable = []
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        assert cli.main(["ablate", "--data", str(data), "--epochs", "1",
+                         "--batch", "8", "--seed", "3",
+                         "--out-dir", "abl"]) == 0
+        manifest = json.loads(Path("abl/manifest.json").read_text())
+        manifest.pop("volatile")
+        stable.append((Path("abl/ablation.csv").read_bytes(), manifest))
+    assert stable[0][0] == stable[1][0]
+    assert stable[0][1] == stable[1][1]
 
 
 def test_missing_required_flag_is_usage_error():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dawnet import datafile, simulate as sim
-from dawnet.errors import FormatError
+from dawnet.errors import ConfigError, FormatError
 
 
 def _bundle(seed=3, counts=(20, 6, 5)):
@@ -103,6 +103,18 @@ def test_dataset_missing_sidecar_is_tolerated(tmp_path):
     back = datafile.read_dataset(p)
     assert back.config is None
     assert len(back.train) == 4
+
+
+def test_dataset_without_sidecar_cannot_be_written(tmp_path):
+    bundle = _bundle(seed=2, counts=(4, 2, 2))
+    p = tmp_path / "ds.bin"
+    datafile.write_dataset(p, bundle)
+    (tmp_path / "ds.bin.json").unlink()
+    back = datafile.read_dataset(p)
+    with pytest.raises(ConfigError) as exc:
+        datafile.write_dataset(tmp_path / "copy.bin", back)
+    assert "scenario config" in str(exc.value)
+    assert not (tmp_path / "copy.bin").exists()
 
 
 @pytest.mark.parametrize("text", ["{not json", '{"no_such_key": 1}'],

@@ -135,6 +135,13 @@ def test_ablation_flags():
     assert not m.ModelConfig(ablation="vanilla").uses_wavelet_loss
 
 
+@pytest.mark.parametrize("ablation,weight", [
+    ("full", 0.25), ("no_mutual_attention", 0.25), ("no_wavelet_loss", 0.0),
+    ("vanilla", 0.0)])
+def test_effective_lambda2(ablation, weight):
+    assert m.ModelConfig(ablation=ablation).effective_lambda2(0.25) == weight
+
+
 # --- network ------------------------------------------------------------------
 
 def test_encoder_shapes():

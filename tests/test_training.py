@@ -183,6 +183,23 @@ def test_per_sample_losses_batch_invariant():
     assert np.all(a >= 0.0)
 
 
+def test_per_sample_losses_match_dwt_definition():
+    bundle = _bundle(seed=29, counts=(8, 4, 4))
+    net = _net(seed=7)
+    bank = wavelet.build_bank((4, 8, 16))
+    got = tr.per_sample_losses(net, bundle.test, bundle.norm_stats, bank,
+                               1.0, 0.1, batch_size=5)
+    amp, psd = sim.model_inputs(bundle.test, bundle.norm_stats)
+    target = np.concatenate([amp[:, 0], psd[:, 0]], axis=1)
+    with ad.no_grad():
+        recon = net.forward(amp[:, 0], psd[:, 0]).data
+    coeffs = (wavelet.dwt(ad.Tensor(recon[:, None]), bank).data
+              - wavelet.dwt(ad.Tensor(target[:, None]), bank).data)
+    want = (np.mean((recon - target) ** 2, axis=1)
+            + 0.1 * 3 * np.mean(coeffs ** 2, axis=(1, 2, 3)))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_threshold_arithmetic_oracles():
     t = tr.threshold_from_losses([3.5, 3.5, 3.5])
     assert t.value == 3.5 and t.sigma == 0.0

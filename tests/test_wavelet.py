@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dawnet import autodiff as ad
-from dawnet import wavelet
+from dawnet import backend, cli, datafile, wavelet
+from dawnet import simulate as sim
+from dawnet import training as tr
 from dawnet.errors import ConfigError
+from dawnet.model import DualDomainAutoencoder, ModelConfig
 
 
 def test_morlet_tap_value_before_norm():
@@ -107,3 +110,103 @@ def test_wavelet_loss_grad():
         return wavelet.wavelet_loss(xh, x, bank)
 
     assert ad.grad_check(f, [xh, bank.kernels]) < 1e-4
+
+
+# --- Gram operator: the loss as d.G d against the DWT definition ---------------
+
+def _dwt_reference(xh, x, kernels):
+    """Loss, x-hat gradient, kernel gradient and per-row energies through
+    ``ad.dwt``, the defining transform."""
+    kern = ad.Tensor(kernels, requires_grad=True)
+    xh_t = ad.Tensor(xh, requires_grad=True)
+    d_hat = ad.dwt(xh_t, kern)
+    d_ref = ad.dwt(ad.Tensor(x), kern)
+    loss = ad.scale(ad.mse(d_hat, d_ref), float(kernels.shape[0]))
+    ad.backward(loss)
+    diff = d_hat.data - d_ref.data
+    rows = kernels.shape[0] * np.mean(diff * diff, axis=(2, 3))
+    return float(loss.data), xh_t.grad, kern.grad, rows
+
+
+def _gram_result(xh, x, bank):
+    xh_t = ad.Tensor(xh, requires_grad=True)
+    bank.kernels.grad = None
+    loss = wavelet.wavelet_loss(xh_t, ad.Tensor(x), bank)
+    ad.backward(loss)
+    rows = wavelet.residual_energy(xh - x, bank)
+    return float(loss.data), xh_t.grad, bank.kernels.grad, rows
+
+
+def _assert_matches_reference(xh, x, bank):
+    ref = _dwt_reference(xh, x, bank.kernels.data.copy())
+    got = _gram_result(xh, x, bank)
+    assert abs(got[0] - ref[0]) <= 1e-12 * abs(ref[0])
+    np.testing.assert_allclose(got[1], ref[1], rtol=0, atol=1e-12)
+    if bank.learnable:
+        np.testing.assert_allclose(got[2], ref[2], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[3], ref[3], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("scales", [(2, 4), (2, 5), (4, 8, 16)],
+                         ids=["2-4", "2-5", "4-8-16"])
+@pytest.mark.parametrize("length", [50, 100, 1600])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_gram_loss_matches_dwt_definition(scales, length, channels):
+    bank = wavelet.build_bank(scales, learnable=True)
+    # K = 16, 20, 64: L = 50 and 100 are not multiples of any of them
+    rng = np.random.default_rng(length + channels)
+    xh = rng.standard_normal((3, channels, length))
+    x = rng.standard_normal((3, channels, length))
+    _assert_matches_reference(xh, x, bank)
+
+
+def test_gram_cache_follows_kernel_changes(tmp_path):
+    bank = wavelet.build_bank((2, 5), learnable=True)
+    rng = np.random.default_rng(4)
+    xh = rng.standard_normal((2, 1, 100))
+    x = rng.standard_normal((2, 1, 100))
+    _assert_matches_reference(xh, x, bank)          # G now cached
+
+    bank.kernels.data[0, 7] += 0.25                 # in-place edit
+    _assert_matches_reference(xh, x, bank)
+    bank.kernels.data[1] *= -0.5                    # in place, then projected
+    bank.renormalize()
+    _assert_matches_reference(xh, x, bank)
+
+    saved = ad.l2_normalize(rng.standard_normal(bank.kernels.data.shape))
+    net = DualDomainAutoencoder(ModelConfig(), seed=0)
+    config = {"model": net.config.to_dict(),
+              "train": tr.TrainConfig(wavelet_scales=(2, 5),
+                                      learnable_bank=True).to_dict(),
+              "threshold": {"value": 1.0, "mu": 0.5, "sigma": 0.5},
+              "dataset_sha256": ""}
+    path = tmp_path / "model.dawm"
+    datafile.write_checkpoint(
+        path, config, [*net.named_parameters(), ("wavelet.kernels", saved)])
+    *_, loaded = cli._load_checkpoint(path)
+    np.testing.assert_array_equal(loaded.kernels.data, saved)
+    _assert_matches_reference(xh, x, loaded)
+    bank.kernels.data = loaded.kernels.data         # assignment, as on load
+    _assert_matches_reference(xh, x, bank)
+
+
+def test_gram_path_makes_no_dwt_kernel_calls(monkeypatch):
+    calls = []
+    for name in ("dwt_fw", "dwt_gx", "dwt_gk"):
+        def counted(*args, _name=name, _fn=getattr(backend, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(backend, name, counted)
+    bundle = sim.generate_dataset(sim.ScenarioConfig(rng_seed=2), (6, 4, 2))
+    net = DualDomainAutoencoder(ModelConfig(), seed=1)
+    bank = wavelet.build_bank((4, 8, 16))
+    amp, psd = sim.model_inputs(bundle.train, bundle.norm_stats)
+    target = np.concatenate([amp[:, 0], psd[:, 0]], axis=1)
+    loss = tr.composite_loss(net.forward(amp[:, 0], psd[:, 0]), target,
+                             bank, 1.0, 0.1)
+    ad.backward(loss)
+    tr.per_sample_losses(net, bundle.validation, bundle.norm_stats, bank,
+                         1.0, 0.1)
+    assert calls == []
+    wavelet.dwt(ad.Tensor(target[:, None, :]), bank)   # the counter counts
+    assert calls == ["dwt_fw"]
