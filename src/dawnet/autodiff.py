@@ -457,24 +457,39 @@ def dwt(x: Tensor, kernels) -> Tensor:
 
 
 def dwt_gram(kernels: np.ndarray, length: int) -> np.ndarray:
-    """Dense (L, L) G = W^T W of the linear map W = :func:`dwt` at ``length``.
+    """G = W^T W of the linear map W = :func:`dwt` at ``length``, as a band.
 
-    In padded coordinates every output sample adds A = sum_s k_s k_s^T at
-    its own diagonal offset; the reflect padding then folds in through its
-    adjoint on both axes. Every row of W reads K consecutive samples, so G
-    is banded with half-width K-1.
+    Returns (L, 2K-1) with band[u, K-1+e] = G[u, u+e]: every row of W reads
+    K consecutive padded samples, so G is banded with half-width K-1. In
+    padded coordinates every output sample adds A = sum_s k_s k_s^T at its
+    own diagonal offset, so padded entry (a, a+e) sums a run of A's e-th
+    diagonal: all of it in the interior (a Toeplitz band), a shorter run
+    within K of either end. The reflect padding copies source sample
+    src[a] to padded sample a, so its adjoint adds padded entry (a, b) to
+    G[src[a], src[b]], which stays in the band.
     """
     k = kernels.shape[1]
     pl, pr = _dwt_pads(k)
-    if max(pl, pr) >= length:
-        raise ShapeError(f"reflect padding ({pl},{pr}) needs input length "
-                         f"> {max(pl, pr)}")
+    src = _pad_last(np.arange(length), pl, pr, "reflect")   # padded -> source
+    n = src.size
     a = kernels.T @ kernels
-    padded = np.zeros((length + k - 1, length + k - 1))
-    for i in range(length):
-        padded[i:i + k, i:i + k] += a
-    return _unpad_fold(_unpad_fold(padded, pl, pr, "reflect").T,
-                       pl, pr, "reflect")
+    offs = np.arange(1 - k, k)                               # e
+    q = np.arange(k) + offs[:, None]
+    diags = np.where((q >= 0) & (q < k), a[np.arange(k), np.clip(q, 0, k - 1)],
+                     0.0)                                    # (2K-1, K)
+    runs = np.zeros((k + 1, 2 * k - 1))                      # prefix sums
+    np.cumsum(diags.T, axis=0, out=runs[1:])
+    # padded row a meets taps p = max(0, a-L+1) .. min(K-1, a)
+    rows = np.arange(n)
+    padded = (runs[np.minimum(rows, k - 1) + 1]
+              - runs[np.maximum(rows - length + 1, 0)])      # (N, 2K-1)
+    cols = rows[:, None] + offs
+    inside = (cols >= 0) & (cols < n)
+    u = np.broadcast_to(src[:, None], cols.shape)[inside]
+    v = src[cols[inside]]
+    return np.bincount(u * (2 * k - 1) + (v - u + k - 1),
+                       weights=padded[inside],
+                       minlength=length * (2 * k - 1)).reshape(length, -1)
 
 
 def dwt_energy(xhat: Tensor, x: Tensor, kernels, gram) -> Tensor:

@@ -1,4 +1,4 @@
-"""Hot numeric kernels in plain numpy.
+"""Hot numeric kernels in plain numpy, as im2col plus one GEMM per call.
 
 Every kernel is one of three correlation primitives on pre-padded float64
 arrays; padding and gradient bookkeeping live in :mod:`dawnet.autodiff`.
@@ -8,6 +8,13 @@ Convolution convention is cross-correlation:
     conv1d_fw:  y[b,o,l]   = sum_{i,k} x[b,i,l*stride+k] * w[o,i,k]
     tconv1d_fw: y[b,q,i*stride+k] += x[b,p,i] * w[p,q,k]   (adjoint of conv)
     dwt_fw:     y[b,c,s,l] = sum_k   x[b,c,l+k] * kern[s,k]
+
+``_cols`` copies the strided windows of x once into a C-contiguous
+(B, Ci*K, Lo) im2col array, cols[b, i*K+k, l] = x[b, i, l*stride+k], whose
+row order matches ``w.reshape(Co, Ci*K)``. Each primitive is then one GEMM:
+the correlation is w2 @ cols, batched over B, giving (B,Co,Lo) directly; its
+x-adjoint is w2.T @ g to (B,Ci,K,Lo) folded back by K strided adds
+(col2im); its w-adjoint is g @ cols^T batched over B and summed over B.
 
 The wavelet kernels are the convolution ones on (B,C,.) viewed as
 (B*C,1,.) and ``kern`` viewed as (S,1,K). Each public name is its own
@@ -19,35 +26,38 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def _windows(x, k, stride=1):
-    # (B, C, L, k) view over the last axis, strided
-    w = np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)
-    return w[..., ::stride, :]
+def _cols(x, k, stride):
+    """(B,Ci,L) -> contiguous (B,Ci*K,Lo) im2col of the strided windows."""
+    b, ci, _ = x.shape
+    win = np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)
+    win = win[..., ::stride, :]                              # (B,Ci,Lo,K)
+    return np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(
+        b, ci * k, win.shape[2])
 
 
 def _corr(x, w, stride):
     """(B,Ci,L) x (Co,Ci,K) -> (B,Co,Lo): windowed correlation."""
-    win = _windows(x, w.shape[2], stride)                    # (B,Ci,Lo,K)
-    y = np.tensordot(win, w, axes=([1, 3], [1, 2]))          # (B,Lo,Co)
-    return np.ascontiguousarray(y.transpose(0, 2, 1))
+    co, ci, k = w.shape
+    return np.matmul(w.reshape(co, ci * k), _cols(x, k, stride))
 
 
 def _scatter(g, w, stride, lp):
     """Adjoint of ``_corr`` in x: (B,Co,Lo) x (Co,Ci,K) -> (B,Ci,lp)."""
     b, _, lo = g.shape
-    ci, k = w.shape[1], w.shape[2]
+    co, ci, k = w.shape
+    cols = np.matmul(w.reshape(co, ci * k).T, g).reshape(b, ci, k, lo)
     gxp = np.zeros((b, ci, lp))
     span = (lo - 1) * stride + 1
     for kk in range(k):
-        contrib = np.tensordot(g, w[:, :, kk], axes=([1], [0]))  # (B,Lo,Ci)
-        gxp[:, :, kk:kk + span:stride] += contrib.transpose(0, 2, 1)
+        gxp[:, :, kk:kk + span:stride] += cols[:, :, kk]
     return gxp
 
 
 def _corr_gw(g, x, stride, k):
     """Adjoint of ``_corr`` in w: (B,Co,Lo) x (B,Ci,L) -> (Co,Ci,K)."""
-    win = _windows(x, k, stride)                             # (B,Ci,Lo,K)
-    return np.ascontiguousarray(np.tensordot(g, win, axes=([0, 2], [0, 2])))
+    co, ci = g.shape[1], x.shape[1]
+    cols = _cols(x, k, stride)
+    return np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(co, ci, k)
 
 
 conv1d_fw = _corr                    # (xp, w, stride)

@@ -123,17 +123,20 @@ def roc_curve(scores, labels):
     if s.shape != y.shape:
         raise ShapeError("scores and labels must have matching lengths")
     _check_two_classes(y)
-    thresholds = np.concatenate((
-        [np.inf], np.unique(s)[::-1], [-np.inf]))
+    order = np.argsort(s, kind="stable")
+    srt = s[order]
+    thresholds = np.concatenate(([np.inf], np.unique(srt)[::-1], [-np.inf]))
     n_pos = int(np.sum(y == 1))
     n_neg = y.size - n_pos
-    points = []
-    for thr in thresholds:
-        pred = s > thr
-        tpr = float(np.sum(pred & (y == 1))) / n_pos
-        fpr = float(np.sum(pred & (y == 0))) / n_neg
-        points.append((fpr, tpr, float(thr)))
-    return points
+    # scores above a threshold are a tail of the sorted scores; a NaN sorts
+    # last and exceeds no threshold, so the tail stops before the NaNs
+    n_real = int(np.count_nonzero(~np.isnan(s)))
+    cut = np.minimum(np.searchsorted(srt, thresholds, side="right"), n_real)
+    pos_below = np.concatenate(([0], np.cumsum(y[order])))
+    tp = pos_below[n_real] - pos_below[cut]
+    fp = (n_real - cut) - tp
+    return [(f / n_neg, t / n_pos, thr) for f, t, thr
+            in zip(fp.tolist(), tp.tolist(), thresholds.tolist())]
 
 
 def trapezoid_area(roc_points) -> float:

@@ -70,14 +70,19 @@ def _gram_panels(kern: np.ndarray, length: int) -> np.ndarray:
     """Column panels (nb, 3K, K) of G at ``length``.
 
     Panel i holds block rows i-1..i+1 of block column i, with zeros past
-    either end.
+    either end. G is symmetric, so panel[i, r, c] = G[iK+c, (i-1)K+r] is
+    entry r-c-1 of band row iK+c (:func:`autodiff.dwt_gram`); entries off
+    the band read a zero column.
     """
     k = kern.shape[1]
     nb = -(-length // k)
-    framed = np.zeros(((nb + 2) * k, nb * k))
-    framed[k:k + length, :length] = ad.dwt_gram(kern, length)
-    return np.stack([framed[i * k:(i + 3) * k, i * k:(i + 1) * k]
-                     for i in range(nb)])
+    band = np.zeros((nb * k, 2 * k))
+    band[:length, :2 * k - 1] = ad.dwt_gram(kern, length)
+    c = np.arange(k)
+    j = np.arange(3 * k)[:, None] - c - 1                    # (3K, K)
+    j[(j < 0) | (j > 2 * k - 2)] = 2 * k - 1
+    # np.take lays the panels out C-contiguous, as the batched matmul wants
+    return np.take(band.reshape(nb, 2 * k * k), c * 2 * k + j, axis=1)
 
 
 def _apply_panels(panels: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -244,6 +244,7 @@ def desk_run():
     return reports, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_08_desk_preset_detection_floor(desk_run):
     reports, elapsed = desk_run
     full, vanilla = reports["full"], reports["vanilla"]

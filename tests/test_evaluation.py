@@ -113,6 +113,43 @@ def test_roc_trapezoid_handles_ties_too():
     assert abs(area - ev.auc(scores, labels)) < 1e-10
 
 
+def _roc_by_scan(scores, labels):
+    # the defining sweep: every threshold scans every score
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    n_pos = int(np.sum(y == 1))
+    points = []
+    for thr in np.concatenate(([np.inf], np.unique(s)[::-1], [-np.inf])):
+        pred = s > thr
+        points.append((float(np.sum(pred & (y == 0))) / (y.size - n_pos),
+                       float(np.sum(pred & (y == 1))) / n_pos, float(thr)))
+    return points
+
+
+@pytest.mark.parametrize("scores,labels", [
+    ([1.0, 1.0, 2.0, 2.0, 3.0, 0.5, 2.0], [0, 1, 0, 1, 1, 0, 1]),
+    ([0.7] * 6, [0, 1, 1, 0, 0, 1]),
+    ([np.inf, 1.0, -np.inf, 2.0, np.inf, -np.inf, 1.0],
+     [1, 0, 0, 1, 0, 1, 1]),
+    ([np.nan, 0.3, 0.1, np.nan, 0.3, 0.9], [1, 0, 1, 0, 1, 0]),
+], ids=["ties", "all-equal", "inf-endpoints", "nan"])
+def test_roc_matches_threshold_scan(scores, labels):
+    got = ev.roc_curve(scores, labels)
+    ref = _roc_by_scan(scores, labels)
+    assert all(type(v) is float for p in got for v in p)
+    np.testing.assert_array_equal(np.array(got), np.array(ref))
+
+
+def test_roc_matches_threshold_scan_on_rounded_scores():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        n = int(rng.integers(2, 300))
+        scores = np.round(rng.standard_normal(n), int(rng.integers(0, 3)))
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = [0, 1]
+        assert ev.roc_curve(scores, labels) == _roc_by_scan(scores, labels)
+
+
 def test_roc_single_class_rejected():
     with pytest.raises(ConfigError):
         ev.roc_curve([0.1, 0.2], [0, 0])

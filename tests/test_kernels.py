@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dawnet import backend
+from dawnet import backend, model
 
 
 def _rng(seed=0):
@@ -111,6 +111,27 @@ def _taps(x, k, s, n):
     return x[..., k:k + (n - 1) * s + 1:s]
 
 
+def _corr_sum(x, w, s, lo):
+    # y[b,o,l] = sum_{i,k} x[b,i,l*s+k] w[o,i,k]
+    return sum(np.einsum("bil,oi->bol", _taps(x, kk, s, lo), w[:, :, kk])
+               for kk in range(w.shape[2]))
+
+
+def _scatter_sum(g, w, s, length):
+    # gx[b,i,l*s+k] += g[b,o,l] w[o,i,k]
+    gx = np.zeros((g.shape[0], w.shape[1], length))
+    for kk in range(w.shape[2]):
+        _taps(gx, kk, s, g.shape[2])[...] += np.einsum("bol,oi->bil", g,
+                                                       w[:, :, kk])
+    return gx
+
+
+def _corr_gw_sum(g, x, s, k):
+    # gw[o,i,k] = sum_{b,l} g[b,o,l] x[b,i,l*s+k]
+    return np.stack([np.einsum("bol,bil->oi", g, _taps(x, kk, s, g.shape[2]))
+                     for kk in range(k)], axis=2)
+
+
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_kernels_match_defining_sums(s):
     rng = _rng(6)
@@ -120,17 +141,12 @@ def test_kernels_match_defining_sums(s):
     w = _rand(rng, 4, 3, k)
     g = _rand(rng, 2, 4, lo)
 
-    y = sum(np.einsum("bil,oi->bol", _taps(x, kk, s, lo), w[:, :, kk])
-            for kk in range(k))
-    np.testing.assert_allclose(backend.conv1d_fw(x, w, s), y, atol=1e-12)
-    gx = np.zeros_like(x)
-    for kk in range(k):
-        _taps(gx, kk, s, lo)[...] += np.einsum("bol,oi->bil", g, w[:, :, kk])
-    np.testing.assert_allclose(backend.conv1d_gx(g, w, s, length), gx,
-                               atol=1e-12)
-    gw = np.stack([np.einsum("bol,bil->oi", g, _taps(x, kk, s, lo))
-                   for kk in range(k)], axis=2)
-    np.testing.assert_allclose(backend.conv1d_gw(g, x, s, k), gw, atol=1e-12)
+    np.testing.assert_allclose(backend.conv1d_fw(x, w, s),
+                               _corr_sum(x, w, s, lo), atol=1e-12)
+    np.testing.assert_allclose(backend.conv1d_gx(g, w, s, length),
+                               _scatter_sum(g, w, s, length), atol=1e-12)
+    np.testing.assert_allclose(backend.conv1d_gw(g, x, s, k),
+                               _corr_gw_sum(g, x, s, k), atol=1e-12)
 
     # transposed conv: (B,Cp,L) x (Cp,Cq,K) -> (B,Cq,(L-1)*s+K)
     xt = _rand(rng, 2, 4, 6)
@@ -164,3 +180,50 @@ def test_kernels_match_defining_sums(s):
     gk = np.stack([np.einsum("bcsl,bcl->s", gd, _taps(x, kk, 1, ld))
                    for kk in range(kd)], axis=1)
     np.testing.assert_allclose(backend.dwt_gk(gd, x), gk, atol=1e-12)
+
+
+def _model_conv_shapes():
+    """(Ci, Co, K, stride, padded length) of every conv the model runs."""
+    cfg = model.ModelConfig()
+    rows, length = [], cfg.input_len
+    for ci, co, k, s, pad, _ in model._encoder_plan(cfg):
+        rows.append((ci, co, k, s, length + 2 * pad))
+        length = (length + 2 * pad - k) // s + 1
+    c, r = cfg.latent_channels, cfg.reduction_factor
+    rows += [(c, c // r, 1, 1, length), (c, c, 1, 1, length)]  # attention
+    # a transposed conv (Cp, Cq, K) is the adjoint of a conv with Co = Cp
+    tconvs, _ = model._decoder_plan(cfg)
+    length = cfg.latent_len
+    for cp, cq, k, s in tconvs:
+        length = (length - 1) * s + k
+        rows.append((cq, cp, k, s, length))
+    return rows
+
+
+def _assert_matches(got, ref):
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("ci,co,k,s,lp", _model_conv_shapes())
+def test_kernels_at_model_shapes(ci, co, k, s, lp):
+    # K=7 stride 2 on even padded lengths leaves a tail that no window
+    # reaches; K=14 stride 12 is the stride-adjusting encoder layer
+    rng = _rng(7)
+    lo = (lp - k) // s + 1
+    x = _rand(rng, 3, ci, lp)
+    w = _rand(rng, co, ci, k)
+    g = _rand(rng, 3, co, lo)
+    _assert_matches(backend.conv1d_fw(x, w, s), _corr_sum(x, w, s, lo))
+    _assert_matches(backend.conv1d_gx(g, w, s, lp),
+                    _scatter_sum(g, w, s, lp))
+    _assert_matches(backend.conv1d_gw(g, x, s, k), _corr_gw_sum(g, x, s, k))
+    # the transposed conv with the same weight maps (B,Co,Lo) back to
+    # (B,Ci,(Lo-1)*s+K)
+    lt = (lo - 1) * s + k
+    xt = x[..., :lt].copy()
+    _assert_matches(backend.tconv1d_fw(g, w, s), _scatter_sum(g, w, s, lt))
+    _assert_matches(backend.tconv1d_gx(xt, w, s), _corr_sum(xt, w, s, lo))
+    _assert_matches(backend.tconv1d_gw(xt, g, s, k),
+                    _corr_gw_sum(g, xt, s, k))

@@ -160,6 +160,45 @@ def test_gram_loss_matches_dwt_definition(scales, length, channels):
     _assert_matches_reference(xh, x, bank)
 
 
+def _dense_gram(kern, length):
+    """Dense (L, L) G: A = sum_s k_s k_s^T added at every diagonal offset of
+    the padded length, then folded through the reflect adjoint on both
+    axes."""
+    k = kern.shape[1]
+    pl, pr = k // 2, k - 1 - k // 2
+    padded = np.zeros((length + k - 1, length + k - 1))
+    for i in range(length):
+        padded[i:i + k, i:i + k] += kern.T @ kern
+    return ad._unpad_fold(ad._unpad_fold(padded, pl, pr, "reflect").T,
+                          pl, pr, "reflect")
+
+
+@pytest.mark.parametrize("scales", [(2, 4), (2, 5), (4, 8, 16)],
+                         ids=["2-4", "2-5", "4-8-16"])
+@pytest.mark.parametrize("length", [50, 100, 1600])
+def test_gram_panels_match_dense_construction(scales, length):
+    kern = wavelet.build_bank(scales).kernels.data
+    k = kern.shape[1]
+    gram = _dense_gram(kern, length)
+    # band row u holds G[u, u-K+1 .. u+K-1]
+    band = ad.dwt_gram(kern, length)
+    framed = np.zeros((length, length + 2 * k - 2))
+    for u in range(length):
+        framed[u, u:u + 2 * k - 1] = band[u]
+    np.testing.assert_allclose(framed[:, k - 1:k - 1 + length], gram,
+                               rtol=0, atol=1e-12)
+    assert not framed[:, :k - 1].any() and not framed[:, k - 1 + length:].any()
+    # panel i is block column i of G over block rows i-1 .. i+1
+    nb = -(-length // k)
+    framed = np.zeros(((nb + 2) * k, nb * k))
+    framed[k:k + length, :length] = gram
+    ref = np.stack([framed[i * k:(i + 3) * k, i * k:(i + 1) * k]
+                    for i in range(nb)])
+    got = wavelet._gram_panels(kern, length)
+    assert got.shape == ref.shape and got.flags.c_contiguous
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
 def test_gram_cache_follows_kernel_changes(tmp_path):
     bank = wavelet.build_bank((2, 5), learnable=True)
     rng = np.random.default_rng(4)
