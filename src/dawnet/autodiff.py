@@ -4,6 +4,13 @@ Small by design: only the ops the detector needs, each with a hand-written
 backward closure. Graphs are built eagerly during the forward pass and
 replayed in reverse topological order by :func:`backward`. The convolution
 and wavelet inner loops dispatch to :mod:`dawnet.backend`.
+
+A conv layer is one tape node: :func:`conv1d` and :func:`conv1d_transpose`
+add the bias to the kernel's output in place, check the pre-activation for
+non-finite values once and apply the optional ReLU in place, and their
+backward masks the gradient once before the kernel adjoints. :func:`relu`
+and the rank-3 branch of :func:`add_bias` compute the same chain as
+separate nodes, and the tests hold the fused node to them bitwise.
 """
 
 from contextlib import contextmanager
@@ -56,12 +63,17 @@ def as_tensor(x) -> Tensor:
 
 
 def _check_finite(arr):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericalError("non-finite values produced by a forward op")
 
 
 def _make(data, parents, backward_fn) -> Tensor:
     _check_finite(data)
+    return _node(data, parents, backward_fn)
+
+
+def _node(data, parents, backward_fn) -> Tensor:
+    """Tape node over already-checked ``data``."""
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -73,7 +85,7 @@ def _make(data, parents, backward_fn) -> Tensor:
 def _accumulate(t: Tensor, g):
     if not t.requires_grad:
         return
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericalError("non-finite gradient")
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
@@ -339,17 +351,26 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _pad_last(x, pl, pr, mode):
+    """np.pad of the last axis in "reflect" or "constant" ("zero") mode,
+    written into one new buffer by slicing."""
     if pl == 0 and pr == 0:
         return x
+    n = x.shape[-1]
     if mode == "reflect":
-        lmax = x.shape[-1] - 1
-        if pl > lmax or pr > lmax:
+        if pl >= n or pr >= n:
             raise ShapeError(
                 f"reflect padding ({pl},{pr}) needs input length > {max(pl, pr)}")
-        return np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pl, pr)], mode="reflect")
-    if mode == "zero":
-        return np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pl, pr)], mode="constant")
-    raise ConfigError(f"unknown padding mode: {mode!r}")
+    elif mode != "zero":
+        raise ConfigError(f"unknown padding mode: {mode!r}")
+    out = np.empty(x.shape[:-1] + (pl + n + pr,), dtype=x.dtype)
+    out[..., pl:pl + n] = x
+    if mode == "reflect":
+        out[..., :pl] = x[..., pl:0:-1]
+        out[..., pl + n:] = x[..., n - 1 - pr:n - 1][..., ::-1]
+    else:
+        out[..., :pl] = 0
+        out[..., pl + n:] = 0
+    return out
 
 
 def _unpad_fold(gxp, pl, pr, mode):
@@ -368,9 +389,41 @@ def _unpad_fold(gxp, pl, pr, mode):
 # convolution ops
 # ---------------------------------------------------------------------------
 
+def _conv_node(y, x, w, b, relu, adjoints) -> Tensor:
+    """One tape node for a conv layer from the kernel output ``y``.
+
+    Adds the bias to y in place, checks the pre-activation once (before the
+    ReLU, which would map -inf to 0) and applies the ReLU in place. The
+    backward masks the gradient once, sums the bias gradient and passes the
+    pre-activation gradient to ``adjoints`` for x and w.
+    """
+    parents = (x, w)
+    if b is not None:
+        b = as_tensor(b)
+        if b.data.ndim != 1:
+            raise ShapeError("bias must be 1-d")
+        if b.data.shape[0] != y.shape[1]:
+            raise ShapeError("bias length must match channel count")
+        y += b.data[:, None]
+        parents += (b,)
+    _check_finite(y)
+    if relu:
+        np.maximum(y, 0.0, out=y)
+
+    def bw(g):
+        if relu:
+            g = g * (y > 0.0)
+        if b is not None:
+            _accumulate(b, g.sum(axis=(0, 2)))
+        adjoints(np.ascontiguousarray(g))
+
+    return _node(y, parents, bw)
+
+
 def conv1d(x: Tensor, w: Tensor, b=None, stride=1, padding=0,
-           pad_mode="zero") -> Tensor:
-    """Cross-correlation of (B,Cin,L) with (Cout,Cin,K) kernels."""
+           pad_mode="zero", relu=False) -> Tensor:
+    """Cross-correlation of (B,Cin,L) with (Cout,Cin,K) kernels, plus an
+    optional per-channel bias and ReLU, as one tape node."""
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError("conv1d expects (B,Cin,L) input and (Cout,Cin,K) weight")
@@ -384,22 +437,20 @@ def conv1d(x: Tensor, w: Tensor, b=None, stride=1, padding=0,
     xp = np.ascontiguousarray(_pad_last(x.data, padding, padding, pad_mode))
     y = backend.conv1d_fw(xp, np.ascontiguousarray(w.data), stride)
 
-    def bw(g):
-        g = np.ascontiguousarray(g)
+    def adjoints(g):
         if x.requires_grad:
             gxp = backend.conv1d_gx(g, w.data, stride, xp.shape[2])
             _accumulate(x, _unpad_fold(gxp, padding, padding, pad_mode))
         if w.requires_grad:
             _accumulate(w, backend.conv1d_gw(g, xp, stride, k))
 
-    out = _make(y, (x, w), bw)
-    if b is not None:
-        out = add_bias(out, b)
-    return out
+    return _conv_node(y, x, w, b, relu, adjoints)
 
 
-def conv1d_transpose(x: Tensor, w: Tensor, b=None, stride=1) -> Tensor:
-    """Adjoint of conv1d: (B,Cp,L) x (Cp,Cq,K) -> (B,Cq,(L-1)*stride+K)."""
+def conv1d_transpose(x: Tensor, w: Tensor, b=None, stride=1,
+                     relu=False) -> Tensor:
+    """Adjoint of conv1d: (B,Cp,L) x (Cp,Cq,K) -> (B,Cq,(L-1)*stride+K),
+    plus an optional per-channel bias and ReLU, as one tape node."""
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError("conv1d_transpose expects rank-3 input and weight")
@@ -411,17 +462,13 @@ def conv1d_transpose(x: Tensor, w: Tensor, b=None, stride=1) -> Tensor:
     y = backend.tconv1d_fw(np.ascontiguousarray(x.data),
                            np.ascontiguousarray(w.data), stride)
 
-    def bw(g):
-        g = np.ascontiguousarray(g)
+    def adjoints(g):
         if x.requires_grad:
             _accumulate(x, backend.tconv1d_gx(g, w.data, stride))
         if w.requires_grad:
             _accumulate(w, backend.tconv1d_gw(g, x.data, stride, k))
 
-    out = _make(y, (x, w), bw)
-    if b is not None:
-        out = add_bias(out, b)
-    return out
+    return _conv_node(y, x, w, b, relu, adjoints)
 
 
 def _dwt_pads(k: int) -> tuple:

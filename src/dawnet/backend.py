@@ -9,12 +9,15 @@ Convolution convention is cross-correlation:
     tconv1d_fw: y[b,q,i*stride+k] += x[b,p,i] * w[p,q,k]   (adjoint of conv)
     dwt_fw:     y[b,c,s,l] = sum_k   x[b,c,l+k] * kern[s,k]
 
-``_cols`` copies the strided windows of x once into a C-contiguous
-(B, Ci*K, Lo) im2col array, cols[b, i*K+k, l] = x[b, i, l*stride+k], whose
-row order matches ``w.reshape(Co, Ci*K)``. Each primitive is then one GEMM:
-the correlation is w2 @ cols, batched over B, giving (B,Co,Lo) directly; its
-x-adjoint is w2.T @ g to (B,Ci,K,Lo) folded back by K strided adds
-(col2im); its w-adjoint is g @ cols^T batched over B and summed over B.
+``_cols`` views the windows of x as (B, Ci, K, Lo) with one read-only
+``as_strided`` built from x's own strides, and copies that view once into a
+C-contiguous (B, Ci*K, Lo) im2col array, cols[b, i*K+k, l] =
+x[b, i, l*stride+k], whose row order matches ``w.reshape(Co, Ci*K)``. Each
+primitive is then one GEMM: the correlation is w2 @ cols, batched over B,
+giving (B,Co,Lo) directly; its x-adjoint is w2.T @ g to (B,Ci,K,Lo) folded
+back by K strided adds (col2im); its w-adjoint is g @ cols^T batched over B
+and summed over B. Bias, finite check and ReLU are not kernels: autodiff
+applies them in place to the kernel's output.
 
 The wavelet kernels are the convolution ones on (B,C,.) viewed as
 (B*C,1,.) and ``kern`` viewed as (S,1,K). Each public name is its own
@@ -28,11 +31,14 @@ BACKEND = "numpy"
 
 def _cols(x, k, stride):
     """(B,Ci,L) -> contiguous (B,Ci*K,Lo) im2col of the strided windows."""
-    b, ci, _ = x.shape
-    win = np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)
-    win = win[..., ::stride, :]                              # (B,Ci,Lo,K)
-    return np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(
-        b, ci * k, win.shape[2])
+    b, ci, length = x.shape
+    if not 1 <= k <= length:
+        raise ValueError(f"window of {k} taps does not fit length {length}")
+    lo = (length - k) // stride + 1
+    sb, sc, sl = x.strides
+    win = np.lib.stride_tricks.as_strided(
+        x, (b, ci, k, lo), (sb, sc, sl, sl * stride), writeable=False)
+    return np.ascontiguousarray(win).reshape(b, ci * k, lo)
 
 
 def _corr(x, w, stride):

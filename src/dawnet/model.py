@@ -207,9 +207,7 @@ class DualDomainAutoencoder:
         h = x
         for w, b, stride, pad, act in self._enc[f"{which}_encoder"]:
             h = ad.conv1d(h, w, b=b, stride=stride, padding=pad,
-                          pad_mode="reflect" if pad else "zero")
-            if act:
-                h = ad.relu(h)
+                          pad_mode="reflect" if pad else "zero", relu=act)
         return h
 
     def fuse(self, tx: ad.Tensor, fx: ad.Tensor):
@@ -226,7 +224,7 @@ class DualDomainAutoencoder:
         h = ad.reshape(fused, (b, 2 * self.config.latent_channels,
                                self.config.latent_len))
         for w, bias, stride in self._dec:
-            h = ad.relu(ad.conv1d_transpose(h, w, b=bias, stride=stride))
+            h = ad.conv1d_transpose(h, w, b=bias, stride=stride, relu=True)
         h = ad.reshape(h, (b, self._dense_in))
         return ad.add_bias(ad.matmul(h, self.dense_w), self.dense_b)
 

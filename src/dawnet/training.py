@@ -5,6 +5,7 @@ reconstruction loss itself, thresholded one standard deviation above its
 mean on the (equally clean) validation split.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -32,8 +33,10 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
+        if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ConfigError("learning_rate must be finite and >= 0")
+        if not (math.isfinite(self.lambda1) and math.isfinite(self.lambda2)):
+            raise ConfigError("loss weights must be finite")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ConfigError("loss weights must be non-negative")
         if self.seed < 0:
@@ -60,7 +63,11 @@ class Threshold:
 
 
 class Adam:
-    """Adaptive-moment optimizer (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adaptive-moment optimizer (beta1=0.9, beta2=0.999, eps=1e-8).
+
+    Updates every parameter array in place, through two scratch buffers per
+    parameter allocated once, in the textbook order of operations.
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -69,22 +76,32 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = [(np.empty_like(p.data), np.empty_like(p.data))
+                         for p in self.params]
 
     def step(self):
+        """p -= lr * (m / b1t) / (sqrt(v / b2t) + eps), term by term."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
+        for p, m, v, (s, u) in zip(self.params, self._m, self._v,
+                                   self._scratch):
             if p.grad is None:
                 continue
             g = p.grad
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            p.data = p.data - update
-            if not np.all(np.isfinite(p.data)):
+            np.multiply(g, g, out=s)
+            v += np.multiply(1.0 - self.beta2, s, out=s)
+            np.divide(v, b2t, out=s)             # s = sqrt(v / b2t) + eps
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, b1t, out=u)             # u = lr * (m / b1t) / s
+            np.multiply(self.lr, u, out=u)
+            u /= s
+            p.data -= u
+            if not np.isfinite(p.data).all():
                 raise NumericalError("non-finite parameter after update")
 
     def zero_grad(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dawnet import autodiff as ad
+from dawnet import model
 from dawnet.errors import ConfigError, NumericalError, ShapeError
 
 
@@ -112,6 +113,87 @@ def test_nonfinite_forward_raises():
     big = ad.scale(x, 1e308)
     with pytest.raises(NumericalError):
         ad.mul(big, big)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_fused_conv_checks_before_relu():
+    # finite input, huge finite weights: every pre-activation is -inf, which
+    # the ReLU would turn into 0, so the check must come first
+    x = _t(np.ones((1, 1, 4)))
+    w = _t(np.full((1, 1, 2), -1e308))
+    with pytest.raises(NumericalError):
+        ad.conv1d(x, w, b=_t(np.zeros(1)), relu=True)
+
+
+@pytest.mark.parametrize("length", range(2, 7))
+def test_pad_last_matches_np_pad(length):
+    x = np.random.default_rng(length).standard_normal((2, 3, length))
+    for pl in range(length):
+        for pr in range(length):
+            for mode, np_mode in (("reflect", "reflect"), ("zero", "constant")):
+                want = np.pad(x, [(0, 0), (0, 0), (pl, pr)], mode=np_mode)
+                assert np.array_equal(ad._pad_last(x, pl, pr, mode), want)
+    for pl, pr in ((length, 0), (0, length), (length + 1, 1)):
+        with pytest.raises(ShapeError):
+            ad._pad_last(x, pl, pr, "reflect")
+    with pytest.raises(ConfigError):
+        ad._pad_last(x, 1, 1, "circular")
+
+
+def _conv_cases():
+    """(transposed, cin, cout, k, stride, pad, input length) of every conv
+    layer the default model runs through a bias."""
+    cfg = model.ModelConfig()
+    rows, length = [], cfg.input_len
+    for cin, cout, k, s, pad, _ in model._encoder_plan(cfg):
+        rows.append((False, cin, cout, k, s, pad, length))
+        length = (length + 2 * pad - k) // s + 1
+    length = cfg.latent_len
+    for cin, cout, k, s in model._decoder_plan(cfg)[0]:
+        rows.append((True, cin, cout, k, s, 0, length))
+        length = (length - 1) * s + k
+    return rows
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("case", _conv_cases())
+def test_fused_conv_matches_unfused_chain(case, bias, relu):
+    # one node must compute relu(add_bias(conv(x))) and its gradients bit
+    # for bit, including the reflect-padded and the unpadded layers
+    transposed, cin, cout, k, s, pad, length = case
+    rng = np.random.default_rng(5)
+    xs = rng.standard_normal((3, cin, length))
+    ws = rng.standard_normal((cin, cout, k) if transposed else (cout, cin, k))
+    bs = rng.standard_normal(cout) * 0.5
+    mode = "reflect" if pad else "zero"
+
+    def conv(x, w, b=None, relu=False):
+        if transposed:
+            return ad.conv1d_transpose(x, w, b=b, stride=s, relu=relu)
+        return ad.conv1d(x, w, b=b, stride=s, padding=pad, pad_mode=mode,
+                         relu=relu)
+
+    def run(fused):
+        x, w, b = _t(xs), _t(ws), _t(bs)
+        if fused:
+            y = conv(x, w, b=b if bias else None, relu=relu)
+        else:
+            y = conv(x, w)
+            if bias:
+                y = ad.add_bias(y, b)
+            if relu:
+                y = ad.relu(y)
+        probe = np.random.default_rng(6).standard_normal(y.data.shape)
+        ad.backward(ad.mse(y, _t(probe, rg=False)))
+        return y.data, x.grad, w.grad, b.grad
+
+    got, want = run(True), run(False)
+    if relu:
+        assert 0 < np.count_nonzero(want[0]) < want[0].size
+    for a, r in zip(got, want):
+        assert (a is None) == (r is None)
+        assert r is None or np.array_equal(a, r)
 
 
 def test_param_registry_rejects_duplicates():

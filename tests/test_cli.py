@@ -191,6 +191,24 @@ def test_bad_scales_exits_2(tmp_path, workspace):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--lambda2", "nan"), ("--lr", "nan"), ("--lr", "inf"),
+    ("--lambda1", "inf"),
+])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_nonfinite_hyperparameter_exits_2(tmp_path, workspace, command, flag,
+                                          value):
+    # nan > 0 is false: --lambda2 nan used to train with no wavelet term
+    _, data, _ = workspace
+    out = tmp_path / "out"
+    dest = ["--out", str(out)] if command == "train" else ["--out-dir",
+                                                          str(out)]
+    rc = cli.main([command, "--data", str(data), "--epochs", "1",
+                   flag, value, *dest])
+    assert rc == 2
+    assert not out.is_file() and not any(out.glob("*/checkpoint.dawm"))
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--data", "{tmp}/absent.dawn", "--epochs", "1",
      "--out", "{tmp}/m.dawm"],

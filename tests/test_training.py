@@ -85,6 +85,31 @@ def test_adam_zero_lr_keeps_params():
     np.testing.assert_array_equal(t.data, before)
 
 
+def test_adam_in_place_matches_textbook_update():
+    # the in-place step must round exactly as the out-of-place expression,
+    # or checkpoints stop being byte-identical across versions
+    rng = np.random.default_rng(4)
+    shapes = [(3, 4, 5), (7,), ()]
+    params = [ad.Tensor(rng.standard_normal(s), requires_grad=True)
+              for s in shapes]
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros_like(r) for r in ref]
+    v = [np.zeros_like(r) for r in ref]
+    opt = tr.Adam(params, lr=3e-3)
+    for t in range(1, 6):
+        b1t, b2t = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for i, p in enumerate(params):
+            g = rng.standard_normal(shapes[i])
+            p.grad = np.array(g)
+            m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+            v[i] = 0.999 * v[i] + (1.0 - 0.999) * (g * g)
+            ref[i] = ref[i] - 3e-3 * (m[i] / b1t) / (np.sqrt(v[i] / b2t)
+                                                      + 1e-8)
+        opt.step()
+        for p, r in zip(params, ref):
+            assert np.array_equal(p.data, r)
+
+
 def test_adam_descends_quadratic():
     t = ad.Tensor(np.array(4.0), requires_grad=True)
     opt = tr.Adam([t], lr=0.1)
