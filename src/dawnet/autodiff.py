@@ -54,9 +54,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self):
-        self.grad = None
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -143,16 +140,6 @@ class ParamRegistry:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
-    def zero_grad(self):
-        for t in self._params.values():
-            t.grad = None
-
 
 # ---------------------------------------------------------------------------
 # elementwise / structural ops
@@ -168,18 +155,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g)
 
     return _make(a.data + b.data, (a, b), bw)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub shape mismatch: {a.data.shape} vs {b.data.shape}")
-
-    def bw(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return _make(a.data - b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

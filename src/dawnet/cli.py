@@ -9,6 +9,7 @@ produce byte-identical artifacts apart from that block.
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -211,27 +212,33 @@ def cmd_train(args) -> int:
 def _load_checkpoint(path):
     """Rebuild the model, threshold, scoring weights, and bank."""
     config, params = datafile.read_checkpoint(path)
-    model_cfg = ModelConfig.from_dict(config["model"])
+    try:
+        model_cfg = ModelConfig.from_dict(config["model"])
+        train_block = config["train"]
+        threshold = Threshold(**config["threshold"])
+        lambda1 = float(train_block["lambda1"])
+        # ablations without the wavelet term score without it, too
+        lambda2 = model_cfg.effective_lambda2(train_block["lambda2"])
+        if not all(map(math.isfinite, (lambda1, lambda2, threshold.value,
+                                       threshold.mu, threshold.sigma))):
+            raise ValueError("non-finite scoring weight or threshold")
+        bank = None
+        if lambda2 > 0.0:
+            bank = wavelet.build_bank(tuple(train_block["wavelet_scales"]),
+                                      learnable=bool(train_block.get(
+                                          "learnable_bank", False)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad config block in checkpoint "
+                          f"{Path(path).name}: {exc!r}") from exc
     model = DualDomainAutoencoder(model_cfg, seed=0)
-    model_params = [(n, a) for n, a in params
-                    if not n.startswith("wavelet.")]
-    model.load_named_parameters(model_params)
-    train_block = config["train"]
-    threshold = Threshold(**config["threshold"])
-    lambda1 = float(train_block["lambda1"])
-    # ablations without the wavelet term score without it, too
-    lambda2 = model_cfg.effective_lambda2(train_block["lambda2"])
-    bank = None
-    if lambda2 > 0.0:
-        bank = wavelet.build_bank(tuple(train_block["wavelet_scales"]),
-                                  learnable=bool(train_block.get(
-                                      "learnable_bank", False)))
-        saved = [a for n, a in params if n == "wavelet.kernels"]
-        if saved:
-            if saved[0].shape != bank.kernels.data.shape:
-                raise ConfigError("stored wavelet kernels do not match the "
-                                  "configured scales")
-            bank.kernels.data = saved[0]
+    model.load_named_parameters([(n, a) for n, a in params
+                                 if not n.startswith("wavelet.")])
+    saved = [a for n, a in params if n == "wavelet.kernels"]
+    if bank is not None and saved:
+        if saved[0].shape != bank.kernels.data.shape:
+            raise ConfigError("stored wavelet kernels do not match the "
+                              "configured scales")
+        bank.kernels.data = saved[0]
     return model, threshold, lambda1, lambda2, bank
 
 

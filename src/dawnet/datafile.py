@@ -5,6 +5,7 @@ with the absolute file offset of the first inconsistency.
 """
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -53,20 +54,12 @@ class _Reader:
 # dataset container
 # ---------------------------------------------------------------------------
 
-def _pack_snapshot(s: Snapshot, sample_count: int, fft_bins: int) -> bytes:
-    if s.time_samples.shape != (sample_count,):
-        raise FormatError(f"snapshot has {s.time_samples.shape[0]} time "
-                          f"samples, expected {sample_count}")
-    if s.psd_db.shape != (fft_bins,):
-        raise FormatError(f"snapshot has {s.psd_db.shape[0]} PSD bins, "
-                          f"expected {fft_bins}")
-    parts = [
-        struct.pack("<Bdd", int(s.label), float(s.inr_db), float(s.cnr_db)),
-        np.ascontiguousarray(s.time_samples.real, dtype="<f4").tobytes(),
-        np.ascontiguousarray(s.time_samples.imag, dtype="<f4").tobytes(),
-        np.ascontiguousarray(s.psd_db, dtype="<f4").tobytes(),
-    ]
-    return b"".join(parts)
+def _record_layout(sample_count: int, fft_bins: int) -> list:
+    """One packed record as (field, little-endian type, shape), in file order:
+    17 + 4·(2·sample_count + fft_bins) bytes."""
+    return [("label", "u1", ()), ("inr_db", "<f8", ()), ("cnr_db", "<f8", ()),
+            ("re", "<f4", (sample_count,)), ("im", "<f4", (sample_count,)),
+            ("psd", "<f4", (fft_bins,))]
 
 
 def write_dataset(path, bundle: DatasetBundle) -> None:
@@ -78,19 +71,64 @@ def write_dataset(path, bundle: DatasetBundle) -> None:
                           f"scenario config (its .json sidecar was missing "
                           f"when it was read)")
     sc, fb = cfg.sample_count, cfg.fft_bins
-    head = [
-        DATASET_MAGIC,
-        struct.pack("<I", DATASET_VERSION),
-        struct.pack("<III", len(bundle.train), len(bundle.validation),
-                    len(bundle.test)),
-        struct.pack("<II", sc, fb),
-        struct.pack("<dddd", *bundle.norm_stats),
-    ]
-    body = [_pack_snapshot(s, sc, fb)
-            for s in (*bundle.train, *bundle.validation, *bundle.test)]
-    path.write_bytes(b"".join(head + body))
+    snaps = [*bundle.train, *bundle.validation, *bundle.test]
+    for s in snaps:
+        if s.time_samples.shape != (sc,) or s.psd_db.shape != (fb,):
+            raise FormatError(f"snapshot has {s.time_samples.shape} time "
+                              f"samples and {s.psd_db.shape} PSD bins, "
+                              f"expected {sc} and {fb}")
+    rec = np.empty(len(snaps), np.dtype(_record_layout(sc, fb)))
+    if snaps:
+        np.stack([s.time_samples.real for s in snaps], out=rec["re"])
+        np.stack([s.time_samples.imag for s in snaps], out=rec["im"])
+        np.stack([s.psd_db for s in snaps], out=rec["psd"])
+        for name in ("label", "inr_db", "cnr_db"):
+            rec[name] = [getattr(s, name) for s in snaps]
+    with path.open("wb") as f:
+        f.write(struct.pack("<4sI3I2I4d", DATASET_MAGIC, DATASET_VERSION,
+                            len(bundle.train), len(bundle.validation),
+                            len(bundle.test), sc, fb, *bundle.norm_stats))
+        rec.tofile(f)
     sidecar = path.with_name(path.name + ".json")
     sidecar.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+
+
+def _read_records(r: _Reader, count: int, sample_count: int,
+                  fft_bins: int) -> list:
+    """Snapshots from ``count`` records at the cursor, in one ``frombuffer``.
+
+    Sizes are checked in Python integers before a dtype is built. A short
+    file fails at the first piece that does not fit: the label with both
+    ratios, then each array."""
+    layout = _record_layout(sample_count, fft_bins)
+    widths = [np.dtype(t).itemsize * math.prod(shape) for _, t, shape in layout]
+    size, start = sum(widths), r.pos
+    whole = min(count, (len(r.blob) - start) // size)
+    if whole < count:
+        r.pos = start + whole * size
+        for width in (sum(widths[:3]), *widths[3:]):
+            r.take(width)  # one of these raises: the record is incomplete
+    rec = np.frombuffer(r.blob, np.dtype(layout), count, start)
+    r.pos = start + count * size
+
+    time = np.empty((count, sample_count), dtype=np.complex64)
+    time.real, time.imag = rec["re"], rec["im"]
+    psd = np.array(rec["psd"], dtype=np.float32)
+    labels = rec["label"]
+    # a row's min and max carry any NaN or inf in it
+    time_ok, psd_ok = (np.isfinite(a.min(axis=1)) & np.isfinite(a.max(axis=1))
+                       for a in (time.view(np.float32), psd))
+    bad = (labels > 1) | ~time_ok | ~psd_ok
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "PSD bin" if time_ok[i] else "time sample"
+        raise FormatError(f"label byte must be 0 or 1, got {labels[i]}"
+                          if labels[i] > 1 else
+                          f"non-finite {what} in record {i}",
+                          offset=start + i * size)
+    return [Snapshot(*row) for row in zip(
+        time, psd, labels.tolist(), rec["inr_db"].tolist(),
+        rec["cnr_db"].tolist())]
 
 
 def read_dataset(path) -> DatasetBundle:
@@ -104,26 +142,17 @@ def read_dataset(path) -> DatasetBundle:
         raise FormatError(f"unsupported dataset version {version}", offset=4)
     n_train, n_val, n_test = r.unpack("III")
     sample_count, fft_bins = r.unpack("II")
+    if not (sample_count and fft_bins):
+        raise FormatError(f"{sample_count} time samples and {fft_bins} PSD "
+                          f"bins per record; both must be positive", offset=20)
     norm_stats = r.unpack("dddd")
-
-    def one() -> Snapshot:
-        at = r.pos
-        label, inr_db, cnr_db = r.unpack("Bdd")
-        if label not in (0, 1):
-            raise FormatError(f"label byte must be 0 or 1, got {label}",
-                              offset=at)
-        re = r.array("f4", sample_count).astype(np.float32)
-        im = r.array("f4", sample_count).astype(np.float32)
-        psd = r.array("f4", fft_bins).astype(np.float32)
-        time = np.empty(sample_count, dtype=np.complex64)
-        time.real = re
-        time.imag = im
-        return Snapshot(time_samples=time, psd_db=psd, label=int(label),
-                        inr_db=float(inr_db), cnr_db=float(cnr_db))
-
-    train = [one() for _ in range(n_train)]
-    val = [one() for _ in range(n_val)]
-    test = [one() for _ in range(n_test)]
+    if not (all(map(math.isfinite, norm_stats)) and norm_stats[1] > 0
+            and norm_stats[3] > 0):
+        raise FormatError(f"normalization stats {norm_stats} must be finite "
+                          f"with positive standard deviations", offset=28)
+    count = n_train + n_val + n_test
+    # no records, no dtype: the header may declare any u32 dims
+    snaps = _read_records(r, count, sample_count, fft_bins) if count else []
     r.expect_end()
 
     sidecar = path.with_name(path.name + ".json")
@@ -133,8 +162,9 @@ def read_dataset(path) -> DatasetBundle:
             config = ScenarioConfig.from_dict(json.loads(sidecar.read_text()))
         except (ValueError, TypeError) as exc:
             raise FormatError(f"bad sidecar {sidecar.name}: {exc}") from exc
-    return DatasetBundle(train=train, validation=val, test=test,
-                         norm_stats=tuple(norm_stats), config=config)
+    a, b = n_train, n_train + n_val
+    return DatasetBundle(train=snaps[:a], validation=snaps[a:b],
+                         test=snaps[b:], norm_stats=norm_stats, config=config)
 
 
 # ---------------------------------------------------------------------------

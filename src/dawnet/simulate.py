@@ -18,11 +18,10 @@ from .errors import ConfigError, GenerationError, ShapeError
 
 EARTH_RADIUS_M = 6_371_000.0
 
-# geometry priors for the LEO population (altitude band and the lowest
-# usable elevation) and the GSO slant range used to calibrate EIRP
+# geometry priors for the LEO population: altitude band and the lowest
+# usable elevation
 LEO_ALT_RANGE_M = (500_000.0, 2_000_000.0)
 LEO_MIN_ELEVATION_DEG = 10.0
-GSO_SLANT_RANGE_M = 36_000_000.0
 RX_GAIN_DB = 40.0
 # probability that a LEO pass misses the band entirely, and the log-uniform
 # window of the partial-overlap draw; chosen so labels come out near balanced
@@ -121,14 +120,6 @@ def slant_range_m(altitude_m: float, elevation_deg: float) -> float:
     re = EARTH_RADIUS_M
     return math.sqrt((re + altitude_m) ** 2 - (re * math.cos(el)) ** 2) \
         - re * math.sin(el)
-
-
-def gso_link(config: ScenarioConfig, add_loss_db: float) -> "lb.LinkGeometry":
-    """Wanted-carrier link; EIRP calibrated so zero extra loss hits cnr max."""
-    fspl = lb.fspl_db(GSO_SLANT_RANGE_M, config.carrier_freq_gso)
-    eirp = config.cnr_range_db[1] + fspl - RX_GAIN_DB
-    return lb.LinkGeometry(eirp_dbw=eirp, rx_gain_db=RX_GAIN_DB, fspl_db=fspl,
-                           add_loss_db=add_loss_db)
 
 
 def leo_eirp_dbw(config: ScenarioConfig) -> float:

@@ -40,10 +40,6 @@ class WaveletBank:
         self._gram = (None, None)   # (key, column panels) of the last G
 
     @property
-    def num_scales(self) -> int:
-        return len(self.scales)
-
-    @property
     def kernel_len(self) -> int:
         return self.kernels.data.shape[1]
 

@@ -221,3 +221,49 @@ def test_missing_dataset_file_exits_2(tmp_path, workspace, argv):
     _, data, model = workspace
     argv = [a.format(tmp=tmp_path, data=data, model=model) for a in argv]
     assert cli.main(argv) == 2
+
+
+_BAD_CONFIGS = {
+    "no-threshold": lambda c: {k: v for k, v in c.items() if k != "threshold"},
+    "no-train": lambda c: {k: v for k, v in c.items() if k != "train"},
+    "model-unknown-key": lambda c: {**c, "model": {**c["model"], "depth": 3}},
+    "threshold-unknown-key":
+        lambda c: {**c, "threshold": {**c["threshold"], "margin": 0.1}},
+    "scales-string":
+        lambda c: {**c, "train": {**c["train"], "wavelet_scales": "abc"}},
+    "lambda2-string": lambda c: {**c, "train": {**c["train"], "lambda2": "x"}},
+    "lambda1-nan":
+        lambda c: {**c, "train": {**c["train"], "lambda1": float("nan")}},
+    "threshold-string":
+        lambda c: {**c, "threshold": {**c["threshold"], "value": "x"}},
+    "config-list": lambda c: [c],
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_CONFIGS))
+def test_malformed_checkpoint_config_exits_2(tmp_path, workspace, capsys,
+                                             case):
+    _, data, model = workspace
+    config, params = datafile.read_checkpoint(model)
+    bad = tmp_path / "bad.dawm"
+    datafile.write_checkpoint(bad, _BAD_CONFIGS[case](config), params)
+    rc = cli.main(["eval", "--model", str(bad), "--data", str(data),
+                   "--out-dir", str(tmp_path / "ev")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.dawm" in err
+
+
+def test_nonfinite_dataset_exits_2(tmp_path, workspace, capsys):
+    # one NaN PSD bin in the last test record
+    _, data, model = workspace
+    blob = bytearray(data.read_bytes())
+    blob[-4:] = np.float32(np.nan).tobytes()
+    bad = tmp_path / "nan.dawn"
+    bad.write_bytes(bytes(blob))
+    for argv in (["eval", "--model", str(model), "--out-dir",
+                  str(tmp_path / "ev")],
+                 ["train", "--epochs", "1", "--out", str(tmp_path / "m.dawm")]):
+        assert cli.main([*argv, "--data", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err

@@ -1,6 +1,7 @@
 """Container format round-trips and corruption handling."""
 
 import hashlib
+import itertools
 import struct
 
 import numpy as np
@@ -127,6 +128,121 @@ def test_dataset_bad_sidecar(tmp_path, text):
     with pytest.raises(FormatError) as exc:
         datafile.read_dataset(p)
     assert "ds.bin.json" in str(exc.value)
+
+
+HEADER_PIECES = (4, 4, 12, 8, 32)   # magic, version, counts, dims, stats
+HEADER_LEN = sum(HEADER_PIECES)
+
+
+def _written(tmp_path, counts=(4, 2, 2)):
+    """A small dataset on disk: (path, sample_count, fft_bins, records)."""
+    bundle = _bundle(seed=1, counts=counts)
+    p = tmp_path / "ds.bin"
+    datafile.write_dataset(p, bundle)
+    cfg = bundle.config
+    records = len(bundle.train) + len(bundle.validation) + len(bundle.test)
+    return p, cfg.sample_count, cfg.fft_bins, records
+
+
+def _record_pieces(n, m):
+    """Widths of a record's pieces: label with both ratios, re, im, PSD."""
+    return (17, 4 * n, 4 * n, 4 * m)
+
+
+def _patch(p, at, fmt, value):
+    blob = bytearray(p.read_bytes())
+    blob[at:at + struct.calcsize(fmt)] = struct.pack(fmt, value)
+    p.write_bytes(bytes(blob))
+
+
+def test_dataset_truncation_offsets(tmp_path):
+    p, n, m, records = _written(tmp_path, counts=(2, 1, 1))
+    blob = p.read_bytes()
+    size = sum(_record_pieces(n, m))
+    starts = list(itertools.accumulate(HEADER_PIECES[:-1], initial=0))
+    for first in (HEADER_LEN, HEADER_LEN + (records - 1) * size):
+        starts += itertools.accumulate(_record_pieces(n, m)[:-1],
+                                       initial=first)
+    starts.append(HEADER_LEN + size)   # the end of the first record
+    for start in starts:
+        for cut in (start, start + 1):
+            p.write_bytes(blob[:cut])
+            with pytest.raises(FormatError) as exc:
+                datafile.read_dataset(p)
+            assert "truncated" in str(exc.value)
+            assert exc.value.offset == start, f"cut at {cut}"
+
+
+def test_dataset_huge_declared_size_is_truncated(tmp_path):
+    p = tmp_path / "ds.bin"
+    p.write_bytes(b"DAWN" + struct.pack("<I3I2I4d", 1, 1, 0, 0, 2**32 - 1, 8,
+                                        0.0, 1.0, 0.0, 1.0) + bytes(40))
+    with pytest.raises(FormatError) as exc:
+        datafile.read_dataset(p)
+    assert "truncated" in str(exc.value)
+    assert "wanted 17179869180 bytes" in str(exc.value)
+    assert exc.value.offset == HEADER_LEN + 17
+
+
+@pytest.mark.parametrize("at,fmt,value", [
+    (20, "<I", 0), (24, "<I", 0),
+    (28, "<d", float("nan")), (36, "<d", 0.0), (44, "<d", float("inf")),
+    (52, "<d", -1.0),
+], ids=["no-samples", "no-bins", "nan-mean", "zero-std", "inf-mean",
+        "negative-std"])
+def test_dataset_bad_header_values(tmp_path, at, fmt, value):
+    p, *_ = _written(tmp_path)
+    _patch(p, at, fmt, value)
+    with pytest.raises(FormatError) as exc:
+        datafile.read_dataset(p)
+    assert exc.value.offset == (20 if at < 28 else 28)
+
+
+@pytest.mark.parametrize("record,piece,value", [
+    (-1, 3, float("nan")), (0, 1, float("inf")), (5, 2, float("-inf")),
+], ids=["psd-nan-test-split", "re-inf-train-split", "im-neginf-val-split"])
+def test_dataset_nonfinite_sample_rejected(tmp_path, record, piece, value):
+    p, n, m, records = _written(tmp_path)
+    start = HEADER_LEN + (record % records) * sum(_record_pieces(n, m))
+    _patch(p, start + sum(_record_pieces(n, m)[:piece]) + 4 * 3, "<f", value)
+    with pytest.raises(FormatError) as exc:
+        datafile.read_dataset(p)
+    assert "non-finite" in str(exc.value)
+    assert exc.value.offset == start
+
+
+def test_dataset_first_bad_label_offset(tmp_path):
+    p, n, m, records = _written(tmp_path)
+    size = sum(_record_pieces(n, m))
+    for k in (records - 1, 3):
+        blob = bytearray(p.read_bytes())
+        blob[HEADER_LEN + k * size] = 2
+        p.write_bytes(bytes(blob))
+    with pytest.raises(FormatError) as exc:
+        datafile.read_dataset(p)
+    assert "label" in str(exc.value)
+    assert exc.value.offset == HEADER_LEN + 3 * size
+
+
+def test_dataset_reads_inr_minus_inf(tmp_path):
+    # -inf INR means no LEO in band: a legitimate value, not corruption
+    p, n, m, _ = _written(tmp_path)
+    _patch(p, HEADER_LEN + sum(_record_pieces(n, m)) + 1, "<d",
+           float("-inf"))
+    back = datafile.read_dataset(p)
+    assert back.train[1].inr_db == float("-inf")
+    assert type(back.train[1].inr_db) is float
+
+
+def test_dataset_read_types(tmp_path):
+    p, n, m, _ = _written(tmp_path)
+    for s in datafile.read_dataset(p).test:
+        assert s.time_samples.dtype == np.complex64
+        assert s.psd_db.dtype == np.float32
+        assert s.time_samples.shape == (n,) and s.psd_db.shape == (m,)
+        assert s.time_samples.flags.writeable and s.psd_db.flags.writeable
+        assert type(s.label) is int
+        assert type(s.inr_db) is float and type(s.cnr_db) is float
 
 
 # --- checkpoint container ----------------------------------------------------
