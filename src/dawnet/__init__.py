@@ -13,7 +13,7 @@ from .errors import (ConfigError, DawnetError, FormatError, GenerationError,
 from .linkbudget import LinkGeometry, fspl_db
 from .simulate import DatasetBundle, ScenarioConfig, Snapshot, generate_dataset
 from .model import DualDomainAutoencoder, ModelConfig
-from .training import Threshold, TrainConfig, train_and_calibrate
+from .training import Detector, Threshold, TrainConfig, train_and_calibrate
 from .evaluation import MetricsReport, evaluate
 
 __all__ = [
@@ -23,6 +23,6 @@ __all__ = [
     "LinkGeometry", "fspl_db",
     "DatasetBundle", "ScenarioConfig", "Snapshot", "generate_dataset",
     "DualDomainAutoencoder", "ModelConfig",
-    "Threshold", "TrainConfig", "train_and_calibrate",
+    "Detector", "Threshold", "TrainConfig", "train_and_calibrate",
     "MetricsReport", "evaluate",
 ]

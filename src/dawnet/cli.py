@@ -15,18 +15,14 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import datafile
 from . import evaluation as ev
 from . import simulate as sim
 from . import training as tr
-from . import wavelet
 from .errors import (ConfigError, DawnetError, FormatError, GenerationError,
-                     ShapeError)
+                     NumericalError, ShapeError)
 from .model import DualDomainAutoencoder, ModelConfig
-from .training import Threshold
 
 PRESETS = {
     "desk": (2000, 256, 200),
@@ -144,10 +140,21 @@ def _train_flags(args) -> dict:
     }
 
 
-def _checkpoint_payload(model, result, train_cfg: tr.TrainConfig,
-                        dataset_digest: str) -> tuple:
-    """Config block + named parameter list for the checkpoint file."""
-    threshold = result["threshold"]
+def _train_config(args) -> tr.TrainConfig:
+    return tr.TrainConfig(
+        epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr,
+        lambda1=args.lambda1, lambda2=args.lambda2,
+        wavelet_scales=_parse_scales(args.scales), seed=args.seed)
+
+
+def _train_one(bundle, train_cfg: tr.TrainConfig, ablation: str,
+               out_path: Path, dataset_digest: str) -> dict:
+    """Train and calibrate one variant and write its checkpoint: the config
+    block and the model's parameters (the bank follows from the scales)."""
+    model = DualDomainAutoencoder(ModelConfig(ablation=ablation),
+                                  seed=train_cfg.seed)
+    result = tr.train_and_calibrate(bundle, model, train_cfg)
+    threshold = result["detector"].threshold
     config = {
         "model": model.config.to_dict(),
         "train": train_cfg.to_dict(),
@@ -155,41 +162,22 @@ def _checkpoint_payload(model, result, train_cfg: tr.TrainConfig,
                       "sigma": threshold.sigma},
         "dataset_sha256": dataset_digest,
     }
-    named = list(model.named_parameters())
-    bank = result["bank"]
-    if bank is not None and bank.learnable:
-        named.append(("wavelet.kernels", bank.kernels.data))
-    return config, named
-
-
-def _train_one(bundle, train_cfg: tr.TrainConfig, ablation: str,
-               out_path: Path, dataset_digest: str) -> dict:
-    model = DualDomainAutoencoder(ModelConfig(ablation=ablation),
-                                  seed=train_cfg.seed)
-    result = tr.train_and_calibrate(bundle, model, train_cfg)
-    config, params = _checkpoint_payload(model, result, train_cfg,
-                                         dataset_digest)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    datafile.write_checkpoint(out_path, config, params)
-    result["model"] = model
-    result["checkpoint_config"] = config
+    datafile.write_checkpoint(out_path, config, model.named_parameters())
     return result
 
 
 def cmd_train(args) -> int:
     data_path = Path(args.data)
     bundle = datafile.read_dataset(data_path)
-    train_cfg = tr.TrainConfig(
-        epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr,
-        lambda1=args.lambda1, lambda2=args.lambda2,
-        wavelet_scales=_parse_scales(args.scales), seed=args.seed)
+    train_cfg = _train_config(args)
     ablation = ABLATION_FLAGS[args.ablation]
     out = Path(args.out)
     dataset_digest = _sha256(data_path)
     t0 = time.perf_counter()
     result = _train_one(bundle, train_cfg, ablation, out, dataset_digest)
     elapsed = time.perf_counter() - t0
-    threshold = result["threshold"]
+    threshold = result["detector"].threshold
     _write_manifest(
         out.with_name(out.name + ".manifest.json"),
         command="train",
@@ -209,37 +197,30 @@ def cmd_train(args) -> int:
 
 # --- eval ---------------------------------------------------------------------
 
-def _load_checkpoint(path):
-    """Rebuild the model, threshold, scoring weights, and bank."""
+def _load_checkpoint(path) -> tr.Detector:
+    """Rebuild the detector a checkpoint stores.
+
+    The parameters must be exactly the model's: the bank is rebuilt from the
+    configured scales, so a file that stores wavelet kernels is refused.
+    """
     config, params = datafile.read_checkpoint(path)
     try:
         model_cfg = ModelConfig.from_dict(config["model"])
         train_block = config["train"]
-        threshold = Threshold(**config["threshold"])
+        threshold = tr.Threshold(**config["threshold"])
         lambda1 = float(train_block["lambda1"])
-        # ablations without the wavelet term score without it, too
-        lambda2 = model_cfg.effective_lambda2(train_block["lambda2"])
+        lambda2, bank = tr.wavelet_term(
+            model_cfg, train_block["lambda2"],
+            tuple(train_block["wavelet_scales"]))
         if not all(map(math.isfinite, (lambda1, lambda2, threshold.value,
                                        threshold.mu, threshold.sigma))):
             raise ValueError("non-finite scoring weight or threshold")
-        bank = None
-        if lambda2 > 0.0:
-            bank = wavelet.build_bank(tuple(train_block["wavelet_scales"]),
-                                      learnable=bool(train_block.get(
-                                          "learnable_bank", False)))
+        model = DualDomainAutoencoder(model_cfg, seed=0)
+        model.load_named_parameters(params)
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad config block in checkpoint "
-                          f"{Path(path).name}: {exc!r}") from exc
-    model = DualDomainAutoencoder(model_cfg, seed=0)
-    model.load_named_parameters([(n, a) for n, a in params
-                                 if not n.startswith("wavelet.")])
-    saved = [a for n, a in params if n == "wavelet.kernels"]
-    if bank is not None and saved:
-        if saved[0].shape != bank.kernels.data.shape:
-            raise ConfigError("stored wavelet kernels do not match the "
-                              "configured scales")
-        bank.kernels.data = saved[0]
-    return model, threshold, lambda1, lambda2, bank
+        raise FormatError(
+            f"bad checkpoint {Path(path).name}: {exc!r}") from exc
+    return tr.Detector(model, threshold, lambda1, lambda2, bank)
 
 
 def _summary_row(report) -> str:
@@ -253,11 +234,15 @@ def cmd_eval(args) -> int:
     model_path = Path(args.model)
     data_path = Path(args.data)
     out_dir = Path(args.out_dir)
-    model, threshold, lambda1, lambda2, bank = _load_checkpoint(model_path)
+    detector = _load_checkpoint(model_path)
     bundle = datafile.read_dataset(data_path)
     t0 = time.perf_counter()
-    report = ev.evaluate(model, bundle.test, bundle.norm_stats, threshold,
-                         bank, lambda1, lambda2)
+    try:
+        report = ev.evaluate(detector, bundle.test, bundle.norm_stats)
+    except NumericalError as exc:
+        # the dataset is checked finite on read, so the parameters are at fault
+        raise FormatError(f"checkpoint {model_path.name} cannot score "
+                          f"{data_path.name}: {exc}") from exc
     elapsed = time.perf_counter() - t0
     ev.write_report_files(report, out_dir)
     _write_manifest(
@@ -287,22 +272,15 @@ def cmd_ablate(args) -> int:
     rows = []
     outputs = {}
     volatile = {"timestamp_utc": _now()}
+    train_cfg = _train_config(args)
     for flag_name, ablation in ABLATION_FLAGS.items():
-        train_cfg = tr.TrainConfig(
-            epochs=args.epochs, batch_size=args.batch,
-            learning_rate=args.lr, lambda1=args.lambda1,
-            lambda2=args.lambda2, wavelet_scales=_parse_scales(args.scales),
-            seed=args.seed)
         variant_dir = out_dir / flag_name
         ckpt = variant_dir / "checkpoint.dawm"
         t0 = time.perf_counter()
         result = _train_one(bundle, train_cfg, ablation, ckpt,
                             dataset_digest)
-        model = result["model"]
-        threshold = result["threshold"]
-        report = ev.evaluate(model, bundle.test, bundle.norm_stats,
-                             threshold, result["bank"], args.lambda1,
-                             model.config.effective_lambda2(args.lambda2))
+        report = ev.evaluate(result["detector"], bundle.test,
+                             bundle.norm_stats)
         elapsed = time.perf_counter() - t0
         ev.write_report_files(report, variant_dir)
         rows.append((flag_name, report))
@@ -342,6 +320,18 @@ def cmd_ablate(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+def _add_train_flags(parser) -> None:
+    """The training flags `train` and `ablate` share (read by _train_config)."""
+    parser.add_argument("--epochs", type=int, default=50)
+    parser.add_argument("--batch", type=int, default=64)
+    parser.add_argument("--lr", type=float, default=1e-3)
+    parser.add_argument("--lambda1", type=float, default=1.0)
+    parser.add_argument("--lambda2", type=float, default=0.1)
+    parser.add_argument("--scales", default="4,8,16",
+                        help="comma-separated wavelet scales")
+    parser.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dawnet",
@@ -365,16 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train and calibrate a detector")
     t.add_argument("--data", required=True, help="dataset file from gen-data")
-    t.add_argument("--epochs", type=int, default=50)
-    t.add_argument("--batch", type=int, default=64)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--lambda1", type=float, default=1.0)
-    t.add_argument("--lambda2", type=float, default=0.1)
-    t.add_argument("--scales", default="4,8,16",
-                   help="comma-separated wavelet scales")
+    _add_train_flags(t)
     t.add_argument("--ablation", choices=list(ABLATION_FLAGS),
                    default="full")
-    t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True, help="checkpoint output path")
     t.set_defaults(func=cmd_train)
 
@@ -387,13 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("ablate",
                        help="train and evaluate all four model variants")
     a.add_argument("--data", required=True)
-    a.add_argument("--epochs", type=int, default=50)
-    a.add_argument("--batch", type=int, default=64)
-    a.add_argument("--lr", type=float, default=1e-3)
-    a.add_argument("--lambda1", type=float, default=1.0)
-    a.add_argument("--lambda2", type=float, default=0.1)
-    a.add_argument("--scales", default="4,8,16")
-    a.add_argument("--seed", type=int, default=0)
+    _add_train_flags(a)
     a.add_argument("--out-dir", required=True)
     a.set_defaults(func=cmd_ablate)
     return parser

@@ -231,7 +231,11 @@ def read_checkpoint(path):
         count = 1
         for d in dims:
             count *= d
+        at = r.pos
         values = r.array("f8", count).reshape(dims)
+        if not np.isfinite(values).all():
+            raise FormatError(f"non-finite value in parameter {name} of "
+                              f"{r.label}", offset=at)
         params.append((name, values))
     r.expect_end()
     return config, params

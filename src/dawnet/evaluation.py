@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError
 from .simulate import model_inputs
 from .training import per_sample_losses
 
@@ -179,30 +179,35 @@ def time_inference(model, amp: np.ndarray, psd: np.ndarray,
     return float(np.median(samples))
 
 
-def evaluate(model, snapshots, norm_stats, threshold, bank, lambda1: float,
-             lambda2: float, time_repeats: int = 5,
-             time_batch: int = 64) -> MetricsReport:
-    """Score a labeled test split and assemble the full report."""
+def evaluate(detector, snapshots, norm_stats) -> MetricsReport:
+    """Score a labeled test split with a ``training.Detector`` and assemble
+    the full report; the batch time is that of a 64-snapshot forward pass.
+
+    Raises ``NumericalError`` if any score is non-finite: NaN would rank as
+    a perfect AUC and inf would pass as a detection.
+    """
     if not snapshots:
         raise ConfigError("test split is empty")
     labels = np.array([s.label for s in snapshots], dtype=np.int64)
     _check_two_classes(labels)
+    model, threshold, lambda1, lambda2, bank = detector
     scores = per_sample_losses(model, snapshots, norm_stats, bank,
                                lambda1, lambda2)
+    if not np.isfinite(scores).all():
+        raise NumericalError(f"{np.count_nonzero(~np.isfinite(scores))} of "
+                             f"{scores.size} scores are not finite")
     preds = classify(scores, threshold)
     accuracy, f1, confusion = f1_accuracy_confusion(preds, labels)
     auc_value = auc(scores, labels)
     roc = tuple(roc_curve(scores, labels))
-    amp, psd = model_inputs(snapshots[:time_batch], norm_stats)
-    batch_time = time_inference(model, amp[:, 0, :], psd[:, 0, :],
-                                repeats=time_repeats)
+    amp, psd = model_inputs(snapshots[:64], norm_stats)
+    batch_time = time_inference(model, amp[:, 0, :], psd[:, 0, :])
     return MetricsReport(
         accuracy=accuracy, f1=f1, auc=auc_value, confusion=confusion,
         roc=roc, mean_batch_time_s=batch_time,
         num_class0=int(np.sum(labels == 0)),
         num_class1=int(np.sum(labels == 1)),
-        threshold_value=float(threshold.value if hasattr(threshold, "value")
-                              else threshold),
+        threshold_value=float(threshold.value),
     )
 
 

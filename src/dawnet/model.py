@@ -256,8 +256,9 @@ class DualDomainAutoencoder:
         got = [n for n, _ in named]
         if got != expected:
             raise ConfigError(
-                f"parameter list mismatch: expected {expected[:3]}..., "
-                f"got {got[:3]}...")
+                f"parameter list mismatch: unexpected "
+                f"{sorted(set(got) - set(expected))}, missing "
+                f"{sorted(set(expected) - set(got))}")
         for name, values in named:
             tensor = self.params[name]
             values = np.asarray(values, dtype=np.float64)

@@ -8,6 +8,7 @@ mean on the (equally clean) validation split.
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,6 @@ class TrainConfig:
     lambda2: float = 0.1
     wavelet_scales: tuple = (4, 8, 16)
     seed: int = 0
-    learnable_bank: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -51,7 +51,6 @@ class TrainConfig:
             "lambda2": self.lambda2,
             "wavelet_scales": list(self.wavelet_scales),
             "seed": self.seed,
-            "learnable_bank": self.learnable_bank,
         }
 
 
@@ -60,6 +59,29 @@ class Threshold:
     value: float
     mu: float
     sigma: float
+
+
+class Detector(NamedTuple):
+    """A reconstruction model with everything it is scored by.
+
+    ``lambda2`` is the wavelet weight the model's variant actually uses, and
+    ``bank`` is None exactly when it is 0 (:func:`wavelet_term`).
+    """
+    model: object
+    threshold: Threshold
+    lambda1: float
+    lambda2: float
+    bank: object
+
+
+def wavelet_term(model_config, lambda2: float, scales) -> tuple:
+    """(effective lambda2, bank or None) a variant trains and scores with.
+
+    Ablations without the wavelet loss get weight 0 and no bank; the bank is
+    the fixed Morlet bank over ``scales``.
+    """
+    lambda2 = model_config.effective_lambda2(lambda2)
+    return lambda2, wavelet.build_bank(scales) if lambda2 > 0 else None
 
 
 class Adam:
@@ -133,38 +155,31 @@ def composite_loss(xhat: ad.Tensor, target, bank, lambda1: float,
     return total
 
 
-def _training_arrays(bundle: sim.DatasetBundle, split) -> tuple:
-    amp, psd = sim.model_inputs(split, bundle.norm_stats)
-    amp = amp[:, 0, :]
-    psd = psd[:, 0, :]
-    target = np.concatenate([amp, psd], axis=1)
-    return amp, psd, target
+def _model_arrays(snapshots, norm_stats) -> tuple:
+    """Normalized (N, L) amplitude and PSD rows and their (N, 2L) target."""
+    amp, psd = sim.model_inputs(snapshots, norm_stats)
+    amp, psd = amp[:, 0, :], psd[:, 0, :]
+    return amp, psd, np.concatenate([amp, psd], axis=1)
 
 
 def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
-    """Run the full loop; returns (params, per-epoch mean loss history, bank).
+    """Run the full loop; returns (per-epoch mean loss history, effective
+    lambda2, bank or None).
 
     Deterministic: shuffles come from a SeedSequence([seed, 2]) stream and
-    every arithmetic step is fixed-order. The bank is renormalized after
-    each optimizer step when learnable.
+    every arithmetic step is fixed-order.
     """
     if not bundle.train:
         raise ConfigError("training split is empty")
     if any(s.label != 0 for s in bundle.train):
         raise ConfigError("training split must contain only label-0 snapshots")
 
-    eff_lambda2 = model.config.effective_lambda2(cfg.lambda2)
-    bank = None
-    if eff_lambda2 > 0:
-        bank = wavelet.build_bank(cfg.wavelet_scales,
-                                  learnable=cfg.learnable_bank)
-    amp, psd, target = _training_arrays(bundle, bundle.train)
+    lambda2, bank = wavelet_term(model.config, cfg.lambda2,
+                                 cfg.wavelet_scales)
+    amp, psd, target = _model_arrays(bundle.train, bundle.norm_stats)
     n = amp.shape[0]
 
-    opt_params = model.params.tensors()
-    if bank is not None and bank.learnable:
-        opt_params = opt_params + [bank.kernels]
-    opt = Adam(opt_params, lr=cfg.learning_rate)
+    opt = Adam(model.params.tensors(), lr=cfg.learning_rate)
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, 2]))
 
@@ -177,7 +192,7 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
             try:
                 out = model.forward(amp[idx], psd[idx])
                 loss = composite_loss(out, target[idx], bank,
-                                      cfg.lambda1, eff_lambda2)
+                                      cfg.lambda1, lambda2)
                 opt.zero_grad()
                 ad.backward(loss)
                 opt.step()
@@ -185,11 +200,9 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
                 raise NumericalError(
                     f"aborted at epoch {epoch} step {start // cfg.batch_size}: "
                     f"{exc}") from exc
-            if bank is not None and bank.learnable:
-                bank.renormalize()
             epoch_loss += float(loss.data) * len(idx)
         history.append(epoch_loss / n)
-    return model.params, history, bank
+    return history, lambda2, bank
 
 
 def per_sample_losses(model, snapshots, norm_stats, bank, lambda1: float,
@@ -197,9 +210,7 @@ def per_sample_losses(model, snapshots, norm_stats, bank, lambda1: float,
     """Composite loss of each snapshot alone, vectorized over batches."""
     if lambda1 < 0 or lambda2 < 0:
         raise ConfigError("loss weights must be non-negative")
-    amp, psd = sim.model_inputs(snapshots, norm_stats)
-    amp, psd = amp[:, 0, :], psd[:, 0, :]
-    target = np.concatenate([amp, psd], axis=1)
+    amp, psd, target = _model_arrays(snapshots, norm_stats)
     out = np.empty(len(snapshots), dtype=np.float64)
     with ad.no_grad():
         for start in range(0, len(snapshots), batch_size):
@@ -240,16 +251,17 @@ def calibrate_threshold(model, validation, norm_stats, bank, lambda1: float,
 
 
 def train_and_calibrate(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
-    """Convenience wrapper returning everything the CLI persists."""
+    """Train, calibrate, and return the ``"detector"`` with the ``"model"``,
+    the loss ``"history"`` and the ``"train_seconds"``."""
     t0 = time.perf_counter()
-    _, history, bank = train(bundle, model, cfg)
+    history, lambda2, bank = train(bundle, model, cfg)
     train_s = time.perf_counter() - t0
-    threshold = calibrate_threshold(
-        model, bundle.validation, bundle.norm_stats, bank, cfg.lambda1,
-        model.config.effective_lambda2(cfg.lambda2))
+    threshold = calibrate_threshold(model, bundle.validation,
+                                    bundle.norm_stats, bank, cfg.lambda1,
+                                    lambda2)
     return {
+        "detector": Detector(model, threshold, cfg.lambda1, lambda2, bank),
+        "model": model,
         "history": history,
-        "bank": bank,
-        "threshold": threshold,
         "train_seconds": train_s,
     }

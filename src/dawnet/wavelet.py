@@ -31,21 +31,16 @@ def morlet_kernel(scale: float, kernel_len: int) -> np.ndarray:
 
 
 class WaveletBank:
-    """Stacked (S,K) Morlet kernels; optionally learnable."""
+    """Stacked (S,K) Morlet kernels."""
 
-    def __init__(self, scales, kernels: ad.Tensor, learnable: bool):
+    def __init__(self, scales, kernels: ad.Tensor):
         self.scales = tuple(float(s) for s in scales)
         self.kernels = kernels
-        self.learnable = bool(learnable)
         self._gram = (None, None)   # (key, column panels) of the last G
 
     @property
     def kernel_len(self) -> int:
         return self.kernels.data.shape[1]
-
-    def renormalize(self):
-        """Project each kernel row back onto the unit sphere (post-update)."""
-        self.kernels.data = ad.l2_normalize(self.kernels.data)
 
     def gram(self, d: np.ndarray) -> np.ndarray:
         """G d over the last axis of ``d``, G = W^T W at that length.
@@ -98,7 +93,11 @@ def _apply_panels(panels: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def build_bank(scales, learnable: bool = False) -> WaveletBank:
-    """Bank over the given scales; tap count is 4x the largest scale."""
+    """Bank over the given scales; tap count is 4x the largest scale.
+
+    ``learnable`` makes the kernels take a gradient, so that gradient can be
+    checked; nothing trains them.
+    """
     scales = list(scales)
     if not scales:
         raise ConfigError("at least one scale is required")
@@ -106,8 +105,7 @@ def build_bank(scales, learnable: bool = False) -> WaveletBank:
         raise ConfigError(f"duplicate scales: {scales}")
     kernel_len = int(round(4 * max(scales)))
     rows = np.stack([morlet_kernel(s, kernel_len) for s in scales])
-    kernels = ad.Tensor(rows, requires_grad=learnable)
-    return WaveletBank(scales, kernels, learnable)
+    return WaveletBank(scales, ad.Tensor(rows, requires_grad=learnable))
 
 
 def dwt(x: ad.Tensor, bank: WaveletBank) -> ad.Tensor:

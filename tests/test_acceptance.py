@@ -236,10 +236,8 @@ def desk_run():
                                       seed=cfg.seed)
         t0 = time.perf_counter()
         result = tr.train_and_calibrate(bundle, net, cfg)
-        lambda2 = net.config.effective_lambda2(cfg.lambda2)
-        reports[ablation] = ev.evaluate(
-            net, bundle.test, bundle.norm_stats, result["threshold"],
-            result["bank"], cfg.lambda1, lambda2)
+        reports[ablation] = ev.evaluate(result["detector"], bundle.test,
+                                        bundle.norm_stats)
         elapsed[ablation] = time.perf_counter() - t0
     return reports, elapsed
 

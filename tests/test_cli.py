@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dawnet import cli, datafile
+from dawnet import cli, datafile, wavelet
 from dawnet.model import ModelConfig
 
 
@@ -221,6 +221,38 @@ def test_missing_dataset_file_exits_2(tmp_path, workspace, argv):
     _, data, model = workspace
     argv = [a.format(tmp=tmp_path, data=data, model=model) for a in argv]
     assert cli.main(argv) == 2
+
+
+def _tamper_checkpoint(params, case):
+    params = [(n, a.copy()) for n, a in params]
+    values = dict(params)
+    if case == "huge-weights":      # finite, but every score overflows
+        values["decoder.out.weight"] *= 1e300
+    elif case == "nan-bias":
+        values["decoder.out.bias"][-1] = np.nan
+    else:                           # a stored wavelet bank
+        params.append(("wavelet.kernels",
+                       wavelet.build_bank((4, 8, 16)).kernels.data))
+    return params
+
+
+@pytest.mark.parametrize("case", ["huge-weights", "nan-bias",
+                                  "wavelet-kernels"])
+def test_unscorable_checkpoint_exits_2(tmp_path, workspace, capsys, case):
+    _, data, model = workspace
+    config, params = datafile.read_checkpoint(model)
+    bad = tmp_path / "bad.dawm"
+    datafile.write_checkpoint(bad, config, _tamper_checkpoint(params, case))
+    out_dir = tmp_path / "ev"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["eval", "--model", str(bad), "--data", str(data),
+                       "--out-dir", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.dawm" in err
+    assert not (out_dir / "report.json").exists()
+    if case == "wavelet-kernels":
+        assert "unexpected ['wavelet.kernels']" in err
 
 
 _BAD_CONFIGS = {

@@ -302,6 +302,21 @@ def test_checkpoint_corrupt_config(tmp_path):
     assert "config" in str(exc.value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "neginf"])
+def test_checkpoint_nonfinite_parameter_offset(tmp_path, value):
+    p = tmp_path / "m.dawm"
+    bad = np.arange(5.0)
+    bad[-1] = value
+    datafile.write_checkpoint(p, {}, [("w", np.ones((2, 3))), ("b", bad)])
+    # the offset is where the array starts, four doubles before the bad one
+    start = p.read_bytes().index(np.array(value, "<f8").tobytes()) - 4 * 8
+    with pytest.raises(FormatError) as exc:
+        datafile.read_checkpoint(p)
+    assert exc.value.offset == start
+    assert "parameter b" in str(exc.value) and "m.dawm" in str(exc.value)
+
+
 def test_checkpoint_name_not_utf8(tmp_path):
     p = tmp_path / "m.bin"
     datafile.write_checkpoint(p, {}, [("gate", np.array(1.0))])

@@ -11,7 +11,7 @@ from dawnet import evaluation as ev
 from dawnet import model as m
 from dawnet import simulate as sim
 from dawnet import training as tr
-from dawnet.errors import ConfigError, ShapeError
+from dawnet.errors import ConfigError, NumericalError, ShapeError
 
 
 def _brute_force_auc(scores, labels):
@@ -215,11 +215,14 @@ def test_time_inference_contract(small_world):
         ev.time_inference(net, amp, psd, repeats=2)
 
 
+def _detector(net):
+    th = tr.Threshold(value=0.5, mu=0.4, sigma=0.1)
+    return tr.Detector(net, th, 1.0, 0.0, None)
+
+
 def test_evaluate_report_shape(small_world):
     bundle, net = small_world
-    th = tr.Threshold(value=0.5, mu=0.4, sigma=0.1)
-    report = ev.evaluate(net, bundle.test, bundle.norm_stats, th, None,
-                         1.0, 0.0, time_repeats=3, time_batch=4)
+    report = ev.evaluate(_detector(net), bundle.test, bundle.norm_stats)
     tn, fp, fn, tp = report.confusion
     assert tn + fp + fn + tp == len(bundle.test)
     assert 0.0 <= report.accuracy <= 1.0
@@ -229,11 +232,45 @@ def test_evaluate_report_shape(small_world):
     assert report.threshold_value == 0.5
 
 
-def test_write_report_files(tmp_path, small_world):
+@pytest.mark.parametrize("ablation", ["full", "vanilla"])
+def test_evaluate_trained_detector(ablation):
+    # the detector carries its own weights: a vanilla model scores without a
+    # bank, where passing the default 1.0, 0.1 by hand would raise
+    bundle = sim.generate_dataset(sim.ScenarioConfig(rng_seed=43), (8, 4, 4))
+    net = m.DualDomainAutoencoder(m.ModelConfig(ablation=ablation), seed=2)
+    cfg = tr.TrainConfig(epochs=1, batch_size=8, wavelet_scales=(4, 8))
+    result = tr.train_and_calibrate(bundle, net, cfg)
+    detector = result["detector"]
+    assert detector._fields == ("model", "threshold", "lambda1", "lambda2",
+                                "bank")
+    assert detector.model is net and result["model"] is net
+    assert detector.lambda2 == net.config.effective_lambda2(cfg.lambda2)
+    assert (detector.bank is None) == (ablation == "vanilla")
+    assert detector.threshold == tr.calibrate_threshold(
+        net, bundle.validation, bundle.norm_stats, detector.bank,
+        detector.lambda1, detector.lambda2)
+    report = ev.evaluate(detector, bundle.test, bundle.norm_stats)
+    scores = tr.per_sample_losses(net, bundle.test, bundle.norm_stats,
+                                  detector.bank, detector.lambda1,
+                                  detector.lambda2)
+    labels = [s.label for s in bundle.test]
+    assert report.auc == ev.auc(scores, labels)
+    assert report.threshold_value == detector.threshold.value
+
+
+@pytest.mark.parametrize("lambda1", [np.inf, np.nan], ids=["inf", "nan"])
+def test_evaluate_rejects_nonfinite_scores(small_world, lambda1):
+    # NaN scores used to rank as AUC 1.0 and inf ones as detections
     bundle, net = small_world
     th = tr.Threshold(value=0.5, mu=0.4, sigma=0.1)
-    report = ev.evaluate(net, bundle.test, bundle.norm_stats, th, None,
-                         1.0, 0.0, time_repeats=3, time_batch=4)
+    with pytest.raises(NumericalError, match="not finite"):
+        ev.evaluate(tr.Detector(net, th, lambda1, 0.0, None), bundle.test,
+                    bundle.norm_stats)
+
+
+def test_write_report_files(tmp_path, small_world):
+    bundle, net = small_world
+    report = ev.evaluate(_detector(net), bundle.test, bundle.norm_stats)
     ev.write_report_files(report, tmp_path)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["confusion.csv", "report.json", "roc.csv"]

@@ -127,8 +127,9 @@ def test_train_history_length_and_validation():
     bundle = _bundle()
     net = _net()
     cfg = tr.TrainConfig(epochs=1, batch_size=8, wavelet_scales=(4, 8))
-    _, history, _ = tr.train(bundle, net, cfg)
+    history, lambda2, bank = tr.train(bundle, net, cfg)
     assert len(history) == 1
+    assert lambda2 == 0.1 and bank.scales == (4.0, 8.0)
     bad = sim.DatasetBundle(train=bundle.test, validation=bundle.validation,
                             test=bundle.test, norm_stats=bundle.norm_stats,
                             config=bundle.config)
@@ -141,7 +142,7 @@ def test_train_loss_decreases():
     net = _net(seed=1)
     cfg = tr.TrainConfig(epochs=10, batch_size=32, seed=5,
                          wavelet_scales=(4, 8))
-    _, history, _ = tr.train(bundle, net, cfg)
+    history, _, _ = tr.train(bundle, net, cfg)
     assert history[9] < history[0]
 
 
@@ -181,17 +182,19 @@ def test_train_nan_abort_has_diagnostics():
     assert "epoch 0" in str(exc.value)
 
 
-def test_learnable_bank_stays_normalized():
-    bundle = _bundle(seed=23, counts=(16, 4, 4))
-    net = _net(seed=6)
-    cfg = tr.TrainConfig(epochs=2, batch_size=8, learnable_bank=True,
-                         wavelet_scales=(4, 8), seed=1)
-    _, _, bank = tr.train(bundle, net, cfg)
-    norms = np.linalg.norm(bank.kernels.data, axis=1)
-    np.testing.assert_allclose(norms, 1.0, atol=1e-6)
-    # and the kernels actually moved away from the analytic initialization
-    init = wavelet.build_bank((4, 8), learnable=False)
-    assert not np.allclose(bank.kernels.data, init.kernels.data)
+@pytest.mark.parametrize("lambda2", [0.0, 0.25])
+@pytest.mark.parametrize("ablation", ["full", "no_mutual_attention",
+                                      "no_wavelet_loss", "vanilla"])
+def test_wavelet_term_bank_iff_weight(ablation, lambda2):
+    cfg = m.ModelConfig(ablation=ablation)
+    weight, bank = tr.wavelet_term(cfg, lambda2, (4, 8))
+    assert weight == cfg.effective_lambda2(lambda2)
+    assert (bank is None) == (weight == 0.0)
+    if bank is not None:
+        # the fixed bank of the scales: nothing in it is trained
+        np.testing.assert_array_equal(
+            bank.kernels.data, wavelet.build_bank((4, 8)).kernels.data)
+        assert not bank.kernels.requires_grad
 
 
 # --- scoring / threshold ------------------------------------------------------
