@@ -17,6 +17,10 @@ from . import simulate as sim
 from . import wavelet
 from .errors import ConfigError, NumericalError
 
+# snapshots per scoring batch: the training batch, and the batch the paper's
+# per-batch inference latency refers to
+SCORE_BATCH = 64
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -206,7 +210,8 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
 
 
 def per_sample_losses(model, snapshots, norm_stats, bank, lambda1: float,
-                      lambda2: float, batch_size: int = 256) -> np.ndarray:
+                      lambda2: float,
+                      batch_size: int = SCORE_BATCH) -> np.ndarray:
     """Composite loss of each snapshot alone, vectorized over batches."""
     if lambda1 < 0 or lambda2 < 0:
         raise ConfigError("loss weights must be non-negative")

@@ -1,6 +1,7 @@
 """Command wiring: presets, artifacts, manifests, exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -244,11 +245,14 @@ def test_unscorable_checkpoint_exits_2(tmp_path, workspace, capsys, case):
     bad = tmp_path / "bad.dawm"
     datafile.write_checkpoint(bad, config, _tamper_checkpoint(params, case))
     out_dir = tmp_path / "ev"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        # a numpy RuntimeWarning on the way becomes a traceback here
+        warnings.simplefilter("error")
         rc = cli.main(["eval", "--model", str(bad), "--data", str(data),
                        "--out-dir", str(out_dir)])
     assert rc == 2
     err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
     assert err.startswith("error:") and "bad.dawm" in err
     assert not (out_dir / "report.json").exists()
     if case == "wavelet-kernels":

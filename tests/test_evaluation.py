@@ -11,6 +11,7 @@ from dawnet import evaluation as ev
 from dawnet import model as m
 from dawnet import simulate as sim
 from dawnet import training as tr
+from dawnet import wavelet
 from dawnet.errors import ConfigError, NumericalError, ShapeError
 
 
@@ -150,6 +151,18 @@ def test_roc_matches_threshold_scan_on_rounded_scores():
         assert ev.roc_curve(scores, labels) == _roc_by_scan(scores, labels)
 
 
+@pytest.mark.parametrize("n_nan", [0, 1, 3])
+def test_roc_thresholds_count_nan_once_like_unique(n_nan):
+    scores = [0.3, 0.1, 0.3, 0.9, 0.1, 0.5] + [np.nan] * n_nan
+    labels = ([0, 1] * 5)[:len(scores)]
+    got = [thr for *_, thr in ev.roc_curve(scores, labels)]
+    want = np.concatenate(([np.inf], np.unique(scores)[::-1], [-np.inf]))
+    assert np.count_nonzero(np.isnan(got)) == min(n_nan, 1)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.array(ev.roc_curve(scores, labels)),
+                                  np.array(_roc_by_scan(scores, labels)))
+
+
 def test_roc_single_class_rejected():
     with pytest.raises(ConfigError):
         ev.roc_curve([0.1, 0.2], [0, 0])
@@ -206,6 +219,7 @@ def test_score_nonnegative_and_deterministic(small_world):
 
 
 def test_time_inference_contract(small_world):
+    # evaluate times its own batches; the benchmark traces this by name
     bundle, net = small_world
     amp, psd = sim.model_inputs(bundle.test[:4], bundle.norm_stats)
     amp, psd = amp[:, 0, :], psd[:, 0, :]
@@ -230,6 +244,50 @@ def test_evaluate_report_shape(small_world):
     assert 0.0 <= report.auc <= 1.0
     assert report.num_class0 + report.num_class1 == len(bundle.test)
     assert report.threshold_value == 0.5
+    assert set(report.to_dict()["volatile"]) == {
+        "mean_batch_time_s", "score_batch", "ms_per_snapshot"}
+
+
+def test_evaluate_scores_each_snapshot_once(monkeypatch):
+    # 130 snapshots: two full scoring batches and one partial one
+    bundle = sim.generate_dataset(sim.ScenarioConfig(rng_seed=44),
+                                  (8, 4, 65))
+    net = m.DualDomainAutoencoder(m.ModelConfig(), seed=5)
+    bank = wavelet.build_bank((4, 8, 16))
+    th = tr.Threshold(value=0.5, mu=0.4, sigma=0.1)
+    detector = tr.Detector(net, th, 1.0, 0.1, bank)
+    labels = [s.label for s in bundle.test]
+    want = tr.per_sample_losses(net, bundle.test, bundle.norm_stats, bank,
+                                1.0, 0.1, batch_size=256)
+
+    rows, batches = [], []
+    forward, losses = net.forward, ev.per_sample_losses
+
+    def counted_forward(amp, psd):
+        rows.append(len(amp))
+        return forward(amp, psd)
+
+    def kept_losses(*args, **kwargs):
+        batches.append(losses(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(net, "forward", counted_forward)
+    monkeypatch.setattr(ev, "per_sample_losses", kept_losses)
+    report = ev.evaluate(detector, bundle.test, bundle.norm_stats)
+
+    assert len(bundle.test) == 130 and sum(rows) == 130
+    assert [b.size for b in batches] == [64, 64, 2]
+    scores = np.concatenate(batches)
+    # batch size may move the last bits with the BLAS, as in
+    # test_per_sample_losses_batch_invariant
+    np.testing.assert_allclose(scores, want, rtol=0, atol=1e-10)
+    assert report.auc == ev.auc(scores, labels)
+    assert report.roc == tuple(ev.roc_curve(scores, labels))
+    assert report.mean_batch_time_s > 0
+    assert np.isfinite(report.mean_batch_time_s)
+    volatile = report.to_dict()["volatile"]
+    assert volatile["score_batch"] == tr.SCORE_BATCH == 64
+    assert volatile["ms_per_snapshot"] > 0
 
 
 @pytest.mark.parametrize("ablation", ["full", "vanilla"])
