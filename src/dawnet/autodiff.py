@@ -325,38 +325,30 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
 # padding helpers
 # ---------------------------------------------------------------------------
 
-def _pad_last(x, pl, pr, mode):
-    """np.pad of the last axis in "reflect" or "constant" ("zero") mode,
-    written into one new buffer by slicing."""
+def _pad_last(x, pl, pr):
+    """np.pad of the last axis in "reflect" mode, written into one new
+    buffer by slicing."""
     if pl == 0 and pr == 0:
         return x
     n = x.shape[-1]
-    if mode == "reflect":
-        if pl >= n or pr >= n:
-            raise ShapeError(
-                f"reflect padding ({pl},{pr}) needs input length > {max(pl, pr)}")
-    elif mode != "zero":
-        raise ConfigError(f"unknown padding mode: {mode!r}")
+    if pl >= n or pr >= n:
+        raise ShapeError(
+            f"reflect padding ({pl},{pr}) needs input length > {max(pl, pr)}")
     out = np.empty(x.shape[:-1] + (pl + n + pr,), dtype=x.dtype)
     out[..., pl:pl + n] = x
-    if mode == "reflect":
-        out[..., :pl] = x[..., pl:0:-1]
-        out[..., pl + n:] = x[..., n - 1 - pr:n - 1][..., ::-1]
-    else:
-        out[..., :pl] = 0
-        out[..., pl + n:] = 0
+    out[..., :pl] = x[..., pl:0:-1]
+    out[..., pl + n:] = x[..., n - 1 - pr:n - 1][..., ::-1]
     return out
 
 
-def _unpad_fold(gxp, pl, pr, mode):
+def _unpad_fold(gxp, pl, pr):
     """Adjoint of _pad_last: route padded-region gradients back to sources."""
     length = gxp.shape[-1] - pl - pr
     gx = np.ascontiguousarray(gxp[..., pl:pl + length])
-    if mode == "reflect":
-        if pl:
-            gx[..., 1:1 + pl] += gxp[..., :pl][..., ::-1]
-        if pr:
-            gx[..., length - 1 - pr:length - 1] += gxp[..., -pr:][..., ::-1]
+    if pl:
+        gx[..., 1:1 + pl] += gxp[..., :pl][..., ::-1]
+    if pr:
+        gx[..., length - 1 - pr:length - 1] += gxp[..., -pr:][..., ::-1]
     return gx
 
 
@@ -396,9 +388,10 @@ def _conv_node(y, x, w, b, relu, adjoints) -> Tensor:
 
 
 def conv1d(x: Tensor, w: Tensor, b=None, stride=1, padding=0,
-           pad_mode="zero", relu=False) -> Tensor:
-    """Cross-correlation of (B,Cin,L) with (Cout,Cin,K) kernels, plus an
-    optional per-channel bias and ReLU, as one tape node."""
+           relu=False) -> Tensor:
+    """Cross-correlation of (B,Cin,L) with (Cout,Cin,K) kernels over the
+    input reflect-padded by ``padding`` on both sides, plus an optional
+    per-channel bias and ReLU, as one tape node."""
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError("conv1d expects (B,Cin,L) input and (Cout,Cin,K) weight")
@@ -409,13 +402,13 @@ def conv1d(x: Tensor, w: Tensor, b=None, stride=1, padding=0,
     k = w.data.shape[2]
     if k > x.data.shape[2] + 2 * padding:
         raise ShapeError("kernel longer than padded input")
-    xp = np.ascontiguousarray(_pad_last(x.data, padding, padding, pad_mode))
+    xp = np.ascontiguousarray(_pad_last(x.data, padding, padding))
     y = backend.conv1d_fw(xp, np.ascontiguousarray(w.data), stride)
 
     def adjoints(g):
         if x.requires_grad:
             gxp = backend.conv1d_gx(g, w.data, stride, xp.shape[2])
-            _accumulate(x, _unpad_fold(gxp, padding, padding, pad_mode))
+            _accumulate(x, _unpad_fold(gxp, padding, padding))
         if w.requires_grad:
             _accumulate(w, backend.conv1d_gw(g, xp, stride, k))
 
@@ -464,14 +457,14 @@ def dwt(x: Tensor, kernels) -> Tensor:
     if kern.data.ndim != 2:
         raise ShapeError("dwt kernels must be (S,K)")
     pl, pr = _dwt_pads(kern.data.shape[1])
-    xp = np.ascontiguousarray(_pad_last(x.data, pl, pr, "reflect"))
+    xp = np.ascontiguousarray(_pad_last(x.data, pl, pr))
     y = backend.dwt_fw(xp, np.ascontiguousarray(kern.data))
 
     def bw(g):
         g = np.ascontiguousarray(g)
         if x.requires_grad:
             gxp = backend.dwt_gx(g, kern.data, xp.shape[2])
-            _accumulate(x, _unpad_fold(gxp, pl, pr, "reflect"))
+            _accumulate(x, _unpad_fold(gxp, pl, pr))
         if kern.requires_grad:
             _accumulate(kern, backend.dwt_gk(g, xp))
 
@@ -492,7 +485,7 @@ def dwt_gram(kernels: np.ndarray, length: int) -> np.ndarray:
     """
     k = kernels.shape[1]
     pl, pr = _dwt_pads(k)
-    src = _pad_last(np.arange(length), pl, pr, "reflect")   # padded -> source
+    src = _pad_last(np.arange(length), pl, pr)   # padded -> source
     n = src.size
     a = kernels.T @ kernels
     offs = np.arange(1 - k, k)                               # e
@@ -537,7 +530,7 @@ def dwt_energy(xhat: Tensor, x: Tensor, kernels, gram) -> Tensor:
         _accumulate(x, -gx)
         if kern.requires_grad:
             pl, pr = _dwt_pads(kern.data.shape[1])
-            dp = np.ascontiguousarray(_pad_last(d, pl, pr, "reflect"))
+            dp = np.ascontiguousarray(_pad_last(d, pl, pr))
             coeffs = backend.dwt_fw(dp, np.ascontiguousarray(kern.data))
             _accumulate(kern, backend.dwt_gk((2.0 * c * g) * coeffs, dp))
 

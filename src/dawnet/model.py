@@ -1,20 +1,41 @@
 """Dual-branch convolutional autoencoder with bidirectional mutual attention.
 
 Two width-800 channels (waveform amplitude, log-PSD) are encoded separately
-to (C, L) latents with C*L = 64, cross-refined through a shared single-head
-attention block, concatenated to a 128-d code, and decoded back to the
-stacked 1600-d signal. Ablation flags drop the attention stage and/or the
-wavelet term of the loss without touching parameter layout, so every
-variant shares checkpoints and initialization.
+to 16x4 latents, cross-refined through a shared single-head attention block
+at channel reduction 8, concatenated to a 128-d code, and decoded back to
+the stacked 1600-d signal. The layer sizes are the module constants below;
+the only choice a model makes is its ablation variant. Ablation flags drop
+the attention stage and/or the wavelet term of the loss without touching
+parameter layout, so every variant shares checkpoints and initialization.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ShapeError
+
+INPUT_LEN = 800                          # samples per branch input
+LATENT_CHANNELS, LATENT_LEN = 16, 4      # each branch's latent
+REDUCTION = 8                            # attention query/key reduction
+FUSED_DIM = 2 * LATENT_CHANNELS * LATENT_LEN
+
+# (cin, cout, kernel, stride, pad, relu) per encoder layer: four reflect-
+# padded stride-2 convs 800 -> 50, then a linear stride-adjusting conv with
+# a full-coverage kernel, 50 -> 4
+ENCODER = (
+    (1, 8, 7, 2, 3, True),
+    (8, 16, 7, 2, 3, True),
+    (16, 16, 7, 2, 3, True),
+    (16, 16, 7, 2, 3, True),
+    (16, 16, 14, 12, 0, False),
+)
+# (cin, cout, kernel, stride) per transposed conv: 4 -> 16 -> 50 samples,
+# then a dense layer from the flattened 8x50 to both domains
+DECODER = ((32, 16, 4, 4), (16, 8, 5, 3))
+DENSE = (400, 2 * INPUT_LEN)
 
 ABLATIONS = ("full", "no_mutual_attention", "no_wavelet_loss", "vanilla")
 # variants whose forward pass bypasses the attention stage
@@ -23,25 +44,11 @@ _NO_ATTENTION = ("no_mutual_attention", "vanilla")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    input_len: int = 800
-    latent_channels: int = 16
-    latent_len: int = 4
-    fused_dim: int = 128
-    reduction_factor: int = 8
+    """The model variant: which ablation of the one architecture runs."""
+
     ablation: str = "full"
 
     def __post_init__(self):
-        c, l = self.latent_channels, self.latent_len
-        if self.input_len < 32:
-            raise ConfigError("input_len too small for the conv stack")
-        if c * l != 64:
-            raise ConfigError(f"latent must hold 64 values, got {c}x{l}")
-        if self.reduction_factor < 1 or c % self.reduction_factor != 0:
-            raise ConfigError(
-                f"latent_channels {c} not divisible by reduction "
-                f"factor {self.reduction_factor}")
-        if self.fused_dim != 2 * c * l:
-            raise ConfigError(f"fused_dim must be {2 * c * l}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}; "
                               f"expected one of {ABLATIONS}")
@@ -59,14 +66,7 @@ class ModelConfig:
         return float(lambda2) if self.uses_wavelet_loss else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "input_len": self.input_len,
-            "latent_channels": self.latent_channels,
-            "latent_len": self.latent_len,
-            "fused_dim": self.fused_dim,
-            "reduction_factor": self.reduction_factor,
-            "ablation": self.ablation,
-        }
+        return {"ablation": self.ablation}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -81,11 +81,6 @@ class AttentionParams:
     w_k: ad.Tensor   # (C/r, C, 1)
     w_v: ad.Tensor   # (C, C, 1)
     gamma: ad.Tensor  # scalar gate, starts at exactly 0
-
-
-def attention_param_count(config: ModelConfig) -> int:
-    c, r = config.latent_channels, config.reduction_factor
-    return 2 * (c * c // r) + c * c + 1
 
 
 def mutual_attention(x: ad.Tensor, y: ad.Tensor, p: AttentionParams) -> ad.Tensor:
@@ -113,32 +108,6 @@ def fuse_bidirectional(x: ad.Tensor, y: ad.Tensor, p: AttentionParams):
     return x_ref, y_ref
 
 
-def _encoder_plan(config: ModelConfig):
-    """(cin, cout, kernel, stride, pad, relu) rows for one encoder branch."""
-    c, l = config.latent_channels, config.latent_len
-    length = config.input_len
-    rows = []
-    for cin, cout in ((1, 8), (8, 16), (16, 16), (16, 16)):
-        rows.append((cin, cout, 7, 2, 3, True))
-        length = (length + 6 - 7) // 2 + 1
-    # stride-adjusting layer: full-coverage kernel, no padding, linear
-    stride = max(1, length // l)
-    kernel = length - (l - 1) * stride
-    if kernel < 1:
-        raise ConfigError(f"cannot reach latent length {l} from {length}")
-    rows.append((16, c, kernel, stride, 0, False))
-    return rows
-
-
-def _decoder_plan(config: ModelConfig):
-    c, l = config.latent_channels, config.latent_len
-    tconvs = [(2 * c, 16, 4, 4), (16, 8, 5, 3)]   # (cin, cout, kernel, stride)
-    length = l
-    for _, _, k, s in tconvs:
-        length = (length - 1) * s + k
-    return tconvs, 8 * length
-
-
 class DualDomainAutoencoder:
     """Encoders, shared attention, decoder; parameters in a fixed registry.
 
@@ -159,7 +128,7 @@ class DualDomainAutoencoder:
         self._enc = {}
         for branch in ("time_encoder", "freq_encoder"):
             layers = []
-            for i, (cin, cout, k, s, pad, act) in enumerate(_encoder_plan(config)):
+            for i, (cin, cout, k, s, pad, act) in enumerate(ENCODER):
                 w = self.params.register(f"{branch}.conv{i}.weight",
                                          uniform((cout, cin, k), cin * k))
                 b = self.params.register(f"{branch}.conv{i}.bias",
@@ -167,7 +136,7 @@ class DualDomainAutoencoder:
                 layers.append((w, b, s, pad, act))
             self._enc[branch] = layers
 
-        c, r = config.latent_channels, config.reduction_factor
+        c, r = LATENT_CHANNELS, REDUCTION
         self.attention = AttentionParams(
             w_q=self.params.register("attention.w_q",
                                      uniform((c // r, c, 1), c)),
@@ -179,20 +148,18 @@ class DualDomainAutoencoder:
                                        ad.Tensor(np.array(0.0))),
         )
 
-        tconvs, dense_in = _decoder_plan(config)
         self._dec = []
-        for i, (cin, cout, k, s) in enumerate(tconvs):
+        for i, (cin, cout, k, s) in enumerate(DECODER):
             w = self.params.register(f"decoder.tconv{i}.weight",
                                      uniform((cin, cout, k), cin * k))
             b = self.params.register(f"decoder.tconv{i}.bias",
                                      ad.Tensor(np.zeros(cout)))
             self._dec.append((w, b, s))
-        self._dense_in = dense_in
+        dense_in, dense_out = DENSE
         self.dense_w = self.params.register(
-            "decoder.out.weight", uniform((dense_in, 2 * config.input_len),
-                                          dense_in))
+            "decoder.out.weight", uniform(DENSE, dense_in))
         self.dense_b = self.params.register(
-            "decoder.out.bias", ad.Tensor(np.zeros(2 * config.input_len)))
+            "decoder.out.bias", ad.Tensor(np.zeros(dense_out)))
 
     # -- stages ------------------------------------------------------------
 
@@ -200,14 +167,12 @@ class DualDomainAutoencoder:
         if which not in ("time", "freq"):
             raise ConfigError(f"unknown encoder branch {which!r}")
         x = ad.as_tensor(x)
-        expected = (x.data.shape[0], 1, self.config.input_len)
-        if x.data.ndim != 3 or x.data.shape != expected:
-            raise ShapeError(f"encoder expects (B,1,{self.config.input_len}), "
+        if x.data.ndim != 3 or x.data.shape[1:] != (1, INPUT_LEN):
+            raise ShapeError(f"encoder expects (B,1,{INPUT_LEN}), "
                              f"got {x.data.shape}")
         h = x
         for w, b, stride, pad, act in self._enc[f"{which}_encoder"]:
-            h = ad.conv1d(h, w, b=b, stride=stride, padding=pad,
-                          pad_mode="reflect" if pad else "zero", relu=act)
+            h = ad.conv1d(h, w, b=b, stride=stride, padding=pad, relu=act)
         return h
 
     def fuse(self, tx: ad.Tensor, fx: ad.Tensor):
@@ -217,20 +182,19 @@ class DualDomainAutoencoder:
 
     def decode(self, fused: ad.Tensor) -> ad.Tensor:
         fused = ad.as_tensor(fused)
-        if fused.data.ndim != 2 or fused.data.shape[1] != self.config.fused_dim:
-            raise ShapeError(f"decoder expects (B,{self.config.fused_dim}), "
+        if fused.data.ndim != 2 or fused.data.shape[1] != FUSED_DIM:
+            raise ShapeError(f"decoder expects (B,{FUSED_DIM}), "
                              f"got {fused.data.shape}")
         b = fused.data.shape[0]
-        h = ad.reshape(fused, (b, 2 * self.config.latent_channels,
-                               self.config.latent_len))
+        h = ad.reshape(fused, (b, 2 * LATENT_CHANNELS, LATENT_LEN))
         for w, bias, stride in self._dec:
             h = ad.conv1d_transpose(h, w, b=bias, stride=stride, relu=True)
-        h = ad.reshape(h, (b, self._dense_in))
+        h = ad.reshape(h, (b, DENSE[0]))
         return ad.add_bias(ad.matmul(h, self.dense_w), self.dense_b)
 
     def forward(self, time_in, freq_in) -> ad.Tensor:
         time_in, freq_in = ad.as_tensor(time_in), ad.as_tensor(freq_in)
-        n = self.config.input_len
+        n = INPUT_LEN
         if time_in.data.ndim != 2 or time_in.data.shape[1] != n:
             raise ShapeError(f"expected (B,{n}) time input, got "
                              f"{time_in.data.shape}")
@@ -240,7 +204,7 @@ class DualDomainAutoencoder:
         tx = self.encode(ad.reshape(time_in, (b, 1, n)), "time")
         fx = self.encode(ad.reshape(freq_in, (b, 1, n)), "freq")
         tx, fx = self.fuse(tx, fx)
-        cl = self.config.latent_channels * self.config.latent_len
+        cl = LATENT_CHANNELS * LATENT_LEN
         fused = ad.concat([ad.reshape(tx, (b, cl)), ad.reshape(fx, (b, cl))],
                           axis=1)
         return self.decode(fused)

@@ -16,10 +16,13 @@ from . import autodiff as ad
 from . import simulate as sim
 from . import wavelet
 from .errors import ConfigError, NumericalError
+from .model import INPUT_LEN
 
 # snapshots per scoring batch: the training batch, and the batch the paper's
 # per-batch inference latency refers to
 SCORE_BATCH = 64
+# samples of the stacked (amplitude, PSD) signal the wavelet term filters
+SIGNAL_LEN = 2 * INPUT_LEN
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,18 @@ def wavelet_term(model_config, lambda2: float, scales) -> tuple:
     """(effective lambda2, bank or None) a variant trains and scores with.
 
     Ablations without the wavelet loss get weight 0 and no bank; the bank is
-    the fixed Morlet bank over ``scales``.
+    the fixed Morlet bank over ``scales``, refused before it is built when
+    its taps cannot be reflect-padded onto the stacked model output.
     """
     lambda2 = model_config.effective_lambda2(lambda2)
-    return lambda2, wavelet.build_bank(scales) if lambda2 > 0 else None
+    if not lambda2 > 0:
+        return lambda2, None
+    taps = wavelet.kernel_len(scales)
+    if taps // 2 >= SIGNAL_LEN:
+        raise ConfigError(f"wavelet scales {list(scales)} need {taps} taps; "
+                          f"a {SIGNAL_LEN}-sample signal allows at most "
+                          f"{2 * SIGNAL_LEN - 1}")
+    return lambda2, wavelet.build_bank(scales)
 
 
 class Adam:
@@ -95,10 +106,11 @@ class Adam:
     parameter allocated once, in the textbook order of operations.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-3):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]

@@ -8,6 +8,8 @@ it as ceil(L/K) column panels of 3K x K and applies it with one batched
 matmul. :func:`dwt` remains the defining transform.
 """
 
+import math
+
 import numpy as np
 
 from . import autodiff as ad
@@ -92,19 +94,35 @@ def _apply_panels(panels: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out.transpose(1, 0, 2).reshape(rows, nb * k)[:, :length]
 
 
-def build_bank(scales, learnable: bool = False) -> WaveletBank:
-    """Bank over the given scales; tap count is 4x the largest scale.
+def kernel_len(scales) -> int:
+    """Tap count of the bank over ``scales``: 4x the largest scale, rounded.
 
-    ``learnable`` makes the kernels take a gradient, so that gradient can be
-    checked; nothing trains them.
+    Rejects an empty or duplicated scale list, and scales whose 4x is not a
+    finite float (non-finite scales, or too large for a float tap count).
     """
     scales = list(scales)
     if not scales:
         raise ConfigError("at least one scale is required")
     if len(set(scales)) != len(scales):
         raise ConfigError(f"duplicate scales: {scales}")
-    kernel_len = int(round(4 * max(scales)))
-    rows = np.stack([morlet_kernel(s, kernel_len) for s in scales])
+    try:
+        taps = [4.0 * s for s in scales]
+    except OverflowError:                    # an int beyond the float range
+        taps = [math.inf]
+    if not all(map(math.isfinite, taps)):
+        raise ConfigError(f"scales must be finite, 4x each within float range: "
+                          f"{scales}")
+    return int(round(max(taps)))
+
+
+def build_bank(scales, learnable: bool = False) -> WaveletBank:
+    """Bank over the given scales (:func:`kernel_len` taps).
+
+    ``learnable`` makes the kernels take a gradient, so that gradient can be
+    checked; nothing trains them.
+    """
+    taps = kernel_len(scales)
+    rows = np.stack([morlet_kernel(s, taps) for s in scales])
     return WaveletBank(scales, ad.Tensor(rows, requires_grad=learnable))
 
 

@@ -48,9 +48,9 @@ def test_reflect_padding_example():
     x = _t([[[1.0, 2.0, 3.0]]], rg=False)
     w = _t(np.zeros((1, 1, 3)), rg=False)
     w.data[0, 0, 1] = 1.0  # center tap passes the padded sequence through
-    xp = ad._pad_last(x.data, 1, 1, "reflect")
+    xp = ad._pad_last(x.data, 1, 1)
     np.testing.assert_allclose(xp[0, 0], [2.0, 1.0, 2.0, 3.0, 2.0])
-    y = ad.conv1d(x, w, padding=1, pad_mode="reflect")
+    y = ad.conv1d(x, w, padding=1)
     np.testing.assert_allclose(y.data, [[[1.0, 2.0, 3.0]]])
 
 
@@ -87,7 +87,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         # reflect padding must not exceed input length - 1
         ad.conv1d(_t(np.ones((1, 1, 3))), _t(np.ones((1, 1, 9))),
-                  padding=4, pad_mode="reflect")
+                  padding=4)
     with pytest.raises(ConfigError):
         ad.conv1d(_t(np.ones((1, 1, 8))), _t(np.ones((1, 1, 3))), stride=0)
     with pytest.raises(ShapeError):
@@ -130,26 +130,22 @@ def test_pad_last_matches_np_pad(length):
     x = np.random.default_rng(length).standard_normal((2, 3, length))
     for pl in range(length):
         for pr in range(length):
-            for mode, np_mode in (("reflect", "reflect"), ("zero", "constant")):
-                want = np.pad(x, [(0, 0), (0, 0), (pl, pr)], mode=np_mode)
-                assert np.array_equal(ad._pad_last(x, pl, pr, mode), want)
+            want = np.pad(x, [(0, 0), (0, 0), (pl, pr)], mode="reflect")
+            assert np.array_equal(ad._pad_last(x, pl, pr), want)
     for pl, pr in ((length, 0), (0, length), (length + 1, 1)):
         with pytest.raises(ShapeError):
-            ad._pad_last(x, pl, pr, "reflect")
-    with pytest.raises(ConfigError):
-        ad._pad_last(x, 1, 1, "circular")
+            ad._pad_last(x, pl, pr)
 
 
 def _conv_cases():
     """(transposed, cin, cout, k, stride, pad, input length) of every conv
-    layer the default model runs through a bias."""
-    cfg = model.ModelConfig()
-    rows, length = [], cfg.input_len
-    for cin, cout, k, s, pad, _ in model._encoder_plan(cfg):
+    layer the model runs through a bias."""
+    rows, length = [], model.INPUT_LEN
+    for cin, cout, k, s, pad, _ in model.ENCODER:
         rows.append((False, cin, cout, k, s, pad, length))
         length = (length + 2 * pad - k) // s + 1
-    length = cfg.latent_len
-    for cin, cout, k, s in model._decoder_plan(cfg)[0]:
+    length = model.LATENT_LEN
+    for cin, cout, k, s in model.DECODER:
         rows.append((True, cin, cout, k, s, 0, length))
         length = (length - 1) * s + k
     return rows
@@ -166,13 +162,11 @@ def test_fused_conv_matches_unfused_chain(case, bias, relu):
     xs = rng.standard_normal((3, cin, length))
     ws = rng.standard_normal((cin, cout, k) if transposed else (cout, cin, k))
     bs = rng.standard_normal(cout) * 0.5
-    mode = "reflect" if pad else "zero"
 
     def conv(x, w, b=None, relu=False):
         if transposed:
             return ad.conv1d_transpose(x, w, b=b, stride=s, relu=relu)
-        return ad.conv1d(x, w, b=b, stride=s, padding=pad, pad_mode=mode,
-                         relu=relu)
+        return ad.conv1d(x, w, b=b, stride=s, padding=pad, relu=relu)
 
     def run(fused):
         x, w, b = _t(xs), _t(ws), _t(bs)
@@ -236,10 +230,8 @@ def test_grad_dense_chain():
     assert ad.grad_check(f, [w, b]) < 1e-4
 
 
-@pytest.mark.parametrize("stride,padding,mode", [
-    (1, 0, "zero"), (2, 2, "zero"), (1, 3, "reflect"), (2, 3, "reflect"),
-])
-def test_grad_conv1d(stride, padding, mode):
+@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 2), (1, 3), (2, 3)])
+def test_grad_conv1d(stride, padding):
     rng = np.random.default_rng(2)
     x = _t(rng.standard_normal((2, 3, 10)))
     w = _t(rng.standard_normal((4, 3, 4)) * 0.4)
@@ -248,7 +240,7 @@ def test_grad_conv1d(stride, padding, mode):
     target = rng.standard_normal((2, 4, lo))
 
     def f():
-        y = ad.conv1d(x, w, b=b, stride=stride, padding=padding, pad_mode=mode)
+        y = ad.conv1d(x, w, b=b, stride=stride, padding=padding)
         return ad.mse(y, _t(target, rg=False))
 
     assert ad.grad_check(f, [x, w, b]) < 1e-4

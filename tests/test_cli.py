@@ -184,12 +184,17 @@ def test_corrupt_dataset_exits_2(tmp_path, workspace, capsys):
     assert rc == 2
 
 
-def test_bad_scales_exits_2(tmp_path, workspace):
+@pytest.mark.parametrize("scales", ["4,eight", "1000000000000"])
+def test_bad_scales_exits_2(tmp_path, workspace, capsys, scales):
+    # a 4e12-tap bank can never be allocated: it must be refused unbuilt
     _, data, _ = workspace
     rc = cli.main(["train", "--data", str(data), "--epochs", "1",
-                   "--scales", "4,eight", "--out",
+                   "--scales", scales, "--out",
                    str(tmp_path / "m.dawm")])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "m.dawm").exists()
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -259,20 +264,33 @@ def test_unscorable_checkpoint_exits_2(tmp_path, workspace, capsys, case):
         assert "unexpected ['wavelet.kernels']" in err
 
 
+def _with_model_key(key, value):
+    return lambda c: {**c, "model": {**c["model"], key: value}}
+
+
 _BAD_CONFIGS = {
     "no-threshold": lambda c: {k: v for k, v in c.items() if k != "threshold"},
     "no-train": lambda c: {k: v for k, v in c.items() if k != "train"},
-    "model-unknown-key": lambda c: {**c, "model": {**c["model"], "depth": 3}},
+    "model-unknown-key": _with_model_key("depth", 3),
     "threshold-unknown-key":
         lambda c: {**c, "threshold": {**c["threshold"], "margin": 0.1}},
     "scales-string":
         lambda c: {**c, "train": {**c["train"], "wavelet_scales": "abc"}},
+    "scales-inf": lambda c: {**c, "train": {**c["train"],
+                                           "wavelet_scales": [float("inf")]}},
     "lambda2-string": lambda c: {**c, "train": {**c["train"], "lambda2": "x"}},
     "lambda1-nan":
         lambda c: {**c, "train": {**c["train"], "lambda1": float("nan")}},
     "threshold-string":
         lambda c: {**c, "threshold": {**c["threshold"], "value": "x"}},
     "config-list": lambda c: [c],
+    # the layer sizes are fixed: a model block naming one, even at its
+    # former default, is from an older checkpoint
+    "model-input_len": _with_model_key("input_len", 800),
+    "model-latent_channels": _with_model_key("latent_channels", 16),
+    "model-latent_len": _with_model_key("latent_len", 4),
+    "model-fused_dim": _with_model_key("fused_dim", 128),
+    "model-reduction_factor": _with_model_key("reduction_factor", 8),
 }
 
 
@@ -288,6 +306,7 @@ def test_malformed_checkpoint_config_exits_2(tmp_path, workspace, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "bad.dawm" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_nonfinite_dataset_exits_2(tmp_path, workspace, capsys):

@@ -184,17 +184,15 @@ def test_kernels_match_defining_sums(s):
 
 def _model_conv_shapes():
     """(Ci, Co, K, stride, padded length) of every conv the model runs."""
-    cfg = model.ModelConfig()
-    rows, length = [], cfg.input_len
-    for ci, co, k, s, pad, _ in model._encoder_plan(cfg):
+    rows, length = [], model.INPUT_LEN
+    for ci, co, k, s, pad, _ in model.ENCODER:
         rows.append((ci, co, k, s, length + 2 * pad))
         length = (length + 2 * pad - k) // s + 1
-    c, r = cfg.latent_channels, cfg.reduction_factor
+    c, r = model.LATENT_CHANNELS, model.REDUCTION
     rows += [(c, c // r, 1, 1, length), (c, c, 1, 1, length)]  # attention
     # a transposed conv (Cp, Cq, K) is the adjoint of a conv with Co = Cp
-    tconvs, _ = model._decoder_plan(cfg)
-    length = cfg.latent_len
-    for cp, cq, k, s in tconvs:
+    length = model.LATENT_LEN
+    for cp, cq, k, s in model.DECODER:
         length = (length - 1) * s + k
         rows.append((cq, cp, k, s, length))
     return rows

@@ -197,6 +197,19 @@ def test_wavelet_term_bank_iff_weight(ablation, lambda2):
         assert not bank.kernels.requires_grad
 
 
+def test_wavelet_term_refuses_bank_longer_than_signal():
+    # reflect padding of K taps onto the 1600-sample signal needs K//2 < 1600
+    cfg = m.ModelConfig()
+    _, bank = tr.wavelet_term(cfg, 0.1, (799.75,))
+    assert bank.kernel_len == 3199
+    for scales in ((800,), (4, 1e12)):
+        with pytest.raises(ConfigError):
+            tr.wavelet_term(cfg, 0.1, scales)
+    # variants without the wavelet term never build or check a bank
+    assert tr.wavelet_term(m.ModelConfig(ablation="vanilla"), 0.1,
+                           (1e12,)) == (0.0, None)
+
+
 # --- scoring / threshold ------------------------------------------------------
 
 def test_per_sample_losses_batch_invariant():

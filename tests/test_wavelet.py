@@ -46,6 +46,10 @@ def test_bank_rejects_bad_scales():
         wavelet.build_bank([4, 4, 8])
     with pytest.raises(ConfigError):
         wavelet.build_bank([])
+    # 4x the scale must be a finite float tap count too
+    for scale in (float("inf"), float("nan"), 1e308, 10**400):
+        with pytest.raises(ConfigError):
+            wavelet.build_bank([4, scale])
     with pytest.raises(ConfigError):
         wavelet.morlet_kernel(0.0, 16)
     with pytest.raises(ConfigError):
@@ -160,8 +164,7 @@ def _dense_gram(kern, length):
     padded = np.zeros((length + k - 1, length + k - 1))
     for i in range(length):
         padded[i:i + k, i:i + k] += kern.T @ kern
-    return ad._unpad_fold(ad._unpad_fold(padded, pl, pr, "reflect").T,
-                          pl, pr, "reflect")
+    return ad._unpad_fold(ad._unpad_fold(padded, pl, pr).T, pl, pr)
 
 
 @pytest.mark.parametrize("scales", [(2, 4), (2, 5), (4, 8, 16)],
