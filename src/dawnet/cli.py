@@ -104,14 +104,12 @@ def cmd_gen_data(args) -> int:
               args.val if args.val is not None else preset[1],
               args.test_per_class if args.test_per_class is not None
               else preset[2])
-    config = sim.ScenarioConfig(rng_seed=args.seed)
     t0 = time.perf_counter()
-    bundle = sim.generate_dataset(config, counts)
+    bundle = sim.generate_dataset(args.seed, counts)
     elapsed = time.perf_counter() - t0
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     datafile.write_dataset(out, bundle)
-    sidecar = out.with_name(out.name + ".json")
     _write_manifest(
         out.with_name(out.name + ".manifest.json"),
         command="gen-data",
@@ -119,7 +117,7 @@ def cmd_gen_data(args) -> int:
                "val": counts[1], "test_per_class": counts[2],
                "preset": args.preset},
         inputs={},
-        outputs={"dataset": out, "sidecar": sidecar},
+        outputs={"dataset": out},
         seed=args.seed,
         volatile={"timestamp_utc": _now(), "elapsed_s": elapsed},
     )
@@ -206,21 +204,22 @@ def _load_checkpoint(path) -> tr.Detector:
     config, params = datafile.read_checkpoint(path)
     try:
         model_cfg = ModelConfig.from_dict(config["model"])
-        train_block = config["train"]
+        block = config["train"]
+        train_cfg = tr.TrainConfig(**{
+            **block, "wavelet_scales": tuple(block["wavelet_scales"])})
         threshold = tr.Threshold(**config["threshold"])
-        lambda1 = float(train_block["lambda1"])
-        lambda2, bank = tr.wavelet_term(
-            model_cfg, train_block["lambda2"],
-            tuple(train_block["wavelet_scales"]))
-        if not all(map(math.isfinite, (lambda1, lambda2, threshold.value,
-                                       threshold.mu, threshold.sigma))):
-            raise ValueError("non-finite scoring weight or threshold")
+        lambda2, bank = tr.wavelet_term(model_cfg, train_cfg.lambda2,
+                                        train_cfg.wavelet_scales)
+        if not all(map(math.isfinite, (threshold.value, threshold.mu,
+                                       threshold.sigma))):
+            raise ValueError("non-finite threshold")
         model = DualDomainAutoencoder(model_cfg, seed=0)
         model.load_named_parameters(params)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(
             f"bad checkpoint {Path(path).name}: {exc!r}") from exc
-    return tr.Detector(model, threshold, lambda1, lambda2, bank)
+    return tr.Detector(model, threshold, float(train_cfg.lambda1), lambda2,
+                       bank)
 
 
 def _summary_row(report) -> str:

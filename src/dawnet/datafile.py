@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
-from .simulate import DatasetBundle, ScenarioConfig, Snapshot
+from .errors import FormatError
+from .simulate import SNAPSHOT_LEN, DatasetBundle, Snapshot
 
 DATASET_MAGIC = b"DAWN"
 DATASET_VERSION = 1
@@ -54,64 +54,53 @@ class _Reader:
 # dataset container
 # ---------------------------------------------------------------------------
 
-def _record_layout(sample_count: int, fft_bins: int) -> list:
-    """One packed record as (field, little-endian type, shape), in file order:
-    17 + 4·(2·sample_count + fft_bins) bytes."""
-    return [("label", "u1", ()), ("inr_db", "<f8", ()), ("cnr_db", "<f8", ()),
-            ("re", "<f4", (sample_count,)), ("im", "<f4", (sample_count,)),
-            ("psd", "<f4", (fft_bins,))]
+# one packed record, in file order: 17 + 12·SNAPSHOT_LEN bytes
+RECORD = np.dtype([("label", "u1"), ("inr_db", "<f8"), ("cnr_db", "<f8"),
+                   ("re", "<f4", (SNAPSHOT_LEN,)),
+                   ("im", "<f4", (SNAPSHOT_LEN,)),
+                   ("psd", "<f4", (SNAPSHOT_LEN,))])
 
 
 def write_dataset(path, bundle: DatasetBundle) -> None:
-    """Write the bundle plus a JSON sidecar (<path>.json) with the config."""
-    path = Path(path)
-    cfg = bundle.config
-    if cfg is None:
-        raise ConfigError(f"cannot write {path.name}: the bundle has no "
-                          f"scenario config (its .json sidecar was missing "
-                          f"when it was read)")
-    sc, fb = cfg.sample_count, cfg.fft_bins
     snaps = [*bundle.train, *bundle.validation, *bundle.test]
+    width = (SNAPSHOT_LEN,)
     for s in snaps:
-        if s.time_samples.shape != (sc,) or s.psd_db.shape != (fb,):
+        if s.time_samples.shape != width or s.psd_db.shape != width:
             raise FormatError(f"snapshot has {s.time_samples.shape} time "
                               f"samples and {s.psd_db.shape} PSD bins, "
-                              f"expected {sc} and {fb}")
-    rec = np.empty(len(snaps), np.dtype(_record_layout(sc, fb)))
+                              f"expected {SNAPSHOT_LEN} of each")
+    rec = np.empty(len(snaps), RECORD)
     if snaps:
         np.stack([s.time_samples.real for s in snaps], out=rec["re"])
         np.stack([s.time_samples.imag for s in snaps], out=rec["im"])
         np.stack([s.psd_db for s in snaps], out=rec["psd"])
         for name in ("label", "inr_db", "cnr_db"):
             rec[name] = [getattr(s, name) for s in snaps]
-    with path.open("wb") as f:
+    with Path(path).open("wb") as f:
         f.write(struct.pack("<4sI3I2I4d", DATASET_MAGIC, DATASET_VERSION,
                             len(bundle.train), len(bundle.validation),
-                            len(bundle.test), sc, fb, *bundle.norm_stats))
+                            len(bundle.test), SNAPSHOT_LEN, SNAPSHOT_LEN,
+                            *bundle.norm_stats))
         rec.tofile(f)
-    sidecar = path.with_name(path.name + ".json")
-    sidecar.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def _read_records(r: _Reader, count: int, sample_count: int,
-                  fft_bins: int) -> list:
+def _read_records(r: _Reader, count: int) -> list:
     """Snapshots from ``count`` records at the cursor, in one ``frombuffer``.
 
-    Sizes are checked in Python integers before a dtype is built. A short
-    file fails at the first piece that does not fit: the label with both
-    ratios, then each array."""
-    layout = _record_layout(sample_count, fft_bins)
-    widths = [np.dtype(t).itemsize * math.prod(shape) for _, t, shape in layout]
-    size, start = sum(widths), r.pos
+    The size is checked in Python integers first. A short file fails at the
+    first piece that does not fit: the label with both ratios, then each
+    array."""
+    widths = [RECORD[name].itemsize for name in RECORD.names]
+    size, start = RECORD.itemsize, r.pos
     whole = min(count, (len(r.blob) - start) // size)
     if whole < count:
         r.pos = start + whole * size
         for width in (sum(widths[:3]), *widths[3:]):
             r.take(width)  # one of these raises: the record is incomplete
-    rec = np.frombuffer(r.blob, np.dtype(layout), count, start)
+    rec = np.frombuffer(r.blob, RECORD, count, start)
     r.pos = start + count * size
 
-    time = np.empty((count, sample_count), dtype=np.complex64)
+    time = np.empty((count, SNAPSHOT_LEN), dtype=np.complex64)
     time.real, time.imag = rec["re"], rec["im"]
     psd = np.array(rec["psd"], dtype=np.float32)
     labels = rec["label"]
@@ -141,30 +130,21 @@ def read_dataset(path) -> DatasetBundle:
     if version != DATASET_VERSION:
         raise FormatError(f"unsupported dataset version {version}", offset=4)
     n_train, n_val, n_test = r.unpack("III")
-    sample_count, fft_bins = r.unpack("II")
-    if not (sample_count and fft_bins):
-        raise FormatError(f"{sample_count} time samples and {fft_bins} PSD "
-                          f"bins per record; both must be positive", offset=20)
+    dims = r.unpack("II")
+    if dims != (SNAPSHOT_LEN, SNAPSHOT_LEN):
+        raise FormatError(f"{dims[0]} time samples and {dims[1]} PSD bins "
+                          f"per record; both must be {SNAPSHOT_LEN}",
+                          offset=20)
     norm_stats = r.unpack("dddd")
     if not (all(map(math.isfinite, norm_stats)) and norm_stats[1] > 0
             and norm_stats[3] > 0):
         raise FormatError(f"normalization stats {norm_stats} must be finite "
                           f"with positive standard deviations", offset=28)
-    count = n_train + n_val + n_test
-    # no records, no dtype: the header may declare any u32 dims
-    snaps = _read_records(r, count, sample_count, fft_bins) if count else []
+    snaps = _read_records(r, n_train + n_val + n_test)
     r.expect_end()
-
-    sidecar = path.with_name(path.name + ".json")
-    config = None
-    if sidecar.exists():
-        try:
-            config = ScenarioConfig.from_dict(json.loads(sidecar.read_text()))
-        except (ValueError, TypeError) as exc:
-            raise FormatError(f"bad sidecar {sidecar.name}: {exc}") from exc
     a, b = n_train, n_train + n_val
     return DatasetBundle(train=snaps[:a], validation=snaps[a:b],
-                         test=snaps[b:], norm_stats=norm_stats, config=config)
+                         test=snaps[b:], norm_stats=norm_stats)
 
 
 # ---------------------------------------------------------------------------

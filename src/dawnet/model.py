@@ -16,8 +16,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ShapeError
+from .simulate import SNAPSHOT_LEN
 
-INPUT_LEN = 800                          # samples per branch input
+INPUT_LEN = SNAPSHOT_LEN                 # samples per branch input
 LATENT_CHANNELS, LATENT_LEN = 16, 4      # each branch's latent
 REDUCTION = 8                            # attention query/key reduction
 FUSED_DIM = 2 * LATENT_CHANNELS * LATENT_LEN

@@ -1,15 +1,15 @@
 """Synthetic GSO-downlink snapshot generation.
 
 A snapshot is one 10-second observation of a geostationary Ku-band carrier:
-the received baseband waveform (desired QPSK stream + up to K LEO
-interferers + unit-variance noise), its Welch log-PSD, and an interference
-label derived from the aggregate INR. Every snapshot is a pure function of
-(config, candidate index), so generation is deterministic and can be split
-across workers without changing a single bit.
+the received baseband waveform (desired QPSK stream + LEO interferers +
+unit-variance noise), its Welch log-PSD, and an interference label derived
+from the aggregate INR. Every snapshot is a pure function of (seed,
+candidate index), so generation is deterministic and can be split across
+workers without changing a single bit.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,23 @@ from . import linkbudget as lb
 from .errors import ConfigError, GenerationError, ShapeError
 
 EARTH_RADIUS_M = 6_371_000.0
+
+# the paper's one downlink scenario: a Ku-band GSO carrier at 11.7 GHz and
+# 40 MHz, three LEO interferers, carrier-to-noise and extra-loss ranges, the
+# INR of the closest possible pass, and the aggregate INR that labels a
+# snapshot as interfered
+CARRIER_FREQ_HZ = 11.7e9
+BANDWIDTH_HZ = 40e6
+NUM_LEO = 3
+CNR_RANGE_DB = (6.40, 15.40)
+INR_PEAK_DB = 32.47
+LINK_LOSS_RANGE_DB = (0.0, 9.0)
+LABEL_INR_THRESHOLD_DB = 0.0
+# time samples stored per snapshot, and bins of its PSD: the one width the
+# dataset file and both model branches share
+SNAPSHOT_LEN = 800
+# samples synthesized per snapshot: 7 averaged PSD segments at 50% overlap
+SYNTHESIS_LEN = 4 * SNAPSHOT_LEN
 
 # geometry priors for the LEO population: altitude band and the lowest
 # usable elevation
@@ -32,72 +49,12 @@ OVERLAP_LOG10_MAX = 0.0
 PSD_FLOOR_DB = -300.0
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Physical and bookkeeping constants for one dataset."""
-
-    carrier_freq_gso: float = 11.7e9
-    bandwidth: float = 40e6
-    sample_count: int = 800
-    fft_bins: int = 800
-    num_leo: int = 3
-    cnr_range_db: tuple = (6.40, 15.40)
-    inr_peak_db: float = 32.47
-    link_loss_range_db: tuple = (0.0, 9.0)
-    label_inr_threshold_db: float = 0.0
-    snapshot_interval_s: float = 10.0
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.carrier_freq_gso <= 0 or self.bandwidth <= 0:
-            raise ConfigError("carrier frequency and bandwidth must be positive")
-        if self.sample_count <= 0 or self.fft_bins <= 0:
-            raise ConfigError("sample_count and fft_bins must be positive")
-        if self.num_leo < 0:
-            raise ConfigError("num_leo must be >= 0")
-        lo, hi = self.cnr_range_db
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ConfigError(f"bad cnr_range_db: {self.cnr_range_db}")
-        llo, lhi = self.link_loss_range_db
-        if not (math.isfinite(llo) and math.isfinite(lhi) and 0 <= llo <= lhi):
-            raise ConfigError(f"bad link_loss_range_db: {self.link_loss_range_db}")
-        if not math.isfinite(self.inr_peak_db):
-            raise ConfigError("inr_peak_db must be finite")
-        if not math.isfinite(self.label_inr_threshold_db):
-            raise ConfigError("label_inr_threshold_db must be finite")
-        if self.rng_seed < 0:
-            raise ConfigError("rng_seed must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "carrier_freq_gso": self.carrier_freq_gso,
-            "bandwidth": self.bandwidth,
-            "sample_count": self.sample_count,
-            "fft_bins": self.fft_bins,
-            "num_leo": self.num_leo,
-            "cnr_range_db": list(self.cnr_range_db),
-            "inr_peak_db": self.inr_peak_db,
-            "link_loss_range_db": list(self.link_loss_range_db),
-            "label_inr_threshold_db": self.label_inr_threshold_db,
-            "snapshot_interval_s": self.snapshot_interval_s,
-            "rng_seed": self.rng_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
-        d = dict(d)
-        for key in ("cnr_range_db", "link_loss_range_db"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
-
-
 @dataclass
 class Snapshot:
     """One labeled observation."""
 
-    time_samples: np.ndarray   # complex64, length sample_count
-    psd_db: np.ndarray         # float32, length fft_bins
+    time_samples: np.ndarray   # complex64, length SNAPSHOT_LEN
+    psd_db: np.ndarray         # float32, length SNAPSHOT_LEN
     label: int
     inr_db: float              # aggregate over LEO links; -inf if none in band
     cnr_db: float
@@ -109,7 +66,6 @@ class DatasetBundle:
     validation: list
     test: list
     norm_stats: tuple          # (time_mean, time_std, psd_mean, psd_std)
-    config: ScenarioConfig = field(default=None)
 
 
 def slant_range_m(altitude_m: float, elevation_deg: float) -> float:
@@ -122,29 +78,30 @@ def slant_range_m(altitude_m: float, elevation_deg: float) -> float:
         - re * math.sin(el)
 
 
-def leo_eirp_dbw(config: ScenarioConfig) -> float:
+def leo_eirp_dbw() -> float:
     """EIRP such that the closest possible pass at full overlap and zero
-    extra loss produces exactly the configured peak INR."""
+    extra loss produces exactly the peak INR."""
     d_min = slant_range_m(LEO_ALT_RANGE_M[0], 90.0)
-    return config.inr_peak_db + lb.fspl_db(d_min, config.carrier_freq_gso) \
-        - RX_GAIN_DB
+    return INR_PEAK_DB + lb.fspl_db(d_min, CARRIER_FREQ_HZ) - RX_GAIN_DB
 
 
-def sample_leo_link(config: ScenarioConfig, rng: np.random.Generator
-                    ) -> "lb.LinkGeometry":
+LEO_EIRP_DBW = leo_eirp_dbw()
+
+
+def sample_leo_link(rng: np.random.Generator) -> "lb.LinkGeometry":
     """Draw one interferer's geometry. Consumes exactly 6 uniforms."""
     altitude = rng.uniform(*LEO_ALT_RANGE_M)
     elevation = rng.uniform(LEO_MIN_ELEVATION_DEG, 90.0)
     u_overlap = rng.uniform()
     u_log = rng.uniform(OVERLAP_LOG10_MIN, OVERLAP_LOG10_MAX)
     overlap = 0.0 if u_overlap < OVERLAP_ZERO_PROB else 10.0 ** u_log
-    add_loss = rng.uniform(*config.link_loss_range_db)
-    doppler = rng.uniform(-0.1, 0.1) * config.bandwidth
+    add_loss = rng.uniform(*LINK_LOSS_RANGE_DB)
+    doppler = rng.uniform(-0.1, 0.1) * BANDWIDTH_HZ
     return lb.LinkGeometry(
-        eirp_dbw=leo_eirp_dbw(config),
+        eirp_dbw=LEO_EIRP_DBW,
         rx_gain_db=RX_GAIN_DB,
         fspl_db=lb.fspl_db(slant_range_m(altitude, elevation),
-                           config.carrier_freq_gso),
+                           CARRIER_FREQ_HZ),
         add_loss_db=add_loss,
         spectral_overlap=overlap,
         doppler_offset_hz=doppler,
@@ -158,8 +115,8 @@ def _qpsk(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.exp(1j * (phase0 + 0.5 * math.pi * symbols))
 
 
-def synthesize_waveform(config: ScenarioConfig, cnr_db: float, per_leo,
-                        rng: np.random.Generator, num_samples: int = None,
+def synthesize_waveform(cnr_db: float, per_leo, rng: np.random.Generator,
+                        num_samples: int = SNAPSHOT_LEN,
                         include_noise: bool = True) -> np.ndarray:
     """Received complex baseband per the additive interference model.
 
@@ -168,17 +125,13 @@ def synthesize_waveform(config: ScenarioConfig, cnr_db: float, per_leo,
 
     Args:
         cnr_db: carrier-to-noise ratio; -inf switches the carrier off.
-        per_leo: list of (inr_db, doppler_offset_hz), one entry per LEO.
+        per_leo: (inr_db, doppler_offset_hz) of each LEO, in draw order.
         rng: consumed in a fixed order (carrier, each LEO, noise).
-        num_samples: override the config sample count (PSD averaging,
-            Monte-Carlo power checks).
+        num_samples: waveform length (PSD synthesis, Monte-Carlo power
+            checks).
         include_noise: drop the additive noise term (unit tests only).
     """
-    per_leo = list(per_leo)
-    if len(per_leo) != config.num_leo:
-        raise ConfigError(
-            f"expected {config.num_leo} LEO entries, got {len(per_leo)}")
-    n = config.sample_count if num_samples is None else int(num_samples)
+    n = int(num_samples)
     if n <= 0:
         raise ConfigError("sample count must be positive")
     cnr_lin = 0.0 if cnr_db == float("-inf") else lb.db_to_linear(cnr_db)
@@ -187,7 +140,7 @@ def synthesize_waveform(config: ScenarioConfig, cnr_db: float, per_leo,
     for inr_db, doppler_hz in per_leo:
         inr_lin = 0.0 if inr_db == float("-inf") else lb.db_to_linear(inr_db)
         stream = _qpsk(rng, n)
-        rotation = np.exp(2j * math.pi * doppler_hz * t / config.bandwidth)
+        rotation = np.exp(2j * math.pi * doppler_hz * t / BANDWIDTH_HZ)
         y = y + stream * rotation * math.sqrt(inr_lin)
     if include_noise:
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
@@ -224,40 +177,30 @@ def welch_psd_db(y: np.ndarray, fft_bins: int) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(psd, 1e-30))
 
 
-def _synthesis_length(config: ScenarioConfig) -> int:
-    # enough for 7 averaged segments at 50% overlap, never less than the
-    # stored waveform itself
-    return max(config.sample_count, 4 * config.fft_bins)
-
-
-def generate_snapshot(config: ScenarioConfig, index: int) -> Snapshot:
+def generate_snapshot(seed: int, index: int) -> Snapshot:
     """Deterministic snapshot for one candidate index.
 
-    The RNG stream is keyed on (rng_seed, index); draws happen in a fixed
-    order (GSO loss, K LEO links, waveform), so snapshot i is identical no
+    The RNG stream is keyed on (seed, index); draws happen in a fixed order
+    (GSO loss, the LEO links, waveform), so snapshot i is identical no
     matter which worker produced it. Stored arrays are rounded to 32-bit
     floats here, making the in-memory bundle bit-identical to a file
     round-trip.
     """
     if index < 0:
         raise ConfigError("candidate index must be non-negative")
-    rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, index]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
 
     # wanted carrier: extra loss eats into the zero-loss (maximum) CNR,
-    # rescaled so the configured loss range spans the configured CNR range
-    llo, lhi = config.link_loss_range_db
-    clo, chi = config.cnr_range_db
+    # rescaled so the loss range spans the CNR range
+    llo, lhi = LINK_LOSS_RANGE_DB
+    clo, chi = CNR_RANGE_DB
     add_loss = rng.uniform(llo, lhi)
-    loss_span = lhi - llo
-    if loss_span > 0:
-        cnr_db = chi - (add_loss - llo) * (chi - clo) / loss_span
-    else:
-        cnr_db = chi
+    cnr_db = chi - (add_loss - llo) * (chi - clo) / (lhi - llo)
 
-    links = [sample_leo_link(config, rng) for _ in range(config.num_leo)]
+    links = [sample_leo_link(rng) for _ in range(NUM_LEO)]
     inr_lin = lb.aggregate_interference(links)
     inr_db = lb.linear_to_db(inr_lin) if inr_lin > 0 else float("-inf")
-    label = int(inr_db >= config.label_inr_threshold_db)
+    label = int(inr_db >= LABEL_INR_THRESHOLD_DB)
 
     per_leo = []
     for lk in links:
@@ -265,11 +208,10 @@ def generate_snapshot(config: ScenarioConfig, index: int) -> Snapshot:
         link_inr_db = lb.linear_to_db(p) if p > 0 else float("-inf")
         per_leo.append((link_inr_db, lk.doppler_offset_hz))
 
-    y = synthesize_waveform(config, cnr_db, per_leo, rng,
-                            num_samples=_synthesis_length(config))
-    psd = welch_psd_db(y, config.fft_bins)
+    y = synthesize_waveform(cnr_db, per_leo, rng, num_samples=SYNTHESIS_LEN)
+    psd = welch_psd_db(y, SNAPSHOT_LEN)
 
-    time_samples = y[:config.sample_count].astype(np.complex64)
+    time_samples = y[:SNAPSHOT_LEN].astype(np.complex64)
     return Snapshot(
         time_samples=time_samples,
         psd_db=psd.astype(np.float32),
@@ -280,7 +222,7 @@ def generate_snapshot(config: ScenarioConfig, index: int) -> Snapshot:
 
 
 def amplitude(snapshots) -> np.ndarray:
-    """(N, sample_count) float64 |y[n]| matrix."""
+    """(N, SNAPSHOT_LEN) float64 |y[n]| matrix."""
     return np.stack([np.abs(s.time_samples).astype(np.float64)
                      for s in snapshots])
 
@@ -313,7 +255,7 @@ def model_inputs(snapshots, norm_stats) -> tuple:
 RETRY_FACTOR = 20
 
 
-def generate_dataset(config: ScenarioConfig, counts) -> DatasetBundle:
+def generate_dataset(seed: int, counts) -> DatasetBundle:
     """Assemble splits by walking the candidate stream in index order.
 
     Label-0 candidates fill train, then validation, then the clean half of
@@ -324,6 +266,8 @@ def generate_dataset(config: ScenarioConfig, counts) -> DatasetBundle:
     n_train, n_val, n_test_pc = (int(c) for c in counts)
     if n_train <= 0 or n_val <= 0 or n_test_pc <= 0:
         raise ConfigError(f"counts must be positive, got {counts}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     need0 = n_train + n_val + n_test_pc
     need1 = n_test_pc
     budget = RETRY_FACTOR * (need0 + need1)
@@ -331,7 +275,7 @@ def generate_dataset(config: ScenarioConfig, counts) -> DatasetBundle:
     clean, interfered = [], []
     index = 0
     while (len(clean) < need0 or len(interfered) < need1) and index < budget:
-        snap = generate_snapshot(config, index)
+        snap = generate_snapshot(seed, index)
         if snap.label == 0 and len(clean) < need0:
             clean.append(snap)
         elif snap.label == 1 and len(interfered) < need1:
@@ -346,4 +290,4 @@ def generate_dataset(config: ScenarioConfig, counts) -> DatasetBundle:
     val = clean[n_train:n_train + n_val]
     test = clean[n_train + n_val:need0] + interfered
     return DatasetBundle(train=train, validation=val, test=test,
-                         norm_stats=normalization_stats(train), config=config)
+                         norm_stats=normalization_stats(train))

@@ -196,10 +196,9 @@ def test_criterion_06_metric_oracles():
 def test_criterion_07_simulator_physics():
     assert abs(lb.fspl_db(36_000_000.0, 11.7e9) - 204.94) <= 0.01
 
-    cfg = sim.ScenarioConfig(num_leo=2, rng_seed=0)
     rng = np.random.default_rng(77)
     cnr_db, inrs = 9.0, [(6.0, 2e5), (12.0, -3e5)]
-    y = sim.synthesize_waveform(cfg, cnr_db, inrs, rng, num_samples=100_000)
+    y = sim.synthesize_waveform(cnr_db, inrs, rng, num_samples=100_000)
     expected = 1.0 + lb.db_to_linear(cnr_db) + sum(lb.db_to_linear(i)
                                                    for i, _ in inrs)
     power = float(np.mean(np.abs(y) ** 2))
@@ -209,7 +208,7 @@ def test_criterion_07_simulator_physics():
         tone = np.exp(2j * np.pi * bin_index * np.arange(3200) / 800)
         assert int(np.argmax(sim.welch_psd_db(tone, 800))) == bin_index
 
-    bundle = sim.generate_dataset(sim.ScenarioConfig(rng_seed=1), (64, 16, 8))
+    bundle = sim.generate_dataset(1, (64, 16, 8))
     tm, ts, pm, ps = bundle.norm_stats
     amp = (sim.amplitude(bundle.train) - tm) / ts
     psd = (sim.psd_matrix(bundle.train) - pm) / ps
@@ -226,8 +225,7 @@ def desk_run():
     # their ordering moves by single pair swaps from seed to seed); the seed
     # is pinned to one where the expected ordering holds.  Floors hold with
     # wide margin at every seed tried.
-    config = sim.ScenarioConfig(rng_seed=1)
-    bundle = sim.generate_dataset(config, (2000, 256, 200))
+    bundle = sim.generate_dataset(1, (2000, 256, 200))
     cfg = tr.TrainConfig(seed=1)  # 50 epochs, batch 64, lr 1e-3
     reports = {}
     elapsed = {}
@@ -284,7 +282,7 @@ def test_criterion_09_identical_seeds_identical_artifacts(tmp_path, monkeypatch)
     a, b = tmp_path / "a", tmp_path / "b"
     _pipeline(a, monkeypatch)
     _pipeline(b, monkeypatch)
-    for rel in ("data.dawn", "data.dawn.json", "model.dawm",
+    for rel in ("data.dawn", "model.dawm",
                 "ev/roc.csv", "ev/confusion.csv"):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
     for rel in ("ev/report.json", "ev/manifest.json",
@@ -295,14 +293,11 @@ def test_criterion_09_identical_seeds_identical_artifacts(tmp_path, monkeypatch)
 # --- 10: format round trip ---------------------------------------------------------------
 
 def test_criterion_10_dataset_and_checkpoint_round_trip(tmp_path):
-    bundle = sim.generate_dataset(sim.ScenarioConfig(rng_seed=3), (6, 3, 2))
+    bundle = sim.generate_dataset(3, (6, 3, 2))
     p1, p2 = tmp_path / "one.dawn", tmp_path / "two.dawn"
     datafile.write_dataset(p1, bundle)
     datafile.write_dataset(p2, datafile.read_dataset(p1))
     assert p1.read_bytes() == p2.read_bytes()
-    sc1 = p1.with_name(p1.name + ".json")
-    sc2 = p2.with_name(p2.name + ".json")
-    assert sc1.read_bytes() == sc2.read_bytes()
 
     net = m.DualDomainAutoencoder(m.ModelConfig(), seed=4)
     config = {"model": net.config.to_dict(), "note": "round-trip"}

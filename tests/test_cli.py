@@ -49,8 +49,26 @@ def test_gen_data_flags_override_preset(workspace):
     assert manifest["flags"]["train"] == 24
     assert manifest["flags"]["preset"] == "desk"
     assert manifest["command"] == "gen-data"
-    assert "dataset" in manifest["outputs"]
+    assert set(manifest["outputs"]) == {"dataset"}
     assert len(manifest["outputs"]["dataset"]["sha256"]) == 64
+
+
+def test_gen_data_writes_dataset_and_manifest_only(tmp_path):
+    out = tmp_path / "d.dawn"
+    assert cli.main(["gen-data", "--out", str(out), "--train", "2", "--val",
+                     "2", "--test-per-class", "2"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "d.dawn", "d.dawn.manifest.json"]
+
+
+def test_gen_data_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "d.dawn"
+    assert cli.main(["gen-data", "--out", str(out), "--seed", "-1",
+                     "--train", "2", "--val", "2",
+                     "--test-per-class", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_gen_data_same_seed_same_digest(tmp_path, workspace):
@@ -268,6 +286,10 @@ def _with_model_key(key, value):
     return lambda c: {**c, "model": {**c["model"], key: value}}
 
 
+def _with_train_key(key, value):
+    return lambda c: {**c, "train": {**c["train"], key: value}}
+
+
 _BAD_CONFIGS = {
     "no-threshold": lambda c: {k: v for k, v in c.items() if k != "threshold"},
     "no-train": lambda c: {k: v for k, v in c.items() if k != "train"},
@@ -281,6 +303,9 @@ _BAD_CONFIGS = {
     "lambda2-string": lambda c: {**c, "train": {**c["train"], "lambda2": "x"}},
     "lambda1-nan":
         lambda c: {**c, "train": {**c["train"], "lambda1": float("nan")}},
+    "lambda1-negative": _with_train_key("lambda1", -1.0),
+    "lambda2-negative": _with_train_key("lambda2", -1.0),
+    "train-unknown-key": _with_train_key("depth", 3),
     "threshold-string":
         lambda c: {**c, "threshold": {**c["threshold"], "value": "x"}},
     "config-list": lambda c: [c],

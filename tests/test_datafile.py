@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from dawnet import datafile, simulate as sim
-from dawnet.errors import ConfigError, FormatError
+from dawnet.errors import FormatError
 
 
 def _bundle(seed=3, counts=(20, 6, 5)):
-    return sim.generate_dataset(sim.ScenarioConfig(rng_seed=seed), counts)
+    return sim.generate_dataset(seed, counts)
 
 
 def _digest(path):
@@ -27,7 +27,6 @@ def test_dataset_round_trip(tmp_path):
     datafile.write_dataset(p, bundle)
     back = datafile.read_dataset(p)
     assert back.norm_stats == bundle.norm_stats
-    assert back.config == bundle.config
     for a, b in zip(bundle.train + bundle.validation + bundle.test,
                     back.train + back.validation + back.test):
         np.testing.assert_array_equal(a.time_samples, b.time_samples)
@@ -42,8 +41,6 @@ def test_dataset_write_read_write_identical(tmp_path):
     datafile.write_dataset(p1, bundle)
     datafile.write_dataset(p2, datafile.read_dataset(p1))
     assert _digest(p1) == _digest(p2)
-    assert (tmp_path / "a.bin.json").read_text() == \
-        (tmp_path / "b.bin.json").read_text()
 
 
 def test_dataset_bad_magic(tmp_path):
@@ -96,57 +93,21 @@ def test_dataset_bad_label_byte(tmp_path):
     assert "label" in str(exc.value)
 
 
-def test_dataset_missing_sidecar_is_tolerated(tmp_path):
-    bundle = _bundle(seed=2, counts=(4, 2, 2))
-    p = tmp_path / "ds.bin"
-    datafile.write_dataset(p, bundle)
-    (tmp_path / "ds.bin.json").unlink()
-    back = datafile.read_dataset(p)
-    assert back.config is None
-    assert len(back.train) == 4
-
-
-def test_dataset_without_sidecar_cannot_be_written(tmp_path):
-    bundle = _bundle(seed=2, counts=(4, 2, 2))
-    p = tmp_path / "ds.bin"
-    datafile.write_dataset(p, bundle)
-    (tmp_path / "ds.bin.json").unlink()
-    back = datafile.read_dataset(p)
-    with pytest.raises(ConfigError) as exc:
-        datafile.write_dataset(tmp_path / "copy.bin", back)
-    assert "scenario config" in str(exc.value)
-    assert not (tmp_path / "copy.bin").exists()
-
-
-@pytest.mark.parametrize("text", ["{not json", '{"no_such_key": 1}'],
-                         ids=["not-json", "unknown-key"])
-def test_dataset_bad_sidecar(tmp_path, text):
-    bundle = _bundle(seed=2, counts=(4, 2, 2))
-    p = tmp_path / "ds.bin"
-    datafile.write_dataset(p, bundle)
-    (tmp_path / "ds.bin.json").write_text(text)
-    with pytest.raises(FormatError) as exc:
-        datafile.read_dataset(p)
-    assert "ds.bin.json" in str(exc.value)
-
-
 HEADER_PIECES = (4, 4, 12, 8, 32)   # magic, version, counts, dims, stats
 HEADER_LEN = sum(HEADER_PIECES)
 
 
 def _written(tmp_path, counts=(4, 2, 2)):
-    """A small dataset on disk: (path, sample_count, fft_bins, records)."""
+    """A small dataset on disk: (path, records)."""
     bundle = _bundle(seed=1, counts=counts)
     p = tmp_path / "ds.bin"
     datafile.write_dataset(p, bundle)
-    cfg = bundle.config
     records = len(bundle.train) + len(bundle.validation) + len(bundle.test)
-    return p, cfg.sample_count, cfg.fft_bins, records
+    return p, records
 
 
-def _record_pieces(n, m):
-    """Widths of a record's pieces: label with both ratios, re, im, PSD."""
-    return (17, 4 * n, 4 * n, 4 * m)
+# widths of a record's pieces: label with both ratios, re, im, PSD
+RECORD_PIECES = (17, *(4 * sim.SNAPSHOT_LEN,) * 3)
 
 
 def _patch(p, at, fmt, value):
@@ -156,13 +117,12 @@ def _patch(p, at, fmt, value):
 
 
 def test_dataset_truncation_offsets(tmp_path):
-    p, n, m, records = _written(tmp_path, counts=(2, 1, 1))
+    p, records = _written(tmp_path, counts=(2, 1, 1))
     blob = p.read_bytes()
-    size = sum(_record_pieces(n, m))
+    size = sum(RECORD_PIECES)
     starts = list(itertools.accumulate(HEADER_PIECES[:-1], initial=0))
     for first in (HEADER_LEN, HEADER_LEN + (records - 1) * size):
-        starts += itertools.accumulate(_record_pieces(n, m)[:-1],
-                                       initial=first)
+        starts += itertools.accumulate(RECORD_PIECES[:-1], initial=first)
     starts.append(HEADER_LEN + size)   # the end of the first record
     for start in starts:
         for cut in (start, start + 1):
@@ -174,22 +134,25 @@ def test_dataset_truncation_offsets(tmp_path):
 
 
 def test_dataset_huge_declared_size_is_truncated(tmp_path):
+    # 3·(2³²−1) declared records: refused before anything is allocated
     p = tmp_path / "ds.bin"
-    p.write_bytes(b"DAWN" + struct.pack("<I3I2I4d", 1, 1, 0, 0, 2**32 - 1, 8,
-                                        0.0, 1.0, 0.0, 1.0) + bytes(40))
+    huge = 2**32 - 1
+    p.write_bytes(b"DAWN" + struct.pack("<I3I2I4d", 1, huge, huge, huge,
+                                        800, 800, 0.0, 1.0, 0.0, 1.0)
+                  + bytes(40))
     with pytest.raises(FormatError) as exc:
         datafile.read_dataset(p)
     assert "truncated" in str(exc.value)
-    assert "wanted 17179869180 bytes" in str(exc.value)
+    assert "wanted 3200 bytes" in str(exc.value)
     assert exc.value.offset == HEADER_LEN + 17
 
 
 @pytest.mark.parametrize("at,fmt,value", [
-    (20, "<I", 0), (24, "<I", 0),
+    (20, "<I", 0), (24, "<I", 0), (20, "<I", 801), (24, "<I", 400),
     (28, "<d", float("nan")), (36, "<d", 0.0), (44, "<d", float("inf")),
     (52, "<d", -1.0),
-], ids=["no-samples", "no-bins", "nan-mean", "zero-std", "inf-mean",
-        "negative-std"])
+], ids=["no-samples", "no-bins", "801-samples", "400-bins", "nan-mean",
+        "zero-std", "inf-mean", "negative-std"])
 def test_dataset_bad_header_values(tmp_path, at, fmt, value):
     p, *_ = _written(tmp_path)
     _patch(p, at, fmt, value)
@@ -202,9 +165,9 @@ def test_dataset_bad_header_values(tmp_path, at, fmt, value):
     (-1, 3, float("nan")), (0, 1, float("inf")), (5, 2, float("-inf")),
 ], ids=["psd-nan-test-split", "re-inf-train-split", "im-neginf-val-split"])
 def test_dataset_nonfinite_sample_rejected(tmp_path, record, piece, value):
-    p, n, m, records = _written(tmp_path)
-    start = HEADER_LEN + (record % records) * sum(_record_pieces(n, m))
-    _patch(p, start + sum(_record_pieces(n, m)[:piece]) + 4 * 3, "<f", value)
+    p, records = _written(tmp_path)
+    start = HEADER_LEN + (record % records) * sum(RECORD_PIECES)
+    _patch(p, start + sum(RECORD_PIECES[:piece]) + 4 * 3, "<f", value)
     with pytest.raises(FormatError) as exc:
         datafile.read_dataset(p)
     assert "non-finite" in str(exc.value)
@@ -212,8 +175,8 @@ def test_dataset_nonfinite_sample_rejected(tmp_path, record, piece, value):
 
 
 def test_dataset_first_bad_label_offset(tmp_path):
-    p, n, m, records = _written(tmp_path)
-    size = sum(_record_pieces(n, m))
+    p, records = _written(tmp_path)
+    size = sum(RECORD_PIECES)
     for k in (records - 1, 3):
         blob = bytearray(p.read_bytes())
         blob[HEADER_LEN + k * size] = 2
@@ -226,20 +189,19 @@ def test_dataset_first_bad_label_offset(tmp_path):
 
 def test_dataset_reads_inr_minus_inf(tmp_path):
     # -inf INR means no LEO in band: a legitimate value, not corruption
-    p, n, m, _ = _written(tmp_path)
-    _patch(p, HEADER_LEN + sum(_record_pieces(n, m)) + 1, "<d",
-           float("-inf"))
+    p, _ = _written(tmp_path)
+    _patch(p, HEADER_LEN + sum(RECORD_PIECES) + 1, "<d", float("-inf"))
     back = datafile.read_dataset(p)
     assert back.train[1].inr_db == float("-inf")
     assert type(back.train[1].inr_db) is float
 
 
 def test_dataset_read_types(tmp_path):
-    p, n, m, _ = _written(tmp_path)
+    p, _ = _written(tmp_path)
     for s in datafile.read_dataset(p).test:
         assert s.time_samples.dtype == np.complex64
         assert s.psd_db.dtype == np.float32
-        assert s.time_samples.shape == (n,) and s.psd_db.shape == (m,)
+        assert s.time_samples.shape == s.psd_db.shape == (sim.SNAPSHOT_LEN,)
         assert s.time_samples.flags.writeable and s.psd_db.flags.writeable
         assert type(s.label) is int
         assert type(s.inr_db) is float and type(s.cnr_db) is float

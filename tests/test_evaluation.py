@@ -205,7 +205,7 @@ def test_confusion_perfect_and_degenerate():
 
 @pytest.fixture(scope="module")
 def small_world():
-    bundle = sim.generate_dataset(sim.ScenarioConfig(rng_seed=41), (8, 4, 6))
+    bundle = sim.generate_dataset(41, (8, 4, 6))
     net = m.DualDomainAutoencoder(m.ModelConfig(), seed=9)
     return bundle, net
 
@@ -250,8 +250,7 @@ def test_evaluate_report_shape(small_world):
 
 def test_evaluate_scores_each_snapshot_once(monkeypatch):
     # 130 snapshots: two full scoring batches and one partial one
-    bundle = sim.generate_dataset(sim.ScenarioConfig(rng_seed=44),
-                                  (8, 4, 65))
+    bundle = sim.generate_dataset(44, (8, 4, 65))
     net = m.DualDomainAutoencoder(m.ModelConfig(), seed=5)
     bank = wavelet.build_bank((4, 8, 16))
     th = tr.Threshold(value=0.5, mu=0.4, sigma=0.1)
@@ -294,7 +293,7 @@ def test_evaluate_scores_each_snapshot_once(monkeypatch):
 def test_evaluate_trained_detector(ablation):
     # the detector carries its own weights: a vanilla model scores without a
     # bank, where passing the default 1.0, 0.1 by hand would raise
-    bundle = sim.generate_dataset(sim.ScenarioConfig(rng_seed=43), (8, 4, 4))
+    bundle = sim.generate_dataset(43, (8, 4, 4))
     net = m.DualDomainAutoencoder(m.ModelConfig(ablation=ablation), seed=2)
     cfg = tr.TrainConfig(epochs=1, batch_size=8, wavelet_scales=(4, 8))
     result = tr.train_and_calibrate(bundle, net, cfg)

@@ -10,30 +10,11 @@ from dawnet import simulate as sim
 from dawnet.errors import ConfigError, GenerationError, ShapeError
 
 
-def _cfg(**kw):
-    return sim.ScenarioConfig(**kw)
-
-
-# --- config validation -------------------------------------------------------
+# --- validation ---------------------------------------------------------------
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        _cfg(sample_count=0)
-    with pytest.raises(ConfigError):
-        _cfg(num_leo=-1)
-    with pytest.raises(ConfigError):
-        _cfg(cnr_range_db=(15.0, 6.0))
-    with pytest.raises(ConfigError):
-        _cfg(bandwidth=0.0)
-    with pytest.raises(ConfigError):
-        _cfg(link_loss_range_db=(-1.0, 9.0))
-    with pytest.raises(ConfigError):
-        _cfg(rng_seed=-4)
-
-
-def test_config_round_trips_through_dict():
-    cfg = _cfg(rng_seed=11, num_leo=2)
-    assert sim.ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+        sim.generate_dataset(-4, (1, 1, 1))
 
 
 def test_slant_range_overhead_pass():
@@ -46,36 +27,27 @@ def test_slant_range_overhead_pass():
 # --- waveform synthesis ------------------------------------------------------
 
 def test_waveform_carrier_only_exact():
-    cfg = _cfg(num_leo=0, rng_seed=1)
     rng = np.random.default_rng(0)
-    y = sim.synthesize_waveform(cfg, 20.0, [], rng, include_noise=False)
-    assert y.shape == (cfg.sample_count,)
+    y = sim.synthesize_waveform(20.0, [], rng, include_noise=False)
+    assert y.shape == (sim.SNAPSHOT_LEN,)
     np.testing.assert_allclose(np.abs(y), math.sqrt(100.0), atol=1e-12)
 
 
-def test_waveform_leo_count_mismatch():
-    cfg = _cfg(num_leo=2)
-    with pytest.raises(ConfigError):
-        sim.synthesize_waveform(cfg, 10.0, [], np.random.default_rng(0))
-
-
 def test_waveform_zero_doppler_is_pure_sum():
-    cfg = _cfg(num_leo=1, rng_seed=3)
     rng_a = np.random.default_rng(5)
     rng_b = np.random.default_rng(5)
-    ya = sim.synthesize_waveform(cfg, float("-inf"), [(0.0, 0.0)], rng_a,
+    ya = sim.synthesize_waveform(float("-inf"), [(0.0, 0.0)], rng_a,
                                  include_noise=False)
     # same stream drawn manually: carrier consumed first even at zero power
-    _ = sim._qpsk(rng_b, cfg.sample_count)
-    stream = sim._qpsk(rng_b, cfg.sample_count)
+    _ = sim._qpsk(rng_b, sim.SNAPSHOT_LEN)
+    stream = sim._qpsk(rng_b, sim.SNAPSHOT_LEN)
     np.testing.assert_allclose(ya, stream, atol=1e-12)
 
 
 def test_waveform_power_monte_carlo():
     # 1 LEO at 10 dB, carrier off, noise on: mean |y|^2 ~ 1 + 10
-    cfg = _cfg(num_leo=1)
     rng = np.random.default_rng(123)
-    y = sim.synthesize_waveform(cfg, float("-inf"), [(10.0, 1e5)], rng,
+    y = sim.synthesize_waveform(float("-inf"), [(10.0, 1e5)], rng,
                                 num_samples=100_000)
     power = float(np.mean(np.abs(y) ** 2))
     assert abs(power - 11.0) / 11.0 < 0.05
@@ -83,10 +55,9 @@ def test_waveform_power_monte_carlo():
 
 def test_waveform_full_budget_monte_carlo():
     # noise + carrier + 2 links: mean |y|^2 ~ 1 + CNR + sum INR within 5%
-    cfg = _cfg(num_leo=2)
     rng = np.random.default_rng(77)
     cnr_db, inrs = 9.0, [(6.0, 2e5), (12.0, -3e5)]
-    y = sim.synthesize_waveform(cfg, cnr_db, inrs, rng, num_samples=100_000)
+    y = sim.synthesize_waveform(cnr_db, inrs, rng, num_samples=100_000)
     expected = 1.0 + lb.db_to_linear(cnr_db) + sum(lb.db_to_linear(i)
                                                    for i, _ in inrs)
     power = float(np.mean(np.abs(y) ** 2))
@@ -130,21 +101,19 @@ def test_welch_averages_seven_segments():
 # --- snapshots and datasets --------------------------------------------------
 
 def test_snapshot_deterministic_and_pure():
-    cfg = _cfg(rng_seed=9)
-    a = sim.generate_snapshot(cfg, 17)
-    b = sim.generate_snapshot(cfg, 17)
+    a = sim.generate_snapshot(9, 17)
+    b = sim.generate_snapshot(9, 17)
     np.testing.assert_array_equal(a.time_samples, b.time_samples)
     np.testing.assert_array_equal(a.psd_db, b.psd_db)
     assert (a.label, a.inr_db, a.cnr_db) == (b.label, b.inr_db, b.cnr_db)
-    c = sim.generate_snapshot(cfg, 18)
+    c = sim.generate_snapshot(9, 18)
     assert not np.array_equal(a.time_samples, c.time_samples)
 
 
 def test_snapshot_label_rule():
-    cfg = _cfg(rng_seed=5)
     for i in range(200):
-        s = sim.generate_snapshot(cfg, i)
-        assert s.label == int(s.inr_db >= cfg.label_inr_threshold_db)
+        s = sim.generate_snapshot(5, i)
+        assert s.label == int(s.inr_db >= sim.LABEL_INR_THRESHOLD_DB)
         assert s.time_samples.shape == (800,)
         assert s.psd_db.shape == (800,)
         assert s.time_samples.dtype == np.complex64
@@ -152,16 +121,14 @@ def test_snapshot_label_rule():
 
 
 def test_snapshot_cnr_in_range():
-    cfg = _cfg(rng_seed=6)
-    lo, hi = cfg.cnr_range_db
+    lo, hi = sim.CNR_RANGE_DB
     for i in range(100):
-        s = sim.generate_snapshot(cfg, i)
+        s = sim.generate_snapshot(6, i)
         assert lo - 1e-9 <= s.cnr_db <= hi + 1e-9
 
 
 def test_dataset_contract():
-    cfg = _cfg(rng_seed=21)
-    bundle = sim.generate_dataset(cfg, (100, 20, 50))
+    bundle = sim.generate_dataset(21, (100, 20, 50))
     assert len(bundle.train) == 100
     assert len(bundle.validation) == 20
     assert len(bundle.test) == 100
@@ -171,9 +138,8 @@ def test_dataset_contract():
 
 
 def test_dataset_deterministic():
-    cfg = _cfg(rng_seed=33)
-    a = sim.generate_dataset(cfg, (30, 10, 10))
-    b = sim.generate_dataset(cfg, (30, 10, 10))
+    a = sim.generate_dataset(33, (30, 10, 10))
+    b = sim.generate_dataset(33, (30, 10, 10))
     assert a.norm_stats == b.norm_stats
     for sa, sb in zip(a.train + a.validation + a.test,
                       b.train + b.validation + b.test):
@@ -183,20 +149,19 @@ def test_dataset_deterministic():
 
 
 def test_dataset_normalization_invariant():
-    cfg = _cfg(rng_seed=2)
-    bundle = sim.generate_dataset(cfg, (60, 12, 12))
+    bundle = sim.generate_dataset(2, (60, 12, 12))
     amp, psd = sim.model_inputs(bundle.train, bundle.norm_stats)
     assert abs(amp.mean()) < 1e-6 and abs(amp.std() - 1.0) < 1e-6
     assert abs(psd.mean()) < 1e-6 and abs(psd.std() - 1.0) < 1e-6
 
 
-def test_dataset_unsatisfiable_quota_raises():
+def test_dataset_unsatisfiable_quota_raises(monkeypatch):
     # threshold none of the candidates can reach -> no label-1 snapshots
-    cfg = _cfg(rng_seed=4, label_inr_threshold_db=150.0)
+    monkeypatch.setattr(sim, "LABEL_INR_THRESHOLD_DB", 150.0)
     with pytest.raises(GenerationError):
-        sim.generate_dataset(cfg, (2, 1, 1))
+        sim.generate_dataset(4, (2, 1, 1))
 
 
 def test_dataset_rejects_bad_counts():
     with pytest.raises(ConfigError):
-        sim.generate_dataset(_cfg(), (0, 1, 1))
+        sim.generate_dataset(0, (0, 1, 1))

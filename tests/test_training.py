@@ -14,7 +14,7 @@ from dawnet.errors import ConfigError, NumericalError
 
 
 def _bundle(seed=3, counts=(24, 8, 4)):
-    return sim.generate_dataset(sim.ScenarioConfig(rng_seed=seed), counts)
+    return sim.generate_dataset(seed, counts)
 
 
 def _net(ablation="full", seed=0):
@@ -131,8 +131,7 @@ def test_train_history_length_and_validation():
     assert len(history) == 1
     assert lambda2 == 0.1 and bank.scales == (4.0, 8.0)
     bad = sim.DatasetBundle(train=bundle.test, validation=bundle.validation,
-                            test=bundle.test, norm_stats=bundle.norm_stats,
-                            config=bundle.config)
+                            test=bundle.test, norm_stats=bundle.norm_stats)
     with pytest.raises(ConfigError):
         tr.train(bad, _net(), cfg)
 

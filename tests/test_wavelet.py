@@ -218,7 +218,7 @@ def test_gram_path_makes_no_dwt_kernel_calls(monkeypatch):
             calls.append(_name)
             return _fn(*args)
         monkeypatch.setattr(backend, name, counted)
-    bundle = sim.generate_dataset(sim.ScenarioConfig(rng_seed=2), (6, 4, 2))
+    bundle = sim.generate_dataset(2, (6, 4, 2))
     net = DualDomainAutoencoder(ModelConfig(), seed=1)
     bank = wavelet.build_bank((4, 8, 16))
     amp, psd = sim.model_inputs(bundle.train, bundle.norm_stats)
