@@ -104,6 +104,13 @@ def cmd_gen_data(args) -> int:
               args.val if args.val is not None else preset[1],
               args.test_per_class if args.test_per_class is not None
               else preset[2])
+    # refused before any candidate is drawn; the test split holds both classes
+    for flag, split_len in (("--train", counts[0]), ("--val", counts[1]),
+                            ("--test-per-class", 2 * counts[2])):
+        if split_len > datafile.MAX_SPLIT_LEN:
+            raise ConfigError(
+                f"{flag} asks for a split of {split_len} snapshots; a "
+                f"dataset file stores at most {datafile.MAX_SPLIT_LEN}")
     t0 = time.perf_counter()
     bundle = sim.generate_dataset(args.seed, counts)
     elapsed = time.perf_counter() - t0
@@ -215,7 +222,7 @@ def _load_checkpoint(path) -> tr.Detector:
             raise ValueError("non-finite threshold")
         model = DualDomainAutoencoder(model_cfg, seed=0)
         model.load_named_parameters(params)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(
             f"bad checkpoint {Path(path).name}: {exc!r}") from exc
     return tr.Detector(model, threshold, float(train_cfg.lambda1), lambda2,

@@ -18,6 +18,8 @@ DATASET_MAGIC = b"DAWN"
 DATASET_VERSION = 1
 CHECKPOINT_MAGIC = b"DAWM"
 CHECKPOINT_VERSION = 1
+# the dataset header stores each split's length as a u32
+MAX_SPLIT_LEN = 2 ** 32 - 1
 
 
 class _Reader:

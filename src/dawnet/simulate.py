@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linkbudget as lb
 from .errors import ConfigError, GenerationError, ShapeError
@@ -112,7 +113,10 @@ def _qpsk(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unit-power QPSK at one sample per symbol with a random carrier phase."""
     phase0 = rng.uniform(0.0, 2.0 * math.pi)
     symbols = rng.integers(0, 4, size=n)
-    return np.exp(1j * (phase0 + 0.5 * math.pi * symbols))
+    # the four values the stream can take, each computed as the full-length
+    # exp(1j * (phase0 + 0.5 * pi * symbol)) would compute it
+    constellation = np.exp(1j * (phase0 + 0.5 * math.pi * np.arange(4)))
+    return constellation[symbols]
 
 
 def synthesize_waveform(cnr_db: float, per_leo, rng: np.random.Generator,
@@ -138,10 +142,13 @@ def synthesize_waveform(cnr_db: float, per_leo, rng: np.random.Generator,
     y = _qpsk(rng, n) * math.sqrt(cnr_lin)
     t = np.arange(n, dtype=np.float64)
     for inr_db, doppler_hz in per_leo:
-        inr_lin = 0.0 if inr_db == float("-inf") else lb.db_to_linear(inr_db)
         stream = _qpsk(rng, n)
+        if inr_db == float("-inf"):
+            # zero power: the stream is drawn to keep the RNG order, and
+            # adding it times 0 would leave y as it is
+            continue
         rotation = np.exp(2j * math.pi * doppler_hz * t / BANDWIDTH_HZ)
-        y = y + stream * rotation * math.sqrt(inr_lin)
+        y = y + stream * rotation * math.sqrt(lb.db_to_linear(inr_db))
     if include_noise:
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
             / math.sqrt(2.0)
@@ -154,8 +161,9 @@ def welch_psd_db(y: np.ndarray, fft_bins: int) -> np.ndarray:
 
     The segment length equals fft_bins, the window is the periodic Hann, and
     the density normalization uses a unit sample rate. Bins are in FFT order
-    (DC first). Power below 1e-30 is floored, so an all-zero input comes out
-    at exactly -300 dB.
+    (DC first). Power is floored at PSD_FLOOR_DB, so an all-zero input comes
+    out at exactly -300 dB. All segments go through one FFT call, and their
+    powers are summed in segment order.
     """
     y = np.asarray(y)
     n = y.shape[0]
@@ -164,27 +172,25 @@ def welch_psd_db(y: np.ndarray, fft_bins: int) -> np.ndarray:
         raise ConfigError("fft_bins must be positive")
     if n < seg:
         raise ShapeError(f"need at least {seg} samples, got {n}")
-    step = seg // 2
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg) / seg)
     norm = np.sum(window * window)
-    acc = np.zeros(seg, dtype=np.float64)
-    count = 0
-    for start in range(0, n - seg + 1, step):
-        spectrum = np.fft.fft(y[start:start + seg] * window)
-        acc += (spectrum.real ** 2 + spectrum.imag ** 2)
-        count += 1
-    psd = acc / (count * norm)
-    return 10.0 * np.log10(np.maximum(psd, 1e-30))
+    segments = sliding_window_view(y, seg)[::seg // 2]
+    spectra = np.fft.fft(segments * window, axis=1)
+    power = spectra.real ** 2 + spectra.imag ** 2
+    acc = power[0].copy()
+    for p in power[1:]:
+        acc += p
+    psd = acc / (len(power) * norm)
+    return 10.0 * np.log10(np.maximum(psd, 10.0 ** (PSD_FLOOR_DB / 10.0)))
 
 
-def generate_snapshot(seed: int, index: int) -> Snapshot:
-    """Deterministic snapshot for one candidate index.
+def _draw_links(seed: int, index: int) -> tuple:
+    """The draws that label candidate ``index``, before its waveform.
 
-    The RNG stream is keyed on (seed, index); draws happen in a fixed order
-    (GSO loss, the LEO links, waveform), so snapshot i is identical no
-    matter which worker produced it. Stored arrays are rounded to 32-bit
-    floats here, making the in-memory bundle bit-identical to a file
-    round-trip.
+    Returns (rng, cnr_db, links, inr_db): the candidate's RNG, keyed on
+    (seed, index) and positioned after the GSO loss and the LEO links, the
+    carrier's CNR, the links in draw order, and their aggregate INR (-inf if
+    none is in band).
     """
     if index < 0:
         raise ConfigError("candidate index must be non-negative")
@@ -200,7 +206,23 @@ def generate_snapshot(seed: int, index: int) -> Snapshot:
     links = [sample_leo_link(rng) for _ in range(NUM_LEO)]
     inr_lin = lb.aggregate_interference(links)
     inr_db = lb.linear_to_db(inr_lin) if inr_lin > 0 else float("-inf")
-    label = int(inr_db >= LABEL_INR_THRESHOLD_DB)
+    return rng, cnr_db, links, inr_db
+
+
+def _label(inr_db: float) -> int:
+    return int(inr_db >= LABEL_INR_THRESHOLD_DB)
+
+
+def generate_snapshot(seed: int, index: int) -> Snapshot:
+    """Deterministic snapshot for one candidate index.
+
+    The RNG stream is keyed on (seed, index); draws happen in a fixed order
+    (GSO loss, the LEO links, waveform), so snapshot i is identical no
+    matter which worker produced it. Stored arrays are rounded to 32-bit
+    floats here, making the in-memory bundle bit-identical to a file
+    round-trip.
+    """
+    rng, cnr_db, links, inr_db = _draw_links(seed, index)
 
     per_leo = []
     for lk in links:
@@ -215,7 +237,7 @@ def generate_snapshot(seed: int, index: int) -> Snapshot:
     return Snapshot(
         time_samples=time_samples,
         psd_db=psd.astype(np.float32),
-        label=label,
+        label=_label(inr_db),
         inr_db=inr_db,
         cnr_db=cnr_db,
     )
@@ -259,9 +281,11 @@ def generate_dataset(seed: int, counts) -> DatasetBundle:
     """Assemble splits by walking the candidate stream in index order.
 
     Label-0 candidates fill train, then validation, then the clean half of
-    the test split; label-1 candidates fill the interference half. Surplus
-    candidates are discarded. Raises when the candidate budget (RETRY_FACTOR
-    times the total requested) runs out before every quota is met.
+    the test split; label-1 candidates fill the interference half. Each
+    candidate is labelled from its link draws alone, and only those a quota
+    still needs are synthesized. Raises when the candidate budget
+    (RETRY_FACTOR times the total requested) runs out before every quota is
+    met.
     """
     n_train, n_val, n_test_pc = (int(c) for c in counts)
     if n_train <= 0 or n_val <= 0 or n_test_pc <= 0:
@@ -275,11 +299,11 @@ def generate_dataset(seed: int, counts) -> DatasetBundle:
     clean, interfered = [], []
     index = 0
     while (len(clean) < need0 or len(interfered) < need1) and index < budget:
-        snap = generate_snapshot(seed, index)
-        if snap.label == 0 and len(clean) < need0:
-            clean.append(snap)
-        elif snap.label == 1 and len(interfered) < need1:
-            interfered.append(snap)
+        label = _label(_draw_links(seed, index)[3])
+        if label == 0 and len(clean) < need0:
+            clean.append(generate_snapshot(seed, index))
+        elif label == 1 and len(interfered) < need1:
+            interfered.append(generate_snapshot(seed, index))
         index += 1
     if len(clean) < need0 or len(interfered) < need1:
         raise GenerationError(

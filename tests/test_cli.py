@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dawnet import cli, datafile, wavelet
+from dawnet import simulate as sim
 from dawnet.model import ModelConfig
 
 
@@ -332,6 +333,56 @@ def test_malformed_checkpoint_config_exits_2(tmp_path, workspace, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "bad.dawm" in err
     assert len(err.splitlines()) == 1
+
+
+# a JSON integer beyond the float range, in each float field of the config
+@pytest.mark.parametrize("block,key", [
+    ("threshold", "value"), ("threshold", "mu"), ("threshold", "sigma"),
+    ("train", "lambda1"), ("train", "lambda2"), ("train", "learning_rate")])
+def test_checkpoint_integer_beyond_float_exits_2(tmp_path, workspace, capsys,
+                                                 block, key):
+    _, data, model = workspace
+    config, params = datafile.read_checkpoint(model)
+    config[block][key] = 10 ** 400
+    bad = tmp_path / "bad.dawm"
+    datafile.write_checkpoint(bad, config, params)
+    rc = cli.main(["eval", "--model", str(bad), "--data", str(data),
+                   "--out-dir", str(tmp_path / "ev")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.dawm" in err
+    assert len(err.splitlines()) == 1
+
+
+def _refuse_candidate_draws(monkeypatch):
+    def drawn(rng):
+        raise AssertionError("a candidate was drawn")
+    monkeypatch.setattr(sim, "sample_leo_link", drawn)
+
+
+@pytest.mark.parametrize("flag,count", [
+    ("--train", 2 ** 32), ("--val", 2 ** 32),
+    ("--test-per-class", 2 ** 31), ("--train", 10 ** 30)])
+def test_gen_data_counts_beyond_header_exit_2(tmp_path, monkeypatch, capsys,
+                                             flag, count):
+    _refuse_candidate_draws(monkeypatch)
+    argv = ["gen-data", "--out", str(tmp_path / "d.dawn"), "--train", "2",
+            "--val", "2", "--test-per-class", "2", flag, str(count)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag,count", [
+    ("--train", 2 ** 32 - 1), ("--test-per-class", 2 ** 31 - 1)])
+def test_gen_data_largest_counts_reach_the_draw(tmp_path, monkeypatch, flag,
+                                                count):
+    _refuse_candidate_draws(monkeypatch)
+    with pytest.raises(AssertionError, match="a candidate was drawn"):
+        cli.main(["gen-data", "--out", str(tmp_path / "d.dawn"), flag,
+                  str(count)])
 
 
 def test_nonfinite_dataset_exits_2(tmp_path, workspace, capsys):

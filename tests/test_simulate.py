@@ -64,6 +64,57 @@ def test_waveform_full_budget_monte_carlo():
     assert abs(power - expected) / expected < 0.05
 
 
+def _qpsk_exp(rng, n):
+    # the full-length formula: one complex exp per symbol
+    phase0 = rng.uniform(0.0, 2.0 * math.pi)
+    symbols = rng.integers(0, 4, size=n)
+    return np.exp(1j * (phase0 + 0.5 * math.pi * symbols))
+
+
+def test_qpsk_matches_full_length_exp():
+    for seed in range(60):
+        rng_a = np.random.default_rng(seed)
+        rng_b = np.random.default_rng(seed)
+        a = sim._qpsk(rng_a, sim.SYNTHESIS_LEN)
+        b = _qpsk_exp(rng_b, sim.SYNTHESIS_LEN)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert rng_a.uniform() == rng_b.uniform()
+
+
+def _waveform_all_links(cnr_db, per_leo, rng, n):
+    # every interferer rotated and added, a -inf one at zero power
+    y = _qpsk_exp(rng, n) * math.sqrt(0.0 if cnr_db == float("-inf")
+                                      else lb.db_to_linear(cnr_db))
+    t = np.arange(n, dtype=np.float64)
+    for inr_db, doppler_hz in per_leo:
+        inr_lin = 0.0 if inr_db == float("-inf") else lb.db_to_linear(inr_db)
+        stream = _qpsk_exp(rng, n)
+        rotation = np.exp(2j * math.pi * doppler_hz * t / sim.BANDWIDTH_HZ)
+        y = y + stream * rotation * math.sqrt(inr_lin)
+    noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
+        / math.sqrt(2.0)
+    return y + noise
+
+
+def test_silent_interferer_matches_adding_it_at_zero_power():
+    off = float("-inf")
+    cases = [
+        (9.0, [(off, 3e6)]),
+        (12.0, [(off, -2e6), (4.0, 1e6), (off, 3.5e6)]),
+        (off, [(off, 1e5), (off, -1e5), (off, 0.0)]),
+        (6.4, [(20.0, 2e6), (off, 0.0), (-3.0, -4e6)]),
+    ]
+    for seed in range(12):
+        for cnr_db, per_leo in cases:
+            a = sim.synthesize_waveform(cnr_db, per_leo,
+                                        np.random.default_rng(seed),
+                                        num_samples=sim.SYNTHESIS_LEN)
+            b = _waveform_all_links(cnr_db, per_leo,
+                                    np.random.default_rng(seed),
+                                    sim.SYNTHESIS_LEN)
+            assert a.tobytes() == b.tobytes()
+
+
 # --- Welch PSD ---------------------------------------------------------------
 
 def test_welch_tone_lands_in_predicted_bin():
@@ -96,6 +147,37 @@ def test_welch_averages_seven_segments():
     # 3200 samples, segment 800, 50% overlap -> starts 0,400,...,2400
     starts = list(range(0, 3200 - 800 + 1, 400))
     assert len(starts) == 7
+
+
+def _welch_per_segment(y, seg):
+    # one FFT per segment, powers summed in segment order
+    n = y.shape[0]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg) / seg)
+    norm = np.sum(window * window)
+    acc = np.zeros(seg, dtype=np.float64)
+    count = 0
+    for start in range(0, n - seg + 1, seg // 2):
+        spectrum = np.fft.fft(y[start:start + seg] * window)
+        acc += (spectrum.real ** 2 + spectrum.imag ** 2)
+        count += 1
+    psd = acc / (count * norm)
+    return 10.0 * np.log10(np.maximum(psd, 1e-30))
+
+
+@pytest.mark.parametrize("n,seg", [(3200, 800), (3201, 800), (800, 800),
+                                   (1999, 800), (1000, 64), (50, 7)])
+def test_welch_matches_per_segment_loop(n, seg):
+    rng = np.random.default_rng(n * 1000 + seg)
+    for y in (rng.standard_normal(n) + 1j * rng.standard_normal(n),
+              rng.standard_normal(n),
+              np.zeros(n, dtype=complex)):
+        assert sim.welch_psd_db(y, seg).tobytes() \
+            == _welch_per_segment(y, seg).tobytes()
+    for seed in range(8):
+        y = sim.synthesize_waveform(9.0, [(2.0, 1e6)],
+                                    np.random.default_rng(seed), num_samples=n)
+        assert sim.welch_psd_db(y, seg).tobytes() \
+            == _welch_per_segment(y, seg).tobytes()
 
 
 # --- snapshots and datasets --------------------------------------------------
@@ -153,6 +235,61 @@ def test_dataset_normalization_invariant():
     amp, psd = sim.model_inputs(bundle.train, bundle.norm_stats)
     assert abs(amp.mean()) < 1e-6 and abs(amp.std() - 1.0) < 1e-6
     assert abs(psd.mean()) < 1e-6 and abs(psd.std() - 1.0) < 1e-6
+
+
+def _walk_every_candidate(seed, counts):
+    # synthesize each candidate, then keep it if its quota is open
+    n_train, n_val, n_test_pc = counts
+    need0, need1 = n_train + n_val + n_test_pc, n_test_pc
+    clean, interfered = [], []
+    index = 0
+    while len(clean) < need0 or len(interfered) < need1:
+        snap = sim.generate_snapshot(seed, index)
+        if snap.label == 0 and len(clean) < need0:
+            clean.append(snap)
+        elif snap.label == 1 and len(interfered) < need1:
+            interfered.append(snap)
+        index += 1
+    return clean, interfered, snap.label
+
+
+def _same_snapshot(a, b):
+    return (a.time_samples.tobytes() == b.time_samples.tobytes()
+            and a.psd_db.tobytes() == b.psd_db.tobytes()
+            and (a.label, a.inr_db, a.cnr_db) == (b.label, b.inr_db, b.cnr_db))
+
+
+# the walk ends on a clean candidate when the interfered quota fills first,
+# and on an interfered one when the clean quota does
+@pytest.mark.parametrize("seed,counts,last_label", [
+    (8, (30, 10, 2), 0), (8, (1, 1, 30), 1), (0, (16, 4, 8), 0),
+    (7100004, (1, 2, 24), 1)])
+def test_dataset_matches_walk_over_every_candidate(seed, counts, last_label):
+    clean, interfered, last = _walk_every_candidate(seed, counts)
+    assert last == last_label
+    bundle = sim.generate_dataset(seed, counts)
+    made = bundle.train + bundle.validation + bundle.test
+    assert len(made) == len(clean) + len(interfered)
+    assert all(map(_same_snapshot, made, clean + interfered))
+    assert bundle.norm_stats == sim.normalization_stats(
+        clean[:counts[0]])
+
+
+def test_dataset_synthesizes_only_kept_candidates(monkeypatch):
+    calls = []
+    generate = sim.generate_snapshot
+
+    def counted(seed, index):
+        calls.append(index)
+        return generate(seed, index)
+
+    monkeypatch.setattr(sim, "generate_snapshot", counted)
+    for seed, counts in ((8, (30, 10, 2)), (8, (1, 1, 30))):
+        calls.clear()
+        bundle = sim.generate_dataset(seed, counts)
+        kept = len(bundle.train) + len(bundle.validation) + len(bundle.test)
+        assert len(calls) == kept == sum(counts) + counts[2]
+        assert calls == sorted(set(calls))
 
 
 def test_dataset_unsatisfiable_quota_raises(monkeypatch):
