@@ -2,15 +2,19 @@
 
 Small by design: only the ops the detector needs, each with a hand-written
 backward closure. Graphs are built eagerly during the forward pass and
-replayed in reverse topological order by :func:`backward`. The convolution
-and wavelet inner loops dispatch to :mod:`dawnet.backend`.
+replayed in reverse topological order by :func:`backward`, which consumes
+the graph it walks: each interior node lets go of its gradient, closure and
+parents once its closure has run, so run one backward per forward. The
+convolution and wavelet inner loops dispatch to :mod:`dawnet.backend`.
 
 A conv layer is one tape node: :func:`conv1d` and :func:`conv1d_transpose`
 add the bias to the kernel's output in place, check the pre-activation for
 non-finite values once and apply the optional ReLU in place, and their
 backward masks the gradient once before the kernel adjoints. :func:`relu`
 and the rank-3 branch of :func:`add_bias` compute the same chain as
-separate nodes, and the tests hold the fused node to them bitwise.
+separate nodes, and the tests hold the fused node to them bitwise. A
+:func:`conv1d` node keeps only its unpadded input: the x-adjoint needs just
+the padded length, and the weight gradient pads the input again.
 """
 
 from contextlib import contextmanager
@@ -18,7 +22,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import backend
-from .errors import ConfigError, NumericalError, ShapeError
+from .errors import ConfigError, DawnetError, NumericalError, ShapeError
 
 _grad_enabled = True
 
@@ -91,7 +95,14 @@ def _accumulate(t: Tensor, g):
 
 
 def backward(loss: Tensor):
-    """Populate ``.grad`` on every reachable tensor with requires_grad."""
+    """Populate ``.grad`` on every reachable leaf with requires_grad.
+
+    Consumes the graph as it goes: once an interior node's closure has run,
+    the node drops its gradient, its closure and its parents, so that what
+    only backward still needed is freed before the walk ends. A second
+    backward through any consumed node raises ``DawnetError`` before it
+    changes a gradient.
+    """
     if loss.data.ndim != 0:
         raise ShapeError("backward expects a scalar loss")
     order = []
@@ -104,15 +115,29 @@ def backward(loss: Tensor):
             continue
         if id(node) in visited:
             continue
+        if node._backward is _consumed:
+            _consumed()             # before any closure touches a gradient
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in visited and p.requires_grad:
                 stack.append((p, False))
     loss.grad = np.array(1.0)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad = None
+        node._backward = _consumed
+        node._parents = ()
+
+
+def _consumed(g=None):
+    """Backward closure of a node whose own closure has already run."""
+    raise DawnetError("backward through a graph that an earlier backward "
+                      "consumed; run one backward per forward")
 
 
 class ParamRegistry:
@@ -402,15 +427,19 @@ def conv1d(x: Tensor, w: Tensor, b=None, stride=1, padding=0,
     k = w.data.shape[2]
     if k > x.data.shape[2] + 2 * padding:
         raise ShapeError("kernel longer than padded input")
-    xp = np.ascontiguousarray(_pad_last(x.data, padding, padding))
-    y = backend.conv1d_fw(xp, np.ascontiguousarray(w.data), stride)
+
+    def padded():
+        return np.ascontiguousarray(_pad_last(x.data, padding, padding))
+
+    y = backend.conv1d_fw(padded(), np.ascontiguousarray(w.data), stride)
+    lp = x.data.shape[2] + 2 * padding
 
     def adjoints(g):
         if x.requires_grad:
-            gxp = backend.conv1d_gx(g, w.data, stride, xp.shape[2])
+            gxp = backend.conv1d_gx(g, w.data, stride, lp)
             _accumulate(x, _unpad_fold(gxp, padding, padding))
         if w.requires_grad:
-            _accumulate(w, backend.conv1d_gw(g, xp, stride, k))
+            _accumulate(w, backend.conv1d_gw(g, padded(), stride, k))
 
     return _conv_node(y, x, w, b, relu, adjoints)
 

@@ -15,6 +15,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import datafile
 from . import evaluation as ev
@@ -152,14 +154,33 @@ def _train_config(args) -> tr.TrainConfig:
         wavelet_scales=_parse_scales(args.scales), seed=args.seed)
 
 
+def _diverged(detail: str) -> ConfigError:
+    return ConfigError(f"training diverged ({detail}); lower --lr, "
+                       f"--lambda1 or --lambda2")
+
+
 def _train_one(bundle, train_cfg: tr.TrainConfig, ablation: str,
                out_path: Path, dataset_digest: str) -> dict:
     """Train and calibrate one variant and write its checkpoint: the config
-    block and the model's parameters (the bank follows from the scales)."""
+    block and the model's parameters (the bank follows from the scales).
+
+    A run that diverges is refused before anything is written: a non-finite
+    value during training or calibration, or a non-finite final loss or
+    threshold, which ``eval`` would refuse to load.
+    """
     model = DualDomainAutoencoder(ModelConfig(ablation=ablation),
                                   seed=train_cfg.seed)
-    result = tr.train_and_calibrate(bundle, model, train_cfg)
+    try:
+        # overflow is reported once, by the checks, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = tr.train_and_calibrate(bundle, model, train_cfg)
+    except NumericalError as exc:
+        raise _diverged(str(exc)) from exc
     threshold = result["detector"].threshold
+    final = result["history"][-1]
+    if not all(map(math.isfinite, (final, threshold.value, threshold.mu,
+                                   threshold.sigma))):
+        raise _diverged(f"final loss {final}, threshold {threshold.value}")
     config = {
         "model": model.config.to_dict(),
         "train": train_cfg.to_dict(),

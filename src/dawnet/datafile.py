@@ -30,10 +30,13 @@ class _Reader:
         self.pos = 0
         self.label = label
 
-    def take(self, n: int) -> bytes:
+    def _need(self, n: int):
         if self.pos + n > len(self.blob):
             raise FormatError(
                 f"truncated {self.label}: wanted {n} bytes", offset=self.pos)
+
+    def take(self, n: int) -> bytes:
+        self._need(n)
         out = self.blob[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -42,8 +45,13 @@ class _Reader:
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
     def array(self, dtype, count: int) -> np.ndarray:
-        raw = self.take(int(count) * np.dtype(dtype).itemsize)
-        return np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<")).copy()
+        """``count`` items at the cursor, copied once out of the blob."""
+        dtype = np.dtype(dtype).newbyteorder("<")
+        count = int(count)
+        self._need(count * dtype.itemsize)
+        out = np.frombuffer(self.blob, dtype, count, self.pos).copy()
+        self.pos += count * dtype.itemsize
+        return out
 
     def expect_end(self):
         if self.pos != len(self.blob):

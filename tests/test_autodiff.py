@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dawnet import autodiff as ad
-from dawnet import model
-from dawnet.errors import ConfigError, NumericalError, ShapeError
+from dawnet import model, training, wavelet
+from dawnet.errors import ConfigError, DawnetError, NumericalError, ShapeError
 
 
 def _t(arr, rg=True):
@@ -309,6 +309,49 @@ def test_grad_accumulates_on_reuse():
     loss = ad.add(ad.mul(x, x), ad.scale(x, 3.0))  # x^2 + 3x -> 2x + 3 = 7
     ad.backward(loss)
     assert abs(x.grad - 7.0) < 1e-9
+
+
+def _reachable(root):
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_consumes_the_graph():
+    # a B=2 full-model step with the wavelet loss covers every op the
+    # detector trains through
+    net = model.DualDomainAutoencoder(model.ModelConfig(ablation="full"))
+    amp, psd = np.random.default_rng(5).standard_normal((2, 2,
+                                                         model.INPUT_LEN))
+    target = _t(np.concatenate([amp, psd], axis=1), rg=False)
+    out = net.forward(amp, psd)
+    loss = training.composite_loss(out, target, wavelet.build_bank((4, 8)),
+                                   1.0, 0.1)
+    nodes = _reachable(loss)
+    data = [n.data.copy() for n in nodes]
+    interior = [n for n in nodes if n._backward is not None]
+    ad.backward(loss)
+
+    for n in interior:
+        assert n.grad is None and n._parents == ()
+        assert n._backward is ad._consumed
+    params = net.params.tensors()
+    assert all(p.grad is not None for p in params)
+    assert all(np.array_equal(n.data, d) for n, d in zip(nodes, data))
+
+    grads = [p.grad.copy() for p in params]
+    w = net.params["decoder.tconv0.weight"]
+    with pytest.raises(DawnetError):
+        ad.backward(loss)
+    with pytest.raises(DawnetError):
+        # the walk reaches the leaf w before it reaches the consumed output
+        ad.backward(ad.add(ad.mse(w, np.zeros(w.shape)), ad.mse(out, target)))
+    assert all(np.array_equal(p.grad, g) for p, g in zip(params, grads))
 
 
 def test_no_grad_blocks_graph():

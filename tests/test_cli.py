@@ -234,6 +234,40 @@ def test_nonfinite_hyperparameter_exits_2(tmp_path, workspace, command, flag,
     assert not out.is_file() and not any(out.glob("*/checkpoint.dawm"))
 
 
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("diverge") / "data.dawn"
+    assert cli.main(["gen-data", "--out", str(data), "--seed", "3",
+                     "--train", "16", "--val", "4",
+                     "--test-per-class", "8"]) == 0
+    return data
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--lr", "1e300"),      # the calibration forward pass overflows
+    ("--lr", "1e30"),
+    ("--lr", "1e10"),       # finite losses whose spread overflows
+    ("--lambda1", "1e308"),  # the final loss and the threshold overflow
+])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_diverged_training_exits_2(tmp_path, small_data, capsys, command,
+                                   flag, value):
+    out = tmp_path / "out"
+    dest = ["--out", str(out)] if command == "train" else ["--out-dir",
+                                                          str(out)]
+    with warnings.catch_warnings():
+        # a numpy RuntimeWarning on the way becomes a traceback here
+        warnings.simplefilter("error")
+        rc = cli.main([command, "--data", str(small_data), "--epochs", "1",
+                       flag, value, *dest])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: training diverged") and "--lr" in err
+    assert not out.is_file() and not any(out.glob("**/*.dawm"))
+    assert not list(tmp_path.glob("**/*manifest.json"))
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--data", "{tmp}/absent.dawn", "--epochs", "1",
      "--out", "{tmp}/m.dawm"],

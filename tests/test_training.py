@@ -1,6 +1,7 @@
 """Loss assembly, optimizer behavior, loop determinism, threshold math."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,12 +87,17 @@ def test_adam_zero_lr_keeps_params():
 
 
 def test_adam_in_place_matches_textbook_update():
-    # the in-place step must round exactly as the out-of-place expression,
-    # or checkpoints stop being byte-identical across versions
+    # the chunked in-place step must round exactly as the whole-array
+    # out-of-place expression, or checkpoints stop being byte-identical
+    # across versions: one parameter spans two full chunks and a partial
+    # one, one is 0-d, one is a transposed (non-contiguous) view, and one
+    # never gets a gradient
     rng = np.random.default_rng(4)
-    shapes = [(3, 4, 5), (7,), ()]
+    shapes = [(3, 4, 5), (2 * tr.ADAM_CHUNK + 123,), (7,), (), (5, 4), (6,)]
+    no_grad = len(shapes) - 1
     params = [ad.Tensor(rng.standard_normal(s), requires_grad=True)
               for s in shapes]
+    params[4].data = rng.standard_normal((4, 5)).T
     ref = [p.data.copy() for p in params]
     m = [np.zeros_like(r) for r in ref]
     v = [np.zeros_like(r) for r in ref]
@@ -99,6 +105,8 @@ def test_adam_in_place_matches_textbook_update():
     for t in range(1, 6):
         b1t, b2t = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
         for i, p in enumerate(params):
+            if i == no_grad:
+                continue
             g = rng.standard_normal(shapes[i])
             p.grad = np.array(g)
             m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
@@ -106,8 +114,10 @@ def test_adam_in_place_matches_textbook_update():
             ref[i] = ref[i] - 3e-3 * (m[i] / b1t) / (np.sqrt(v[i] / b2t)
                                                       + 1e-8)
         opt.step()
-        for p, r in zip(params, ref):
-            assert np.array_equal(p.data, r)
+        for got, want in zip((params, opt._m, opt._v), (ref, m, v)):
+            for a, b in zip(got, want):
+                a = a.data if isinstance(a, ad.Tensor) else a
+                assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_adam_descends_quadratic():
@@ -119,6 +129,39 @@ def test_adam_descends_quadratic():
         ad.backward(loss)
         opt.step()
     assert abs(float(t.data)) < 0.1
+
+
+def test_training_step_memory_bounds():
+    # one full-model B=64 step in the training loop's order, in traced
+    # bytes (sizes, not timings): the forward tape keeps no padded conv
+    # inputs, backward frees the tape as it goes, and Adam's scratch is one
+    # chunk-sized pair (the design before it read 20.8 and 50.7 MB)
+    rng = np.random.default_rng(0)
+    amp, psd = rng.standard_normal((2, 64, m.INPUT_LEN))
+    target = np.concatenate([amp, psd], axis=1)
+    net = _net()
+    lambda2, bank = tr.wavelet_term(net.config, 0.1, (4, 8, 16))
+    opt = tr.Adam(net.params.tensors(), lr=1e-3)
+
+    def step(after_forward=lambda: None):
+        out = net.forward(amp, psd)
+        after_forward()
+        loss = tr.composite_loss(out, target, bank, 1.0, lambda2)
+        opt.zero_grad()
+        ad.backward(loss)
+        opt.step()
+
+    step()      # the first step builds the wavelet operator's cache
+    tape = []
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        step(lambda: tape.append(tracemalloc.get_traced_memory()[0] - start))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert tape[0] <= 15e6
+    assert peak <= 40e6
 
 
 # --- training loop ------------------------------------------------------------
