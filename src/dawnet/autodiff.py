@@ -205,7 +205,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def mul_scalar(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply by a learnable 0-d tensor (the attention gate)."""
+    """Multiply by a trained 0-d tensor (the attention gate)."""
     a, s = as_tensor(a), as_tensor(s)
     if s.data.ndim != 0:
         raise ShapeError("mul_scalar expects a 0-d scalar tensor")
@@ -335,6 +335,23 @@ def mse(a: Tensor, b) -> Tensor:
         _accumulate(b, -common)
 
     return _make(np.mean(diff * diff), (a, b), bw)
+
+
+def scalar(x: Tensor, value, dx: np.ndarray) -> Tensor:
+    """0-d node of ``value`` whose gradient in ``x`` is ``dx``.
+
+    For a loss whose gradient the caller has in closed form: the tape keeps
+    only ``dx``.
+    """
+    x = as_tensor(x)
+    if dx.shape != x.data.shape:
+        raise ShapeError(f"scalar gradient shape {dx.shape} does not match "
+                         f"its input {x.data.shape}")
+
+    def bw(g):
+        _accumulate(x, g * dx)
+
+    return _make(np.array(value, dtype=np.float64), (x,), bw)
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -534,36 +551,6 @@ def dwt_gram(kernels: np.ndarray, length: int) -> np.ndarray:
     return np.bincount(u * (2 * k - 1) + (v - u + k - 1),
                        weights=padded[inside],
                        minlength=length * (2 * k - 1)).reshape(length, -1)
-
-
-def dwt_energy(xhat: Tensor, x: Tensor, kernels, gram) -> Tensor:
-    """sum((dwt(xhat) - dwt(x))**2) / (B*C*L) for (B,C,L) inputs.
-
-    That is S times the mean over the (B,C,S,L) coefficients. The dwt is
-    linear, so with d = xhat - x the value is d.Gd/(B*C*L) and the input
-    gradient 2Gd/(B*C*L), where ``gram(d)`` returns Gd over the last axis
-    (G as in :func:`dwt_gram`). Only the kernel gradient needs the
-    coefficients themselves.
-    """
-    xhat, x, kern = as_tensor(xhat), as_tensor(x), as_tensor(kernels)
-    if xhat.data.ndim != 3 or xhat.data.shape != x.data.shape:
-        raise ShapeError(f"dwt_energy expects two equal (B,C,L) shapes, "
-                         f"got {xhat.data.shape} and {x.data.shape}")
-    d = xhat.data - x.data
-    gd = gram(d)
-    c = 1.0 / d.size
-
-    def bw(g):
-        gx = (2.0 * c * g) * gd
-        _accumulate(xhat, gx)
-        _accumulate(x, -gx)
-        if kern.requires_grad:
-            pl, pr = _dwt_pads(kern.data.shape[1])
-            dp = np.ascontiguousarray(_pad_last(d, pl, pr))
-            coeffs = backend.dwt_fw(dp, np.ascontiguousarray(kern.data))
-            _accumulate(kern, backend.dwt_gk((2.0 * c * g) * coeffs, dp))
-
-    return _make(np.array(c * np.vdot(d, gd)), (xhat, x, kern), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,6 @@ class ModelConfig:
     def uses_wavelet_loss(self) -> bool:
         return self.ablation not in ("no_wavelet_loss", "vanilla")
 
-    def effective_lambda2(self, lambda2: float) -> float:
-        """Wavelet-term weight this variant trains and scores with."""
-        return float(lambda2) if self.uses_wavelet_loss else 0.0
-
     def to_dict(self) -> dict:
         return {"ablation": self.ablation}
 

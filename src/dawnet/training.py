@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import simulate as sim
 from . import wavelet
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, ShapeError
 from .model import INPUT_LEN
 
 # snapshots per scoring batch: the training batch, and the batch the paper's
@@ -91,7 +91,7 @@ def wavelet_term(model_config, lambda2: float, scales) -> tuple:
     the fixed Morlet bank over ``scales``, refused before it is built when
     its taps cannot be reflect-padded onto the stacked model output.
     """
-    lambda2 = model_config.effective_lambda2(lambda2)
+    lambda2 = float(lambda2) if model_config.uses_wavelet_loss else 0.0
     if not lambda2 > 0:
         return lambda2, None
     taps = wavelet.kernel_len(scales)
@@ -128,59 +128,86 @@ class Adam:
         self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
 
     def step(self):
-        """p -= lr * (m / b1t) / (sqrt(v / b2t) + eps), term by term."""
+        """p -= lr * (m / b1t) / (sqrt(v / b2t) + eps), term by term.
+
+        An overflow raises ``NumericalError``: a gradient element above
+        about 1e154 would otherwise make its v infinite and so freeze that
+        element for good, silently.
+        """
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
-            flat = [a.reshape(-1) for a in (p.data, p.grad, m, v)]
-            for lo in range(0, p.data.size, ADAM_CHUNK):
-                pc, g, mc, vc = (a[lo:lo + ADAM_CHUNK] for a in flat)
-                s, u = (a[:pc.size] for a in self._scratch)
-                mc *= self.beta1
-                mc += np.multiply(1.0 - self.beta1, g, out=s)
-                vc *= self.beta2
-                np.multiply(g, g, out=s)
-                vc += np.multiply(1.0 - self.beta2, s, out=s)
-                np.divide(vc, b2t, out=s)        # s = sqrt(v / b2t) + eps
-                np.sqrt(s, out=s)
-                s += self.eps
-                np.divide(mc, b1t, out=u)        # u = lr * (m / b1t) / s
-                np.multiply(self.lr, u, out=u)
-                u /= s
-                pc -= u
+            try:
+                with np.errstate(over="raise"):
+                    self._update(p, m, v, b1t, b2t)
+            except FloatingPointError as exc:
+                raise NumericalError(f"Adam update: {exc}") from exc
             if not np.isfinite(p.data).all():
                 raise NumericalError("non-finite parameter after update")
+
+    def _update(self, p, m, v, b1t, b2t):
+        flat = [a.reshape(-1) for a in (p.data, p.grad, m, v)]
+        for lo in range(0, p.data.size, ADAM_CHUNK):
+            pc, g, mc, vc = (a[lo:lo + ADAM_CHUNK] for a in flat)
+            s, u = (a[:pc.size] for a in self._scratch)
+            mc *= self.beta1
+            mc += np.multiply(1.0 - self.beta1, g, out=s)
+            vc *= self.beta2
+            np.multiply(g, g, out=s)
+            vc += np.multiply(1.0 - self.beta2, s, out=s)
+            np.divide(vc, b2t, out=s)        # s = sqrt(v / b2t) + eps
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(mc, b1t, out=u)        # u = lr * (m / b1t) / s
+            np.multiply(self.lr, u, out=u)
+            u /= s
+            pc -= u
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
 
-def composite_loss(xhat: ad.Tensor, target, bank, lambda1: float,
-                   lambda2: float) -> ad.Tensor:
-    """lambda1 * mse + lambda2 * multi-scale wavelet coefficient mse.
+def sample_losses(d: np.ndarray, bank, lambda1: float, lambda2: float):
+    """(per-row loss, G d or None) of (B, N) residual rows d = xhat - x.
 
-    The wavelet term treats the (B, 1600) reconstruction as one long
-    (B, 1, 1600) signal spanning both domains. lambda2 = 0 skips the wavelet
-    branch entirely, so the no-wavelet ablations never touch the bank.
+    The reconstruction loss of one sample is lambda1 * mean(d^2) + lambda2 *
+    d.G d / N, its wavelet term treating the row as one long signal spanning
+    both domains (:func:`wavelet.wavelet_loss`). lambda2 = 0 skips the
+    wavelet term entirely, so the no-wavelet ablations never touch the bank.
     """
     if lambda1 < 0 or lambda2 < 0:
         raise ConfigError("loss weights must be non-negative")
-    target = ad.as_tensor(target)
-    total = ad.scale(ad.mse(xhat, target), lambda1)
-    if lambda2 > 0:
-        if bank is None:
-            raise ConfigError("wavelet term requested without a bank")
-        b, n = xhat.data.shape
-        sig_hat = ad.reshape(xhat, (b, 1, n))
-        sig_ref = ad.reshape(target, (b, 1, n))
-        total = ad.add(total,
-                       ad.scale(wavelet.wavelet_loss(sig_hat, sig_ref, bank),
-                                lambda2))
-    return total
+    rows = lambda1 * np.mean(d * d, axis=1)
+    if not lambda2 > 0:
+        return rows, None
+    if bank is None:
+        raise ConfigError("wavelet term requested without a bank")
+    wave, gd = wavelet.wavelet_loss(d, bank)
+    return rows + lambda2 * wave, gd
+
+
+def composite_loss(xhat: ad.Tensor, target, bank, lambda1: float,
+                   lambda2: float) -> ad.Tensor:
+    """Batch mean of :func:`sample_losses`, as one tape node.
+
+    Its gradient in xhat is 2 (lambda1 d + lambda2 G d) / (B N), each term
+    rounded as a separate mse or wavelet node would round it.
+    """
+    target = ad.as_tensor(target).data
+    if xhat.data.ndim != 2 or xhat.data.shape != target.shape:
+        raise ShapeError(f"composite_loss expects two equal (B, N) shapes, "
+                         f"got {xhat.data.shape} and {target.shape}")
+    d = xhat.data - target
+    rows, gd = sample_losses(d, bank, lambda1, lambda2)
+    n = d.size
+    dx = ((2.0 / n) * lambda1) * d
+    if gd is not None:
+        dx += (2.0 * (1.0 / n) * lambda2) * gd
+    return ad.scalar(xhat, np.mean(rows), dx)
 
 
 def _model_arrays(snapshots, norm_stats) -> tuple:
@@ -237,22 +264,14 @@ def per_sample_losses(model, snapshots, norm_stats, bank, lambda1: float,
                       lambda2: float,
                       batch_size: int = SCORE_BATCH) -> np.ndarray:
     """Composite loss of each snapshot alone, vectorized over batches."""
-    if lambda1 < 0 or lambda2 < 0:
-        raise ConfigError("loss weights must be non-negative")
     amp, psd, target = _model_arrays(snapshots, norm_stats)
     out = np.empty(len(snapshots), dtype=np.float64)
     with ad.no_grad():
         for start in range(0, len(snapshots), batch_size):
             sl = slice(start, start + batch_size)
             recon = model.forward(amp[sl], psd[sl]).data
-            diff = recon - target[sl]
-            scores = lambda1 * np.mean(diff * diff, axis=1)
-            if lambda2 > 0:
-                if bank is None:
-                    raise ConfigError("wavelet term requested without a bank")
-                wave = wavelet.residual_energy(diff, bank)
-                scores = scores + lambda2 * wave
-            out[sl] = scores
+            out[sl] = sample_losses(recon - target[sl], bank, lambda1,
+                                    lambda2)[0]
     return out
 
 

@@ -33,30 +33,28 @@ def morlet_kernel(scale: float, kernel_len: int) -> np.ndarray:
 
 
 class WaveletBank:
-    """Stacked (S,K) Morlet kernels."""
+    """Stacked (S,K) Morlet kernels, read-only, and their Gram operator."""
 
-    def __init__(self, scales, kernels: ad.Tensor):
+    def __init__(self, scales, kernels: np.ndarray):
         self.scales = tuple(float(s) for s in scales)
-        self.kernels = kernels
-        self._gram = (None, None)   # (key, column panels) of the last G
+        self.kernels = np.array(kernels, dtype=np.float64)
+        self.kernels.flags.writeable = False
+        self._gram = {}             # signal length -> column panels of G
 
     @property
     def kernel_len(self) -> int:
-        return self.kernels.data.shape[1]
+        return self.kernels.shape[1]
 
     def gram(self, d: np.ndarray) -> np.ndarray:
         """G d over the last axis of ``d``, G = W^T W at that length.
 
-        G is built on first use and cached under (length, kernel bytes), so
-        any change to the kernels, in place or by assignment, rebuilds it.
+        G is built on first use at each length and kept.
         """
-        kern = self.kernels.data
         length = d.shape[-1]
-        key = (length, kern.shape, kern.tobytes())
-        if self._gram[0] != key:
-            self._gram = (key, _gram_panels(kern, length))
+        if length not in self._gram:
+            self._gram[length] = _gram_panels(self.kernels, length)
         rows = d.reshape(-1, length)
-        return _apply_panels(self._gram[1], rows).reshape(d.shape)
+        return _apply_panels(self._gram[length], rows).reshape(d.shape)
 
 
 def _gram_panels(kern: np.ndarray, length: int) -> np.ndarray:
@@ -115,15 +113,11 @@ def kernel_len(scales) -> int:
     return int(round(max(taps)))
 
 
-def build_bank(scales, learnable: bool = False) -> WaveletBank:
-    """Bank over the given scales (:func:`kernel_len` taps).
-
-    ``learnable`` makes the kernels take a gradient, so that gradient can be
-    checked; nothing trains them.
-    """
+def build_bank(scales) -> WaveletBank:
+    """The fixed bank over the given scales (:func:`kernel_len` taps)."""
     taps = kernel_len(scales)
-    rows = np.stack([morlet_kernel(s, taps) for s in scales])
-    return WaveletBank(scales, ad.Tensor(rows, requires_grad=learnable))
+    return WaveletBank(scales,
+                       np.stack([morlet_kernel(s, taps) for s in scales]))
 
 
 def dwt(x: ad.Tensor, bank: WaveletBank) -> ad.Tensor:
@@ -131,19 +125,12 @@ def dwt(x: ad.Tensor, bank: WaveletBank) -> ad.Tensor:
     return ad.dwt(x, bank.kernels)
 
 
-def residual_energy(d: np.ndarray, bank: WaveletBank) -> np.ndarray:
-    """S * mean((W d)^2) over scales and samples of each row of ``d``.
+def wavelet_loss(d: np.ndarray, bank: WaveletBank) -> tuple:
+    """(energy, G d) of (..., L) residual rows d = xhat - x.
 
-    For (..., L) residual rows this is d.G d / L, shape (...).
+    A row's energy, shape (...), is the sum over scales of the per-scale
+    mean squared coefficient of dwt(xhat) - dwt(x): S * mean((W d)^2) =
+    d.G d / L. Its gradient in d is 2 G d / L, so G d comes back too.
     """
-    return np.sum(d * bank.gram(d), axis=-1) / d.shape[-1]
-
-
-def wavelet_loss(xhat: ad.Tensor, x: ad.Tensor, bank: WaveletBank) -> ad.Tensor:
-    """Sum over scales of per-scale mean squared coefficient error.
-
-    All scale slices share the same element count, so the sum equals
-    S * mse over the full (B,C,S,L) stack of dwt(xhat) - dwt(x), which is
-    d^T G d / (B*C*L) for the residual d = xhat - x.
-    """
-    return ad.dwt_energy(xhat, x, bank.kernels, bank.gram)
+    gd = bank.gram(d)
+    return np.sum(d * gd, axis=-1) / d.shape[-1], gd

@@ -98,8 +98,9 @@ def test_shape_errors():
         ad.conv1d_transpose(_t(np.ones((1, 1, 4))), _t(np.ones((1, 2, 3))),
                             b=_t(np.ones((2, 1))))
     with pytest.raises(ShapeError):
-        ad.dwt_energy(_t(np.ones((1, 1, 8))), _t(np.ones((1, 2, 8))),
-                      np.ones((1, 3)), lambda d: d)
+        # a bare subtraction would broadcast (1, 8) against (2, 8)
+        training.composite_loss(_t(np.ones((1, 8))), np.ones((2, 8)), None,
+                                1.0, 0.0)
     with pytest.raises(ShapeError):
         # reflect padding of a 9-tap bank needs at least 5 samples
         ad.dwt_gram(np.ones((1, 9)), 4)

@@ -291,7 +291,7 @@ def _tamper_checkpoint(params, case):
         values["decoder.out.bias"][-1] = np.nan
     else:                           # a stored wavelet bank
         params.append(("wavelet.kernels",
-                       wavelet.build_bank((4, 8, 16)).kernels.data))
+                       wavelet.build_bank((4, 8, 16)).kernels))
     return params
 
 

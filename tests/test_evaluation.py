@@ -301,7 +301,8 @@ def test_evaluate_trained_detector(ablation):
     assert detector._fields == ("model", "threshold", "lambda1", "lambda2",
                                 "bank")
     assert detector.model is net and result["model"] is net
-    assert detector.lambda2 == net.config.effective_lambda2(cfg.lambda2)
+    assert detector.lambda2 == (cfg.lambda2 if ablation != "vanilla"
+                                else 0.0)
     assert (detector.bank is None) == (ablation == "vanilla")
     assert detector.threshold == tr.calibrate_threshold(
         net, bundle.validation, bundle.norm_stats, detector.bank,

@@ -8,6 +8,7 @@ import pytest
 from dawnet import autodiff as ad
 from dawnet import datafile
 from dawnet import model as m
+from dawnet import training
 from dawnet.errors import ConfigError, ShapeError
 
 
@@ -137,7 +138,9 @@ def test_ablation_flags():
     ("full", 0.25), ("no_mutual_attention", 0.25), ("no_wavelet_loss", 0.0),
     ("vanilla", 0.0)])
 def test_effective_lambda2(ablation, weight):
-    assert m.ModelConfig(ablation=ablation).effective_lambda2(0.25) == weight
+    # the wavelet-term weight each variant trains and scores with
+    cfg = m.ModelConfig(ablation=ablation)
+    assert training.wavelet_term(cfg, 0.25, (4, 8))[0] == weight
 
 
 # --- network ------------------------------------------------------------------

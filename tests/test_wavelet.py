@@ -36,8 +36,8 @@ def test_center_tap_is_peak():
 
 def test_bank_shapes_and_norms():
     bank = wavelet.build_bank([4, 8, 16])
-    assert bank.kernels.data.shape == (3, 64)
-    norms = np.linalg.norm(bank.kernels.data, axis=1)
+    assert bank.kernels.shape == (3, 64)
+    norms = np.linalg.norm(bank.kernels, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
 
@@ -79,67 +79,69 @@ def test_dwt_linearity(alpha, beta, seed):
 def test_wavelet_loss_equals_sum_of_scale_mses():
     bank = wavelet.build_bank([4, 8, 16])
     rng = np.random.default_rng(7)
-    xh = ad.Tensor(rng.standard_normal((2, 2, 64)))
-    x = ad.Tensor(rng.standard_normal((2, 2, 64)))
-    loss = wavelet.wavelet_loss(xh, x, bank)
-    dh = wavelet.dwt(xh, bank).data
-    dr = wavelet.dwt(x, bank).data
-    manual = sum(np.mean((dh[:, :, s] - dr[:, :, s]) ** 2) for s in range(3))
-    np.testing.assert_allclose(loss.data, manual, atol=1e-12)
+    xh = rng.standard_normal((2, 2, 64))
+    x = rng.standard_normal((2, 2, 64))
+    rows, gd = wavelet.wavelet_loss(xh - x, bank)
+    assert rows.shape == (2, 2) and gd.shape == xh.shape
+    dh = wavelet.dwt(ad.Tensor(xh), bank).data
+    dr = wavelet.dwt(ad.Tensor(x), bank).data
+    manual = sum(np.mean((dh[:, :, s] - dr[:, :, s]) ** 2, axis=-1)
+                 for s in range(3))
+    np.testing.assert_allclose(rows, manual, atol=1e-12)
 
 
 def test_wavelet_loss_zero_for_identical_inputs():
     bank = wavelet.build_bank([4, 8])
-    x = ad.Tensor(np.random.default_rng(1).standard_normal((1, 2, 50)))
-    same = ad.Tensor(x.data.copy())
-    assert float(wavelet.wavelet_loss(x, same, bank).data) == 0.0
+    x = np.random.default_rng(1).standard_normal((1, 2, 50))
+    rows, gd = wavelet.wavelet_loss(x - x.copy(), bank)
+    assert not rows.any() and not gd.any()
 
 
 def test_wavelet_loss_grad():
-    bank = wavelet.build_bank([2, 4], learnable=True)
+    # the wavelet term alone, through the training loss's tape node
+    bank = wavelet.build_bank([2, 4])
     rng = np.random.default_rng(9)
-    xh = ad.Tensor(rng.standard_normal((1, 2, 16)), requires_grad=True)
-    x = ad.Tensor(rng.standard_normal((1, 2, 16)))
+    xh = ad.Tensor(rng.standard_normal((2, 16)), requires_grad=True)
+    x = rng.standard_normal((2, 16))
 
     def f():
-        return wavelet.wavelet_loss(xh, x, bank)
+        return tr.composite_loss(xh, x, bank, 0.0, 1.0)
 
-    assert ad.grad_check(f, [xh, bank.kernels]) < 1e-4
+    assert ad.grad_check(f, [xh]) < 1e-4
 
 
 # --- Gram operator: the loss as d.G d against the DWT definition ---------------
 
 def _dwt_reference(xh, x, kernels):
-    """Loss, x-hat gradient, kernel gradient and per-row energies through
+    """Loss, x-hat gradient and per-row energies of (B,C,L) inputs through
     ``ad.dwt``, the defining transform."""
-    kern = ad.Tensor(kernels, requires_grad=True)
     xh_t = ad.Tensor(xh, requires_grad=True)
-    d_hat = ad.dwt(xh_t, kern)
-    d_ref = ad.dwt(ad.Tensor(x), kern)
+    d_hat = ad.dwt(xh_t, kernels)
+    d_ref = ad.dwt(ad.Tensor(x), kernels)
     loss = ad.scale(ad.mse(d_hat, d_ref), float(kernels.shape[0]))
     ad.backward(loss)
     diff = d_hat.data - d_ref.data
     rows = kernels.shape[0] * np.mean(diff * diff, axis=(2, 3))
-    return float(loss.data), xh_t.grad, kern.grad, rows
+    return float(loss.data), xh_t.grad, rows
 
 
 def _gram_result(xh, x, bank):
-    xh_t = ad.Tensor(xh, requires_grad=True)
-    bank.kernels.grad = None
-    loss = wavelet.wavelet_loss(xh_t, ad.Tensor(x), bank)
+    """The same through the training loss (wavelet term alone) over the
+    B*C rows, and :func:`wavelet.wavelet_loss`."""
+    length = xh.shape[-1]
+    xh_t = ad.Tensor(xh.reshape(-1, length), requires_grad=True)
+    loss = tr.composite_loss(xh_t, x.reshape(-1, length), bank, 0.0, 1.0)
     ad.backward(loss)
-    rows = wavelet.residual_energy(xh - x, bank)
-    return float(loss.data), xh_t.grad, bank.kernels.grad, rows
+    rows, _ = wavelet.wavelet_loss(xh - x, bank)
+    return float(loss.data), xh_t.grad.reshape(xh.shape), rows
 
 
 def _assert_matches_reference(xh, x, bank):
-    ref = _dwt_reference(xh, x, bank.kernels.data.copy())
+    ref = _dwt_reference(xh, x, bank.kernels)
     got = _gram_result(xh, x, bank)
     assert abs(got[0] - ref[0]) <= 1e-12 * abs(ref[0])
     np.testing.assert_allclose(got[1], ref[1], rtol=0, atol=1e-12)
-    if bank.kernels.requires_grad:
-        np.testing.assert_allclose(got[2], ref[2], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got[3], ref[3], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got[2], ref[2], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("scales", [(2, 4), (2, 5), (4, 8, 16)],
@@ -147,7 +149,7 @@ def _assert_matches_reference(xh, x, bank):
 @pytest.mark.parametrize("length", [50, 100, 1600])
 @pytest.mark.parametrize("channels", [1, 2])
 def test_gram_loss_matches_dwt_definition(scales, length, channels):
-    bank = wavelet.build_bank(scales, learnable=True)
+    bank = wavelet.build_bank(scales)
     # K = 16, 20, 64: L = 50 and 100 are not multiples of any of them
     rng = np.random.default_rng(length + channels)
     xh = rng.standard_normal((3, channels, length))
@@ -171,7 +173,7 @@ def _dense_gram(kern, length):
                          ids=["2-4", "2-5", "4-8-16"])
 @pytest.mark.parametrize("length", [50, 100, 1600])
 def test_gram_panels_match_dense_construction(scales, length):
-    kern = wavelet.build_bank(scales).kernels.data
+    kern = wavelet.build_bank(scales).kernels
     k = kern.shape[1]
     gram = _dense_gram(kern, length)
     # band row u holds G[u, u-K+1 .. u+K-1]
@@ -193,22 +195,29 @@ def test_gram_panels_match_dense_construction(scales, length):
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
-def test_gram_cache_follows_kernel_changes():
-    bank = wavelet.build_bank((2, 5), learnable=True)
-    rng = np.random.default_rng(4)
-    xh = rng.standard_normal((2, 1, 100))
-    x = rng.standard_normal((2, 1, 100))
-    _assert_matches_reference(xh, x, bank)          # G now cached
+def test_bank_is_constant_and_gram_built_once_per_length(monkeypatch):
+    # nothing trains the bank, so its kernels refuse a write and the G of
+    # each signal length, once built, serves every later call
+    kernels = np.stack([wavelet.morlet_kernel(s, 20) for s in (2, 5)])
+    bank = wavelet.WaveletBank((2, 5), kernels)
+    kernels[0, 7] += 0.25                           # the caller's copy
+    assert bank.kernels[0, 7] != kernels[0, 7]
+    with pytest.raises(ValueError):
+        bank.kernels[0, 7] += 0.25
+    built = []
+    build = wavelet._gram_panels
 
-    bank.kernels.data[0, 7] += 0.25                 # in-place edit
-    _assert_matches_reference(xh, x, bank)
-    bank.kernels.data[1] *= -0.5                    # in place, then projected
-    bank.kernels.data = ad.l2_normalize(bank.kernels.data)  # by assignment
-    _assert_matches_reference(xh, x, bank)
-    # assignment of new kernels of the same shape
-    bank.kernels.data = ad.l2_normalize(
-        rng.standard_normal(bank.kernels.data.shape))
-    _assert_matches_reference(xh, x, bank)
+    def counted(kern, length):
+        built.append(length)
+        return build(kern, length)
+
+    monkeypatch.setattr(wavelet, "_gram_panels", counted)
+    rng = np.random.default_rng(4)
+    for length in (100, 100, 50, 100, 50):
+        xh = rng.standard_normal((2, 1, length))
+        x = rng.standard_normal((2, 1, length))
+        _assert_matches_reference(xh, x, bank)
+    assert built == [100, 50]
 
 
 def test_gram_path_makes_no_dwt_kernel_calls(monkeypatch):
