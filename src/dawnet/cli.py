@@ -40,14 +40,6 @@ ABLATION_FLAGS = {
 }
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _artifact_digest(path) -> str:
     """Digest over stable content.
 
@@ -62,31 +54,41 @@ def _artifact_digest(path) -> str:
             doc.pop("volatile", None)
         canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-    return _sha256(path)
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
-def _write_manifest(path, command: str, flags: dict, inputs: dict,
-                    outputs: dict, seed, volatile: dict) -> None:
+def _digests(paths: dict) -> dict:
+    """The manifest record of named files, each read once."""
+    return {name: {"path": str(Path(p)), "sha256": _artifact_digest(p)}
+            for name, p in paths.items()}
+
+
+def _write_manifest(path, args, inputs: dict, outputs: dict,
+                    volatile: dict) -> dict:
+    """Write and return a command's manifest: the flags argparse parsed,
+    the digests of its ``inputs`` (taken before it ran) and of its
+    ``outputs`` (taken now, after they were written)."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
         "digest_policy": "json files: canonical form minus volatile block; "
                          "other files: raw bytes",
-        "flags": flags,
-        "seed": seed,
-        "inputs": {name: {"path": str(p), "sha256": _artifact_digest(p)}
-                   for name, p in inputs.items()},
-        "outputs": {name: {"path": str(p), "sha256": _artifact_digest(p)}
-                    for name, p in outputs.items()},
-        "volatile": volatile,
+        "flags": {k: v for k, v in vars(args).items()
+                  if k not in ("command", "func")},
+        "seed": getattr(args, "seed", None),
+        "inputs": inputs,
+        "outputs": _digests(outputs),
+        "volatile": {**volatile,
+                     "timestamp_utc": datetime.now(timezone.utc).isoformat()},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+    return manifest
 
 
 def _parse_scales(text: str) -> tuple:
@@ -101,11 +103,12 @@ def _parse_scales(text: str) -> tuple:
 # --- gen-data -----------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    preset = PRESETS[args.preset]
-    counts = (args.train if args.train is not None else preset[0],
-              args.val if args.val is not None else preset[1],
-              args.test_per_class if args.test_per_class is not None
-              else preset[2])
+    # a count no flag gave comes from the preset, and the manifest records it
+    for name, default in zip(("train", "val", "test_per_class"),
+                             PRESETS[args.preset]):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    counts = (args.train, args.val, args.test_per_class)
     # refused before any candidate is drawn; the test split holds both classes
     for flag, split_len in (("--train", counts[0]), ("--val", counts[1]),
                             ("--test-per-class", 2 * counts[2])):
@@ -119,33 +122,16 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     datafile.write_dataset(out, bundle)
-    _write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        command="gen-data",
-        flags={"out": str(out), "seed": args.seed, "train": counts[0],
-               "val": counts[1], "test_per_class": counts[2],
-               "preset": args.preset},
-        inputs={},
-        outputs={"dataset": out},
-        seed=args.seed,
-        volatile={"timestamp_utc": _now(), "elapsed_s": elapsed},
-    )
+    manifest = _write_manifest(out.with_name(out.name + ".manifest.json"),
+                               args, inputs={}, outputs={"dataset": out},
+                               volatile={"elapsed_s": elapsed})
     print(f"wrote {counts[0]} train / {counts[1]} val / "
           f"{counts[2]}+{counts[2]} test snapshots to {out}")
-    print(f"sha256 {_sha256(out)}")
+    print(f"sha256 {manifest['outputs']['dataset']['sha256']}")
     return 0
 
 
 # --- train --------------------------------------------------------------------
-
-def _train_flags(args) -> dict:
-    return {
-        "data": str(args.data), "epochs": args.epochs, "batch": args.batch,
-        "lr": args.lr, "lambda1": args.lambda1, "lambda2": args.lambda2,
-        "scales": args.scales, "ablation": args.ablation,
-        "seed": args.seed, "out": str(args.out),
-    }
-
 
 def _train_config(args) -> tr.TrainConfig:
     return tr.TrainConfig(
@@ -160,13 +146,14 @@ def _diverged(detail: str) -> ConfigError:
 
 
 def _train_one(bundle, train_cfg: tr.TrainConfig, ablation: str,
-               out_path: Path, dataset_digest: str) -> dict:
-    """Train and calibrate one variant and write its checkpoint: the config
-    block and the model's parameters (the bank follows from the scales).
+               dataset_digest: str):
+    """Train and calibrate one variant; return the training result and the
+    checkpoint's config block (the bank follows from the scales, so the
+    model's parameters complete the checkpoint). Writes nothing.
 
-    A run that diverges is refused before anything is written: a non-finite
-    value during training or calibration, or a non-finite final loss or
-    threshold, which ``eval`` would refuse to load.
+    A run that diverges is refused: a non-finite value during training or
+    calibration, or a non-finite final loss or threshold, which ``eval``
+    would refuse to load.
     """
     model = DualDomainAutoencoder(ModelConfig(ablation=ablation),
                                   seed=train_cfg.seed)
@@ -188,35 +175,28 @@ def _train_one(bundle, train_cfg: tr.TrainConfig, ablation: str,
                       "sigma": threshold.sigma},
         "dataset_sha256": dataset_digest,
     }
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    datafile.write_checkpoint(out_path, config, model.named_parameters())
-    return result
+    return result, config
 
 
 def cmd_train(args) -> int:
-    data_path = Path(args.data)
-    bundle = datafile.read_dataset(data_path)
+    bundle = datafile.read_dataset(args.data)
+    inputs = _digests({"dataset": args.data})
     train_cfg = _train_config(args)
-    ablation = ABLATION_FLAGS[args.ablation]
-    out = Path(args.out)
-    dataset_digest = _sha256(data_path)
     t0 = time.perf_counter()
-    result = _train_one(bundle, train_cfg, ablation, out, dataset_digest)
+    result, config = _train_one(bundle, train_cfg,
+                                ABLATION_FLAGS[args.ablation],
+                                inputs["dataset"]["sha256"])
     elapsed = time.perf_counter() - t0
-    threshold = result["detector"].threshold
-    _write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        command="train",
-        flags=_train_flags(args),
-        inputs={"dataset": data_path},
-        outputs={"checkpoint": out},
-        seed=args.seed,
-        volatile={"timestamp_utc": _now(), "elapsed_s": elapsed,
-                  "train_seconds": result["train_seconds"]},
-    )
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    datafile.write_checkpoint(out, config, result["model"].named_parameters())
+    _write_manifest(out.with_name(out.name + ".manifest.json"), args,
+                    inputs=inputs, outputs={"checkpoint": out},
+                    volatile={"elapsed_s": elapsed,
+                              "train_seconds": result["train_seconds"]})
     print(f"trained {args.ablation} for {args.epochs} epochs: "
           f"final loss {result['history'][-1]:.6f}, "
-          f"threshold {threshold.value:.6f}")
+          f"threshold {config['threshold']['value']:.6f}")
     print(f"checkpoint {out}")
     return 0
 
@@ -250,40 +230,35 @@ def _load_checkpoint(path) -> tr.Detector:
                        bank)
 
 
+# the files ev.write_report_files writes into a report directory
+REPORT_FILES = ("report.json", "roc.csv", "confusion.csv")
+SUMMARY_HEADER = f"{'accuracy':>10} {'f1':>10} {'auc':>10} {'time_s':>10}"
+
+
 def _summary_row(report) -> str:
-    header = f"{'accuracy':>10} {'f1':>10} {'auc':>10} {'time_s':>10}"
-    row = (f"{report.accuracy:>10.4f} {report.f1:>10.4f} "
-           f"{report.auc:>10.4f} {report.mean_batch_time_s:>10.4f}")
-    return header + "\n" + row
+    return (f"{report.accuracy:>10.4f} {report.f1:>10.4f} "
+            f"{report.auc:>10.4f} {report.mean_batch_time_s:>10.4f}")
 
 
 def cmd_eval(args) -> int:
-    model_path = Path(args.model)
-    data_path = Path(args.data)
-    out_dir = Path(args.out_dir)
-    detector = _load_checkpoint(model_path)
-    bundle = datafile.read_dataset(data_path)
+    detector = _load_checkpoint(args.model)
+    bundle = datafile.read_dataset(args.data)
+    inputs = _digests({"checkpoint": args.model, "dataset": args.data})
     t0 = time.perf_counter()
     try:
         report = ev.evaluate(detector, bundle.test, bundle.norm_stats)
     except NumericalError as exc:
         # the dataset is checked finite on read, so the parameters are at fault
-        raise FormatError(f"checkpoint {model_path.name} cannot score "
-                          f"{data_path.name}: {exc}") from exc
+        raise FormatError(f"checkpoint {Path(args.model).name} cannot score "
+                          f"{Path(args.data).name}: {exc}") from exc
     elapsed = time.perf_counter() - t0
+    out_dir = Path(args.out_dir)
     ev.write_report_files(report, out_dir)
-    _write_manifest(
-        out_dir / "manifest.json",
-        command="eval",
-        flags={"model": str(model_path), "data": str(data_path),
-               "out_dir": str(out_dir)},
-        inputs={"checkpoint": model_path, "dataset": data_path},
-        outputs={name: out_dir / name
-                 for name in ("report.json", "roc.csv", "confusion.csv")},
-        seed=None,
-        volatile={"timestamp_utc": _now(), "elapsed_s": elapsed,
-                  "mean_batch_time_s": report.mean_batch_time_s},
-    )
+    _write_manifest(out_dir / "manifest.json", args, inputs=inputs,
+                    outputs={name: out_dir / name for name in REPORT_FILES},
+                    volatile={"elapsed_s": elapsed,
+                              "mean_batch_time_s": report.mean_batch_time_s})
+    print(SUMMARY_HEADER)
     print(_summary_row(report))
     return 0
 
@@ -291,57 +266,47 @@ def cmd_eval(args) -> int:
 # --- ablate -------------------------------------------------------------------
 
 def cmd_ablate(args) -> int:
-    data_path = Path(args.data)
-    bundle = datafile.read_dataset(data_path)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset_digest = _sha256(data_path)
-    rows = []
-    outputs = {}
-    volatile = {"timestamp_utc": _now()}
+    """Train and score all four variants, then write every file: a variant
+    that fails leaves nothing behind."""
+    bundle = datafile.read_dataset(args.data)
+    inputs = _digests({"dataset": args.data})
     train_cfg = _train_config(args)
-    for flag_name, ablation in ABLATION_FLAGS.items():
-        variant_dir = out_dir / flag_name
-        ckpt = variant_dir / "checkpoint.dawm"
+    variants = {}
+    volatile = {}
+    for name, ablation in ABLATION_FLAGS.items():
         t0 = time.perf_counter()
-        result = _train_one(bundle, train_cfg, ablation, ckpt,
-                            dataset_digest)
+        result, config = _train_one(bundle, train_cfg, ablation,
+                                    inputs["dataset"]["sha256"])
         report = ev.evaluate(result["detector"], bundle.test,
                              bundle.norm_stats)
-        elapsed = time.perf_counter() - t0
-        ev.write_report_files(report, variant_dir)
-        rows.append((flag_name, report))
-        outputs[f"{flag_name}/checkpoint.dawm"] = ckpt
-        for name in ("report.json", "roc.csv", "confusion.csv"):
-            outputs[f"{flag_name}/{name}"] = variant_dir / name
-        volatile[f"{flag_name}_elapsed_s"] = elapsed
-        volatile[f"{flag_name}_mean_batch_time_s"] = report.mean_batch_time_s
+        volatile[f"{name}_elapsed_s"] = time.perf_counter() - t0
+        volatile[f"{name}_mean_batch_time_s"] = report.mean_batch_time_s
+        variants[name] = (result, config, report)
 
+    out_dir = Path(args.out_dir)
+    outputs = {}
+    for name, (result, config, report) in variants.items():
+        variant_dir = out_dir / name
+        variant_dir.mkdir(parents=True, exist_ok=True)
+        ckpt = variant_dir / "checkpoint.dawm"
+        datafile.write_checkpoint(ckpt, config,
+                                  result["model"].named_parameters())
+        ev.write_report_files(report, variant_dir)
+        outputs[f"{name}/checkpoint.dawm"] = ckpt
+        for file in REPORT_FILES:
+            outputs[f"{name}/{file}"] = variant_dir / file
     table_path = out_dir / "ablation.csv"
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("variant,accuracy,f1,auc\n")
-        for name, report in rows:
+        for name, (_, _, report) in variants.items():
             fh.write(f"{name},{report.accuracy:.6f},{report.f1:.6f},"
                      f"{report.auc:.6f}\n")
     outputs["ablation.csv"] = table_path
-    _write_manifest(
-        out_dir / "manifest.json",
-        command="ablate",
-        flags={"data": str(data_path), "epochs": args.epochs,
-               "batch": args.batch, "lr": args.lr,
-               "lambda1": args.lambda1, "lambda2": args.lambda2,
-               "scales": args.scales, "seed": args.seed,
-               "out_dir": str(out_dir)},
-        inputs={"dataset": data_path},
-        outputs=outputs,
-        seed=args.seed,
-        volatile=volatile,
-    )
-    print(f"{'variant':>12} {'accuracy':>10} {'f1':>10} {'auc':>10} "
-          f"{'time_s':>10}")
-    for name, report in rows:
-        print(f"{name:>12} {report.accuracy:>10.4f} {report.f1:>10.4f} "
-              f"{report.auc:>10.4f} {report.mean_batch_time_s:>10.4f}")
+    _write_manifest(out_dir / "manifest.json", args, inputs=inputs,
+                    outputs=outputs, volatile=volatile)
+    print(f"{'variant':>12} {SUMMARY_HEADER}")
+    for name, (_, _, report) in variants.items():
+        print(f"{name:>12} {_summary_row(report)}")
     return 0
 
 

@@ -62,14 +62,12 @@ class MetricsReport:
 
 def _as_binary(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
-    if arr.dtype == bool:
-        arr = arr.astype(np.int64)
-    arr = arr.astype(np.int64)
     if arr.ndim != 1:
         raise ShapeError(f"{name} must be one-dimensional")
+    # checked before the cast, which would truncate 0.6 to a valid 0
     if not np.all((arr == 0) | (arr == 1)):
         raise ConfigError(f"{name} must contain only 0 and 1")
-    return arr
+    return arr.astype(np.int64)
 
 
 def _check_two_classes(labels: np.ndarray) -> None:
@@ -95,41 +93,11 @@ def classify(scores, threshold):
     return preds
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    # 1-based ranks; tied scores share the mean of their rank block
-    n = scores.size
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    srt = scores[order]
-    while i < n:
-        j = i
-        while j + 1 < n and srt[j + 1] == srt[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def auc(scores, labels) -> float:
-    """Probability a random positive outscores a random negative, ties 1/2."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = _as_binary(labels, "labels")
-    if s.shape != y.shape:
-        raise ShapeError("scores and labels must have matching lengths")
-    _check_two_classes(y)
-    ranks = _average_ranks(s)
-    n_pos = int(np.sum(y == 1))
-    n_neg = y.size - n_pos
-    rank_sum = float(np.sum(ranks[y == 1]))
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def roc_curve(scores, labels):
-    """Operating points swept over every distinct score plus +/-inf.
-
-    Returned in decreasing-threshold order, so the curve runs from (0, 0)
-    to (1, 1) with both coordinates non-decreasing.
+def _sweep(scores, labels):
+    """The operating points of every distinct score plus +/-inf, in
+    decreasing-threshold order: ``(thresholds, tp, fp, n_pos, n_neg)`` with
+    integer counts. A score counts as detected when it is above the
+    threshold; a NaN is above no threshold, so it is never detected.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = _as_binary(labels, "labels")
@@ -147,13 +115,36 @@ def roc_curve(scores, labels):
     distinct[n_real + 1:] = False
     thresholds = np.concatenate(([np.inf], srt[distinct][::-1], [-np.inf]))
     n_pos = int(np.sum(y == 1))
-    n_neg = y.size - n_pos
     # scores above a threshold are a tail of the sorted scores; a NaN
     # exceeds no threshold, so the tail stops before the NaNs
     cut = np.minimum(np.searchsorted(srt, thresholds, side="right"), n_real)
     pos_below = np.concatenate(([0], np.cumsum(y[order])))
     tp = pos_below[n_real] - pos_below[cut]
     fp = (n_real - cut) - tp
+    return thresholds, tp, fp, n_pos, y.size - n_pos
+
+
+def auc(scores, labels) -> float:
+    """Probability a random positive outscores a random negative, ties 1/2.
+
+    The trapezoid area under the ROC of ``_sweep``, from its integer counts
+    and one division, so it equals the rank-sum (Mann-Whitney) value to the
+    last bit. A pair that holds a NaN score counts 0, as a NaN is never
+    detected; ``evaluate`` refuses non-finite scores before it gets here.
+    """
+    _, tp, fp, n_pos, n_neg = _sweep(scores, labels)
+    twice_area = int(np.dot(np.diff(fp), tp[:-1] + tp[1:]))
+    return twice_area / (2 * n_pos * n_neg)
+
+
+def roc_curve(scores, labels):
+    """Operating points swept over every distinct score plus +/-inf.
+
+    Returned in decreasing-threshold order, so the curve runs from (0, 0)
+    to (1, 1), or short of it by the NaN scores, with both coordinates
+    non-decreasing.
+    """
+    thresholds, tp, fp, n_pos, n_neg = _sweep(scores, labels)
     return [(f / n_neg, t / n_pos, thr) for f, t, thr
             in zip(fp.tolist(), tp.tolist(), thresholds.tolist())]
 

@@ -1,4 +1,11 @@
-"""Prints a one-line verdict per acceptance criterion after the run."""
+"""Prints a one-line verdict per acceptance criterion after the run, and
+fixes the hypothesis examples: every run draws the same ones and keeps no
+example database."""
+
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 _ACCEPTANCE = {}
 

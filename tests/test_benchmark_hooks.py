@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dawnet import cli, datafile, training
+from dawnet import cli, datafile, evaluation, simulate, training
 from dawnet.model import DualDomainAutoencoder, ModelConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -50,3 +50,22 @@ def test_loaded_checkpoint_unpacks_into_five(tmp_path):
     model, threshold, lambda1, lambda2, bank = cli._load_checkpoint(path)
     assert threshold.value == 1.0 and (lambda1, lambda2) == (1.0, 0.1)
     assert bank is not None
+
+
+def test_evaluate_calls_its_spans_by_module_attribute(monkeypatch):
+    # perfbench's eval spans wrap these names in dawnet.evaluation; a call
+    # that bypassed the module attribute would drop its span silently
+    bundle = simulate.generate_dataset(3, (4, 2, 3))
+    net = DualDomainAutoencoder(ModelConfig(), seed=0)
+    detector = training.Detector(
+        net, training.Threshold(value=0.5, mu=0.4, sigma=0.1), 1.0, 0.0,
+        None)
+    calls = {}
+    for name in ("auc", "roc_curve", "per_sample_losses"):
+        def counted(*args, _fn=getattr(evaluation, name), _name=name,
+                    **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(evaluation, name, counted)
+    evaluation.evaluate(detector, bundle.test, bundle.norm_stats)
+    assert calls == {"auc": 1, "roc_curve": 1, "per_sample_losses": 1}

@@ -1,14 +1,17 @@
 """Command wiring: presets, artifacts, manifests, exit codes."""
 
+import hashlib
 import json
+import types
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dawnet import cli, datafile, wavelet
+from dawnet import cli, datafile, training, wavelet
 from dawnet import simulate as sim
+from dawnet.errors import NumericalError
 from dawnet.model import ModelConfig
 
 
@@ -181,6 +184,72 @@ def test_ablate_same_seed_same_artifacts(tmp_path, workspace, monkeypatch):
         stable.append((Path("abl/ablation.csv").read_bytes(), manifest))
     assert stable[0][0] == stable[1][0]
     assert stable[0][1] == stable[1][1]
+
+
+def test_ablate_failing_variant_writes_nothing(tmp_path, workspace,
+                                              monkeypatch, capsys):
+    # the third variant diverges after two have trained: no file of theirs
+    # may be left without the table and the manifest
+    _, data, _ = workspace
+    calls = []
+    train_and_calibrate = training.train_and_calibrate
+
+    def third_diverges(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise NumericalError("non-finite loss at epoch 0 step 0")
+        return train_and_calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(training, "train_and_calibrate", third_diverges)
+    out_dir = tmp_path / "abl"
+    rc = cli.main(["ablate", "--data", str(data), "--epochs", "1",
+                   "--batch", "8", "--seed", "3", "--out-dir", str(out_dir)])
+    assert rc == 2 and len(calls) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged")
+    assert len(err.splitlines()) == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command,argv,manifest", [
+    ("gen-data", ["--out", "{tmp}/d.dawn", "--train", "2", "--val", "2",
+                  "--test-per-class", "2"], "d.dawn.manifest.json"),
+    ("train", ["--data", "{data}", "--epochs", "1", "--batch", "8",
+               "--out", "{tmp}/m.dawm"], "m.dawm.manifest.json"),
+    ("eval", ["--model", "{model}", "--data", "{data}",
+              "--out-dir", "{tmp}/ev"], "ev/manifest.json"),
+    ("ablate", ["--data", "{data}", "--epochs", "1", "--batch", "8",
+                "--out-dir", "{tmp}/abl"], "abl/manifest.json"),
+], ids=["gen-data", "train", "eval", "ablate"])
+def test_each_file_digested_once(tmp_path, workspace, monkeypatch, capsys,
+                                 command, argv, manifest):
+    _, data, model = workspace
+    digested, hashes = [], []
+    artifact_digest = cli._artifact_digest
+
+    def recorded(path):
+        digested.append(str(Path(path)))
+        return artifact_digest(path)
+
+    def sha256(*args):
+        hashes.append(1)
+        return hashlib.sha256(*args)
+
+    monkeypatch.setattr(cli, "_artifact_digest", recorded)
+    monkeypatch.setattr(cli, "hashlib", types.SimpleNamespace(sha256=sha256))
+    argv = [a.format(tmp=tmp_path, data=data, model=model) for a in argv]
+    assert cli.main([command, *argv]) == 0
+    doc = json.loads((tmp_path / manifest).read_text())
+    records = [*doc["inputs"].values(), *doc["outputs"].values()]
+    assert sorted(digested) == sorted(r["path"] for r in records)
+    assert len(set(digested)) == len(digested) == len(hashes)
+    # the digest a command reports is the one its manifest holds
+    if command == "gen-data":
+        sha = doc["outputs"]["dataset"]["sha256"]
+        assert f"sha256 {sha}" in capsys.readouterr().out.splitlines()
+    if command == "train":
+        config, _ = datafile.read_checkpoint(tmp_path / "m.dawm")
+        assert config["dataset_sha256"] == doc["inputs"]["dataset"]["sha256"]
 
 
 def test_missing_required_flag_is_usage_error():

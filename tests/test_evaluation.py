@@ -58,9 +58,19 @@ def test_auc_matches_brute_force_random():
             labels[0] = 1 - labels[0]
         # quantized scores so ties actually occur
         scores = np.round(rng.uniform(0, 1, size=n), 2)
-        got = ev.auc(scores, labels)
-        want = _brute_force_auc(scores, labels)
-        assert abs(got - want) < 1e-10
+        # both are the pair count over n_pos * n_neg, rounded once
+        assert ev.auc(scores, labels) == _brute_force_auc(scores, labels)
+
+
+def test_auc_nan_is_never_detected():
+    # a NaN is above no threshold: a pair that holds one counts 0
+    assert ev.auc([np.nan, 1.0, 0.0], [1, 1, 0]) == 0.5
+    assert ev.auc([0.5, np.nan, 0.2], [1, 0, 0]) == 0.5
+    assert ev.auc([np.nan, np.nan], [0, 1]) == 0.0
+    scores = [np.nan, 0.3, 0.1, np.nan, 0.3, 0.9]
+    labels = [1, 0, 1, 0, 1, 0]
+    area = ev.trapezoid_area(ev.roc_curve(scores, labels))
+    assert ev.auc(scores, labels) == pytest.approx(area, abs=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
@@ -199,6 +209,24 @@ def test_confusion_perfect_and_degenerate():
         ev.f1_accuracy_confusion([0, 1], [0, 1, 1])
     with pytest.raises(ConfigError):
         ev.f1_accuracy_confusion([0, 2], [0, 1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda labels: ev.auc([0.1, 0.2, 0.3, 0.4], labels),
+    lambda labels: ev.roc_curve([0.1, 0.2, 0.3, 0.4], labels),
+    lambda labels: ev.f1_accuracy_confusion([0, 1, 0, 1], labels),
+], ids=["auc", "roc_curve", "f1_accuracy_confusion"])
+@pytest.mark.parametrize("labels", [[0.6, 1, 0, 1.9], [0.2, 1, 0, 1],
+                                    [0, 1, 0, np.nan]])
+def test_fractional_labels_refused(call, labels):
+    # a cast before the check used to truncate 0.6 to a valid 0
+    with pytest.raises(ConfigError):
+        call(labels)
+
+
+def test_bool_labels_accepted():
+    assert ev.auc([0.1, 0.9], [False, True]) == 1.0
+    assert ev.f1_accuracy_confusion([True, False], [1, 0])[2] == (1, 0, 0, 1)
 
 
 # --- scoring / timing / report -------------------------------------------------
