@@ -1,4 +1,4 @@
-"""Hot numeric kernels in plain numpy, as im2col plus one GEMM per call.
+"""Hot numeric kernels in plain numpy, each a few GEMMs per call.
 
 Every kernel is one of three correlation primitives on pre-padded float64
 arrays; padding and gradient bookkeeping live in :mod:`dawnet.autodiff`.
@@ -9,15 +9,20 @@ Convolution convention is cross-correlation:
     tconv1d_fw: y[b,q,i*stride+k] += x[b,p,i] * w[p,q,k]   (adjoint of conv)
     dwt_fw:     y[b,c,s,l] = sum_k   x[b,c,l+k] * kern[s,k]
 
-``_cols`` views the windows of x as (B, Ci, K, Lo) with one read-only
-``as_strided`` built from x's own strides, and copies that view once into a
-C-contiguous (B, Ci*K, Lo) im2col array, cols[b, i*K+k, l] =
-x[b, i, l*stride+k], whose row order matches ``w.reshape(Co, Ci*K)``. Each
-primitive is then one GEMM: the correlation is w2 @ cols, batched over B,
-giving (B,Co,Lo) directly; its x-adjoint is w2.T @ g to (B,Ci,K,Lo) folded
-back by K strided adds (col2im); its w-adjoint is g @ cols^T batched over B
-and summed over B. Bias, finite check and ReLU are not kernels: autodiff
-applies them in place to the kernel's output.
+The correlation ``_corr`` is one GEMM: ``_cols`` views the windows of x as
+(B, Ci, K, Lo) with one read-only ``as_strided`` built from x's own
+strides and copies that view once into a C-contiguous (B, Ci*K, Lo) im2col
+array, cols[b, i*K+k, l] = x[b, i, l*stride+k], whose row order matches
+``w.reshape(Co, Ci*K)``; w2 @ cols, batched over B, gives (B,Co,Lo). The
+adjoints build no im2col array but do one GEMM per tap k, batched over B:
+``_scatter`` adds tap k's (Ci,Co) weight times g into positions k,
+k+stride, ... of the padded x-gradient, taps in increasing order, and
+``_corr_gw`` copies x's stride phases once (phase r holds x[..., r::stride])
+so that tap k = q*stride + r reads the contiguous window q..q+Lo-1 of
+phase r, and sums g times that window over B.
+
+Bias, finite check and ReLU are not kernels: autodiff applies them in
+place to the kernel's output.
 
 The wavelet kernels are the convolution ones on (B,C,.) viewed as
 (B*C,1,.) and ``kern`` viewed as (S,1,K). Each public name is its own
@@ -50,20 +55,31 @@ def _corr(x, w, stride):
 def _scatter(g, w, stride, lp):
     """Adjoint of ``_corr`` in x: (B,Co,Lo) x (Co,Ci,K) -> (B,Ci,lp)."""
     b, _, lo = g.shape
-    co, ci, k = w.shape
-    cols = np.matmul(w.reshape(co, ci * k).T, g).reshape(b, ci, k, lo)
+    _, ci, k = w.shape
+    wk = np.ascontiguousarray(w.transpose(2, 0, 1))  # wk[k].T: (Ci,Co) of tap k
     gxp = np.zeros((b, ci, lp))
+    tap = np.empty((b, ci, lo))
     span = (lo - 1) * stride + 1
     for kk in range(k):
-        gxp[:, :, kk:kk + span:stride] += cols[:, :, kk]
+        gxp[:, :, kk:kk + span:stride] += np.matmul(wk[kk].T, g, out=tap)
     return gxp
 
 
 def _corr_gw(g, x, stride, k):
     """Adjoint of ``_corr`` in w: (B,Co,Lo) x (B,Ci,L) -> (Co,Ci,K)."""
-    co, ci = g.shape[1], x.shape[1]
-    cols = _cols(x, k, stride)
-    return np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(co, ci, k)
+    b, ci, length = x.shape
+    lo = g.shape[2]
+    # phases[b, i, r, j] = x[b, i, j*stride + r]; entries past the end of a
+    # short phase lie beyond every tap's window and stay unread
+    phases = np.empty((b, ci, stride, -(-length // stride)))
+    for r in range(stride):
+        phases[:, :, r, :(length - r - 1) // stride + 1] = x[:, :, r::stride]
+    gw = np.empty((g.shape[1], ci, k))
+    for kk in range(k):
+        q, r = divmod(kk, stride)
+        win = phases[:, :, r, q:q + lo]
+        gw[:, :, kk] = np.matmul(g, win.transpose(0, 2, 1)).sum(axis=0)
+    return gw
 
 
 conv1d_fw = _corr                    # (xp, w, stride)

@@ -180,6 +180,7 @@ def _train_one(bundle, train_cfg: tr.TrainConfig, ablation: str,
 
 def cmd_train(args) -> int:
     bundle = datafile.read_dataset(args.data)
+    bundle.test = []        # read to validate the file; training never uses it
     inputs = _digests({"dataset": args.data})
     train_cfg = _train_config(args)
     t0 = time.perf_counter()

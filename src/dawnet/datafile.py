@@ -94,14 +94,16 @@ def write_dataset(path, bundle: DatasetBundle) -> None:
         rec.tofile(f)
 
 
-def _read_records(r: _Reader, count: int) -> list:
-    """Snapshots from ``count`` records at the cursor, in one ``frombuffer``.
+def _read_records(r: _Reader, counts) -> list:
+    """One list of snapshots per count, from consecutive records at the
+    cursor, in one ``frombuffer``.
 
     The size is checked in Python integers first. A short file fails at the
     first piece that does not fit: the label with both ratios, then each
-    array."""
+    array. Each list owns its arrays, so a caller that drops one split
+    frees its memory."""
     widths = [RECORD[name].itemsize for name in RECORD.names]
-    size, start = RECORD.itemsize, r.pos
+    size, start, count = RECORD.itemsize, r.pos, sum(counts)
     whole = min(count, (len(r.blob) - start) // size)
     if whole < count:
         r.pos = start + whole * size
@@ -110,24 +112,30 @@ def _read_records(r: _Reader, count: int) -> list:
     rec = np.frombuffer(r.blob, RECORD, count, start)
     r.pos = start + count * size
 
-    time = np.empty((count, SNAPSHOT_LEN), dtype=np.complex64)
-    time.real, time.imag = rec["re"], rec["im"]
-    psd = np.array(rec["psd"], dtype=np.float32)
-    labels = rec["label"]
-    # a row's min and max carry any NaN or inf in it
-    time_ok, psd_ok = (np.isfinite(a.min(axis=1)) & np.isfinite(a.max(axis=1))
-                       for a in (time.view(np.float32), psd))
-    bad = (labels > 1) | ~time_ok | ~psd_ok
-    if bad.any():
-        i = int(np.argmax(bad))
-        what = "PSD bin" if time_ok[i] else "time sample"
-        raise FormatError(f"label byte must be 0 or 1, got {labels[i]}"
-                          if labels[i] > 1 else
-                          f"non-finite {what} in record {i}",
-                          offset=start + i * size)
-    return [Snapshot(*row) for row in zip(
-        time, psd, labels.tolist(), rec["inr_db"].tolist(),
-        rec["cnr_db"].tolist())]
+    splits, first = [], 0
+    for n in counts:
+        part = rec[first:first + n]
+        time = np.empty((n, SNAPSHOT_LEN), dtype=np.complex64)
+        time.real, time.imag = part["re"], part["im"]
+        psd = np.array(part["psd"], dtype=np.float32)
+        labels = part["label"]
+        # a row's min and max carry any NaN or inf in it
+        time_ok, psd_ok = (np.isfinite(a.min(axis=1))
+                           & np.isfinite(a.max(axis=1))
+                           for a in (time.view(np.float32), psd))
+        bad = (labels > 1) | ~time_ok | ~psd_ok
+        if bad.any():
+            i = int(np.argmax(bad))
+            what = "PSD bin" if time_ok[i] else "time sample"
+            raise FormatError(f"label byte must be 0 or 1, got {labels[i]}"
+                              if labels[i] > 1 else
+                              f"non-finite {what} in record {first + i}",
+                              offset=start + (first + i) * size)
+        splits.append([Snapshot(*row) for row in zip(
+            time, psd, labels.tolist(), part["inr_db"].tolist(),
+            part["cnr_db"].tolist())])
+        first += n
+    return splits
 
 
 def read_dataset(path) -> DatasetBundle:
@@ -150,11 +158,10 @@ def read_dataset(path) -> DatasetBundle:
             and norm_stats[3] > 0):
         raise FormatError(f"normalization stats {norm_stats} must be finite "
                           f"with positive standard deviations", offset=28)
-    snaps = _read_records(r, n_train + n_val + n_test)
+    train, val, test = _read_records(r, (n_train, n_val, n_test))
     r.expect_end()
-    a, b = n_train, n_train + n_val
-    return DatasetBundle(train=snaps[:a], validation=snaps[a:b],
-                         test=snaps[b:], norm_stats=norm_stats)
+    return DatasetBundle(train=train, validation=val, test=test,
+                         norm_stats=norm_stats)
 
 
 # ---------------------------------------------------------------------------

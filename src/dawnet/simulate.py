@@ -213,16 +213,20 @@ def _label(inr_db: float) -> int:
     return int(inr_db >= LABEL_INR_THRESHOLD_DB)
 
 
-def generate_snapshot(seed: int, index: int) -> Snapshot:
+def generate_snapshot(seed: int, index: int, draws=None) -> Snapshot:
     """Deterministic snapshot for one candidate index.
 
     The RNG stream is keyed on (seed, index); draws happen in a fixed order
     (GSO loss, the LEO links, waveform), so snapshot i is identical no
-    matter which worker produced it. Stored arrays are rounded to 32-bit
-    floats here, making the in-memory bundle bit-identical to a file
+    matter which worker produced it. ``draws`` is what
+    ``_draw_links(seed, index)`` returned, for a caller that labelled the
+    candidate already; its RNG is consumed. Stored arrays are rounded to
+    32-bit floats here, making the in-memory bundle bit-identical to a file
     round-trip.
     """
-    rng, cnr_db, links, inr_db = _draw_links(seed, index)
+    if draws is None:
+        draws = _draw_links(seed, index)
+    rng, cnr_db, links, inr_db = draws
 
     per_leo = []
     for lk in links:
@@ -299,11 +303,12 @@ def generate_dataset(seed: int, counts) -> DatasetBundle:
     clean, interfered = [], []
     index = 0
     while (len(clean) < need0 or len(interfered) < need1) and index < budget:
-        label = _label(_draw_links(seed, index)[3])
+        draws = _draw_links(seed, index)
+        label = _label(draws[3])
         if label == 0 and len(clean) < need0:
-            clean.append(generate_snapshot(seed, index))
+            clean.append(generate_snapshot(seed, index, draws))
         elif label == 1 and len(interfered) < need1:
-            interfered.append(generate_snapshot(seed, index))
+            interfered.append(generate_snapshot(seed, index, draws))
         index += 1
     if len(clean) < need0 or len(interfered) < need1:
         raise GenerationError(

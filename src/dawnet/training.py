@@ -211,10 +211,10 @@ def composite_loss(xhat: ad.Tensor, target, bank, lambda1: float,
 
 
 def _model_arrays(snapshots, norm_stats) -> tuple:
-    """Normalized (N, L) amplitude and PSD rows and their (N, 2L) target."""
+    """Normalized (N, L) amplitude and PSD rows; a batch's (B, 2L) target
+    is its rows of both, concatenated."""
     amp, psd = sim.model_inputs(snapshots, norm_stats)
-    amp, psd = amp[:, 0, :], psd[:, 0, :]
-    return amp, psd, np.concatenate([amp, psd], axis=1)
+    return amp[:, 0, :], psd[:, 0, :]
 
 
 def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
@@ -231,7 +231,7 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
 
     lambda2, bank = wavelet_term(model.config, cfg.lambda2,
                                  cfg.wavelet_scales)
-    amp, psd, target = _model_arrays(bundle.train, bundle.norm_stats)
+    amp, psd = _model_arrays(bundle.train, bundle.norm_stats)
     n = amp.shape[0]
 
     opt = Adam(model.params.tensors(), lr=cfg.learning_rate)
@@ -244,10 +244,11 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
+            a, p = amp[idx], psd[idx]
             try:
-                out = model.forward(amp[idx], psd[idx])
-                loss = composite_loss(out, target[idx], bank,
-                                      cfg.lambda1, lambda2)
+                out = model.forward(a, p)
+                loss = composite_loss(out, np.concatenate([a, p], axis=1),
+                                      bank, cfg.lambda1, lambda2)
                 opt.zero_grad()
                 ad.backward(loss)
                 opt.step()
@@ -264,13 +265,14 @@ def per_sample_losses(model, snapshots, norm_stats, bank, lambda1: float,
                       lambda2: float,
                       batch_size: int = SCORE_BATCH) -> np.ndarray:
     """Composite loss of each snapshot alone, vectorized over batches."""
-    amp, psd, target = _model_arrays(snapshots, norm_stats)
+    amp, psd = _model_arrays(snapshots, norm_stats)
     out = np.empty(len(snapshots), dtype=np.float64)
     with ad.no_grad():
         for start in range(0, len(snapshots), batch_size):
             sl = slice(start, start + batch_size)
             recon = model.forward(amp[sl], psd[sl]).data
-            out[sl] = sample_losses(recon - target[sl], bank, lambda1,
+            target = np.concatenate([amp[sl], psd[sl]], axis=1)
+            out[sl] = sample_losses(recon - target, bank, lambda1,
                                     lambda2)[0]
     return out
 

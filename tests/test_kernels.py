@@ -204,15 +204,25 @@ def _assert_matches(got, ref):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("ci,co,k,s,lp", _model_conv_shapes())
-def test_kernels_at_model_shapes(ci, co, k, s, lp):
+def _model_cases():
+    """Every model conv at B=3, then at B=1 and B=64 (one snapshot, the
+    training batch), the batch named in the id after the first."""
+    rows = _model_conv_shapes()
+    return ([pytest.param(*r, 3, id="-".join(map(str, r))) for r in rows]
+            + [pytest.param(*r, b, id="-".join(map(str, r)) + f"-B{b}")
+               for b in (1, 64) for r in rows])
+
+
+@pytest.mark.parametrize("ci,co,k,s,lp,b", _model_cases())
+def test_kernels_at_model_shapes(ci, co, k, s, lp, b):
     # K=7 stride 2 on even padded lengths leaves a tail that no window
-    # reaches; K=14 stride 12 is the stride-adjusting encoder layer
+    # reaches; K=14 stride 12 is the stride-adjusting encoder layer; the
+    # adjoints run one GEMM per tap, batched over B
     rng = _rng(7)
     lo = (lp - k) // s + 1
-    x = _rand(rng, 3, ci, lp)
+    x = _rand(rng, b, ci, lp)
     w = _rand(rng, co, ci, k)
-    g = _rand(rng, 3, co, lo)
+    g = _rand(rng, b, co, lo)
     _assert_matches(backend.conv1d_fw(x, w, s), _corr_sum(x, w, s, lo))
     _assert_matches(backend.conv1d_gx(g, w, s, lp),
                     _scatter_sum(g, w, s, lp))
@@ -225,3 +235,4 @@ def test_kernels_at_model_shapes(ci, co, k, s, lp):
     _assert_matches(backend.tconv1d_gx(xt, w, s), _corr_sum(xt, w, s, lo))
     _assert_matches(backend.tconv1d_gw(xt, g, s, k),
                     _corr_gw_sum(g, xt, s, k))
+

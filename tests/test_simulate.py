@@ -279,9 +279,9 @@ def test_dataset_synthesizes_only_kept_candidates(monkeypatch):
     calls = []
     generate = sim.generate_snapshot
 
-    def counted(seed, index):
+    def counted(seed, index, *draws):
         calls.append(index)
-        return generate(seed, index)
+        return generate(seed, index, *draws)
 
     monkeypatch.setattr(sim, "generate_snapshot", counted)
     for seed, counts in ((8, (30, 10, 2)), (8, (1, 1, 30))):

@@ -78,8 +78,9 @@ def test_composite_loss_is_mean_of_per_sample_losses(lambda2):
     bank = wavelet.build_bank((4, 8, 16)) if lambda2 else None
     rows = tr.per_sample_losses(net, bundle.test, bundle.norm_stats, bank,
                                 1.0, lambda2)
-    amp, psd, target = tr._model_arrays(bundle.test, bundle.norm_stats)
-    loss = tr.composite_loss(net.forward(amp, psd), target, bank, 1.0,
+    amp, psd = tr._model_arrays(bundle.test, bundle.norm_stats)
+    loss = tr.composite_loss(net.forward(amp, psd),
+                             np.concatenate([amp, psd], axis=1), bank, 1.0,
                              lambda2)
     assert float(loss.data) == np.mean(rows)
 
@@ -173,11 +174,14 @@ def test_adam_descends_quadratic():
 def test_training_step_memory_bounds():
     # one full-model B=64 step in the training loop's order, in traced
     # bytes (sizes, not timings): the forward tape keeps no padded conv
-    # inputs, backward frees the tape as it goes, and Adam's scratch is one
-    # chunk-sized pair (the design before it read 20.8 and 50.7 MB)
+    # inputs, backward frees the tape as it goes, the conv adjoints build no
+    # (B, Ci*K, Lo) im2col array, and Adam's scratch is one chunk-sized pair.
+    # The tape holds 11.5 MB (20.8 MB before that design) and the step peaks
+    # 23.9 MB above its start (28.4 MB with im2col adjoints, 50.7 MB before
+    # the tape design); the peak bound leaves 2.1 MB (9%) for other numpy
+    # versions and allocators
     rng = np.random.default_rng(0)
     amp, psd = rng.standard_normal((2, 64, m.INPUT_LEN))
-    target = np.concatenate([amp, psd], axis=1)
     net = _net()
     lambda2, bank = tr.wavelet_term(net.config, 0.1, (4, 8, 16))
     opt = tr.Adam(net.params.tensors(), lr=1e-3)
@@ -185,7 +189,8 @@ def test_training_step_memory_bounds():
     def step(after_forward=lambda: None):
         out = net.forward(amp, psd)
         after_forward()
-        loss = tr.composite_loss(out, target, bank, 1.0, lambda2)
+        loss = tr.composite_loss(out, np.concatenate([amp, psd], axis=1),
+                                 bank, 1.0, lambda2)
         opt.zero_grad()
         ad.backward(loss)
         opt.step()
@@ -200,7 +205,7 @@ def test_training_step_memory_bounds():
     finally:
         tracemalloc.stop()
     assert tape[0] <= 15e6
-    assert peak <= 40e6
+    assert peak <= 26e6
 
 
 # --- training loop ------------------------------------------------------------
