@@ -180,7 +180,9 @@ def _train_one(bundle, train_cfg: tr.TrainConfig, ablation: str,
 
 def cmd_train(args) -> int:
     bundle = datafile.read_dataset(args.data)
-    bundle.test = []        # read to validate the file; training never uses it
+    # read to validate the file; training never uses it. An empty split,
+    # not a slice: a slice is a view that would keep every test row alive
+    bundle.test = sim.stack_rows([])
     inputs = _digests({"dataset": args.data})
     train_cfg = _train_config(args)
     t0 = time.perf_counter()

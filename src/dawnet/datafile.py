@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .simulate import SNAPSHOT_LEN, DatasetBundle, Snapshot
+from .simulate import SNAPSHOT, SNAPSHOT_LEN, DatasetBundle
 
 DATASET_MAGIC = b"DAWN"
 DATASET_VERSION = 1
@@ -72,35 +72,34 @@ RECORD = np.dtype([("label", "u1"), ("inr_db", "<f8"), ("cnr_db", "<f8"),
 
 
 def write_dataset(path, bundle: DatasetBundle) -> None:
-    snaps = [*bundle.train, *bundle.validation, *bundle.test]
-    width = (SNAPSHOT_LEN,)
-    for s in snaps:
-        if s.time_samples.shape != width or s.psd_db.shape != width:
-            raise FormatError(f"snapshot has {s.time_samples.shape} time "
-                              f"samples and {s.psd_db.shape} PSD bins, "
-                              f"expected {SNAPSHOT_LEN} of each")
-    rec = np.empty(len(snaps), RECORD)
-    if snaps:
-        np.stack([s.time_samples.real for s in snaps], out=rec["re"])
-        np.stack([s.time_samples.imag for s in snaps], out=rec["im"])
-        np.stack([s.psd_db for s in snaps], out=rec["psd"])
-        for name in ("label", "inr_db", "cnr_db"):
-            rec[name] = [getattr(s, name) for s in snaps]
+    """The header, then each split's columns assigned to ``RECORD`` rows;
+    one split's records at a time, so that writing holds at most one
+    split's copy besides the bundle."""
+    splits = (bundle.train, bundle.validation, bundle.test)
+    # the label byte would wrap a label that the reader must refuse
+    if not all(np.all((s.label == 0) | (s.label == 1)) for s in splits):
+        raise FormatError("labels must be 0 or 1")
     with Path(path).open("wb") as f:
         f.write(struct.pack("<4sI3I2I4d", DATASET_MAGIC, DATASET_VERSION,
-                            len(bundle.train), len(bundle.validation),
-                            len(bundle.test), SNAPSHOT_LEN, SNAPSHOT_LEN,
+                            *map(len, splits), SNAPSHOT_LEN, SNAPSHOT_LEN,
                             *bundle.norm_stats))
-        rec.tofile(f)
+        for split in splits:
+            rec = np.empty(len(split), RECORD)
+            time = split.time_samples
+            rec["re"], rec["im"], rec["psd"] = (time.real, time.imag,
+                                                split.psd_db)
+            for name in ("label", "inr_db", "cnr_db"):
+                rec[name] = split[name]
+            rec.tofile(f)
 
 
 def _read_records(r: _Reader, counts) -> list:
-    """One list of snapshots per count, from consecutive records at the
-    cursor, in one ``frombuffer``.
+    """One split per count, from consecutive records at the cursor, in one
+    ``frombuffer``.
 
     The size is checked in Python integers first. A short file fails at the
     first piece that does not fit: the label with both ratios, then each
-    array. Each list owns its arrays, so a caller that drops one split
+    array. Each split owns its rows, so a caller that drops one split
     frees its memory."""
     widths = [RECORD[name].itemsize for name in RECORD.names]
     size, start, count = RECORD.itemsize, r.pos, sum(counts)
@@ -115,9 +114,9 @@ def _read_records(r: _Reader, counts) -> list:
     splits, first = [], 0
     for n in counts:
         part = rec[first:first + n]
-        time = np.empty((n, SNAPSHOT_LEN), dtype=np.complex64)
-        time.real, time.imag = part["re"], part["im"]
-        psd = np.array(part["psd"], dtype=np.float32)
+        split = np.recarray(n, SNAPSHOT)
+        time, psd = split.time_samples, split.psd_db
+        time.real, time.imag, psd[...] = part["re"], part["im"], part["psd"]
         labels = part["label"]
         # a row's min and max carry any NaN or inf in it
         time_ok, psd_ok = (np.isfinite(a.min(axis=1))
@@ -131,9 +130,9 @@ def _read_records(r: _Reader, counts) -> list:
                               if labels[i] > 1 else
                               f"non-finite {what} in record {first + i}",
                               offset=start + (first + i) * size)
-        splits.append([Snapshot(*row) for row in zip(
-            time, psd, labels.tolist(), part["inr_db"].tolist(),
-            part["cnr_db"].tolist())])
+        for name in ("label", "inr_db", "cnr_db"):
+            split[name] = part[name]
+        splits.append(split)
         first += n
     return splits
 

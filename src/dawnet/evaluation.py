@@ -25,6 +25,7 @@ from . import autodiff as ad
 from .errors import ConfigError, NumericalError, ShapeError
 # evaluate does not use it; kept because perfbench/tracing.py wraps it
 from .simulate import model_inputs  # noqa: F401
+from .simulate import stack_rows
 from .training import SCORE_BATCH, per_sample_losses
 
 
@@ -77,9 +78,10 @@ def _check_two_classes(labels: np.ndarray) -> None:
 
 def score(model, snapshot, norm_stats, bank, lambda1: float,
           lambda2: float) -> float:
-    """Composite reconstruction loss of a single snapshot."""
-    losses = per_sample_losses(model, [snapshot], norm_stats, bank,
-                               lambda1, lambda2)
+    """Composite reconstruction loss of a single snapshot: one row of a
+    split, scored as a split of that one row."""
+    losses = per_sample_losses(model, stack_rows([snapshot]), norm_stats,
+                               bank, lambda1, lambda2)
     return float(losses[0])
 
 
@@ -205,9 +207,9 @@ def evaluate(detector, snapshots, norm_stats) -> MetricsReport:
     Raises ``NumericalError`` if any score is non-finite: NaN would rank as
     a perfect AUC and inf would pass as a detection.
     """
-    if not snapshots:
+    if len(snapshots) == 0:
         raise ConfigError("test split is empty")
-    labels = np.array([s.label for s in snapshots], dtype=np.int64)
+    labels = snapshots.label
     _check_two_classes(labels)
     model, threshold, lambda1, lambda2, bank = detector
     scores = np.empty(len(snapshots), dtype=np.float64)

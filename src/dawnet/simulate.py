@@ -50,23 +50,27 @@ OVERLAP_LOG10_MAX = 0.0
 PSD_FLOOR_DB = -300.0
 
 
-@dataclass
-class Snapshot:
-    """One labeled observation."""
-
-    time_samples: np.ndarray   # complex64, length SNAPSHOT_LEN
-    psd_db: np.ndarray         # float32, length SNAPSHOT_LEN
-    label: int
-    inr_db: float              # aggregate over LEO links; -inf if none in band
-    cnr_db: float
+# one labeled observation, as a numpy record. A split is an np.recarray of
+# these rows, so split.label is the (N,) label column and split[i].label one
+# row's label; inr_db is the aggregate over the LEO links, -inf if none is
+# in band
+SNAPSHOT = np.dtype((np.record, [("time_samples", "<c8", (SNAPSHOT_LEN,)),
+                                 ("psd_db", "<f4", (SNAPSHOT_LEN,)),
+                                 ("label", "<i8"), ("inr_db", "<f8"),
+                                 ("cnr_db", "<f8")]))
 
 
 @dataclass
 class DatasetBundle:
-    train: list
-    validation: list
-    test: list
+    train: np.recarray
+    validation: np.recarray
+    test: np.recarray
     norm_stats: tuple          # (time_mean, time_std, psd_mean, psd_std)
+
+
+def stack_rows(rows) -> np.recarray:
+    """The split that holds copies of ``rows``, in order."""
+    return np.array(rows, SNAPSHOT).view(np.recarray)
 
 
 def slant_range_m(altitude_m: float, elevation_deg: float) -> float:
@@ -213,16 +217,16 @@ def _label(inr_db: float) -> int:
     return int(inr_db >= LABEL_INR_THRESHOLD_DB)
 
 
-def generate_snapshot(seed: int, index: int, draws=None) -> Snapshot:
+def generate_snapshot(seed: int, index: int, draws=None) -> np.record:
     """Deterministic snapshot for one candidate index.
 
     The RNG stream is keyed on (seed, index); draws happen in a fixed order
     (GSO loss, the LEO links, waveform), so snapshot i is identical no
     matter which worker produced it. ``draws`` is what
     ``_draw_links(seed, index)`` returned, for a caller that labelled the
-    candidate already; its RNG is consumed. Stored arrays are rounded to
-    32-bit floats here, making the in-memory bundle bit-identical to a file
-    round-trip.
+    candidate already; its RNG is consumed. Returns one ``SNAPSHOT`` row,
+    whose arrays are rounded to 32-bit floats, making the in-memory bundle
+    bit-identical to a file round-trip.
     """
     if draws is None:
         draws = _draw_links(seed, index)
@@ -237,29 +241,22 @@ def generate_snapshot(seed: int, index: int, draws=None) -> Snapshot:
     y = synthesize_waveform(cnr_db, per_leo, rng, num_samples=SYNTHESIS_LEN)
     psd = welch_psd_db(y, SNAPSHOT_LEN)
 
-    time_samples = y[:SNAPSHOT_LEN].astype(np.complex64)
-    return Snapshot(
-        time_samples=time_samples,
-        psd_db=psd.astype(np.float32),
-        label=_label(inr_db),
-        inr_db=inr_db,
-        cnr_db=cnr_db,
-    )
+    return np.array((y[:SNAPSHOT_LEN], psd, _label(inr_db), inr_db, cnr_db),
+                    SNAPSHOT)[()]
 
 
-def amplitude(snapshots) -> np.ndarray:
+def amplitude(split) -> np.ndarray:
     """(N, SNAPSHOT_LEN) float64 |y[n]| matrix."""
-    return np.stack([np.abs(s.time_samples).astype(np.float64)
-                     for s in snapshots])
+    return np.abs(split.time_samples).astype(np.float64)
 
 
-def psd_matrix(snapshots) -> np.ndarray:
-    return np.stack([s.psd_db.astype(np.float64) for s in snapshots])
+def psd_matrix(split) -> np.ndarray:
+    return split.psd_db.astype(np.float64)
 
 
 def normalization_stats(train) -> tuple:
     """Per-domain (mean, population std) over the training split only."""
-    if not train:
+    if len(train) == 0:
         raise ConfigError("cannot compute stats from an empty training split")
     amp = amplitude(train)
     psd = psd_matrix(train)
@@ -270,12 +267,12 @@ def normalization_stats(train) -> tuple:
     return (tm, ts, pm, ps)
 
 
-def model_inputs(snapshots, norm_stats) -> tuple:
-    """Normalized (N,1,L) amplitude and PSD arrays ready for the model."""
+def model_inputs(split, norm_stats) -> tuple:
+    """Normalized (N, L) amplitude and PSD rows ready for the model; a
+    batch's (B, 2L) reconstruction target is its rows of both,
+    concatenated."""
     tm, ts, pm, ps = norm_stats
-    amp = (amplitude(snapshots) - tm) / ts
-    psd = (psd_matrix(snapshots) - pm) / ps
-    return amp[:, None, :], psd[:, None, :]
+    return (amplitude(split) - tm) / ts, (psd_matrix(split) - pm) / ps
 
 
 RETRY_FACTOR = 20
@@ -315,8 +312,11 @@ def generate_dataset(seed: int, counts) -> DatasetBundle:
             f"candidate budget {budget} exhausted: got {len(clean)}/{need0} "
             f"clean and {len(interfered)}/{need1} interfered snapshots")
 
-    train = clean[:n_train]
-    val = clean[n_train:n_train + n_val]
-    test = clean[n_train + n_val:need0] + interfered
+    # one copy per split, so that each owns its rows; the rows are freed
+    # before the statistics take their own copies
+    train = stack_rows(clean[:n_train])
+    val = stack_rows(clean[n_train:n_train + n_val])
+    test = stack_rows(clean[n_train + n_val:need0] + interfered)
+    del clean, interfered
     return DatasetBundle(train=train, validation=val, test=test,
                          norm_stats=normalization_stats(train))

@@ -210,13 +210,6 @@ def composite_loss(xhat: ad.Tensor, target, bank, lambda1: float,
     return ad.scalar(xhat, np.mean(rows), dx)
 
 
-def _model_arrays(snapshots, norm_stats) -> tuple:
-    """Normalized (N, L) amplitude and PSD rows; a batch's (B, 2L) target
-    is its rows of both, concatenated."""
-    amp, psd = sim.model_inputs(snapshots, norm_stats)
-    return amp[:, 0, :], psd[:, 0, :]
-
-
 def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
     """Run the full loop; returns (per-epoch mean loss history, effective
     lambda2, bank or None).
@@ -224,14 +217,14 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
     Deterministic: shuffles come from a SeedSequence([seed, 2]) stream and
     every arithmetic step is fixed-order.
     """
-    if not bundle.train:
+    if len(bundle.train) == 0:
         raise ConfigError("training split is empty")
-    if any(s.label != 0 for s in bundle.train):
+    if np.any(bundle.train.label != 0):
         raise ConfigError("training split must contain only label-0 snapshots")
 
     lambda2, bank = wavelet_term(model.config, cfg.lambda2,
                                  cfg.wavelet_scales)
-    amp, psd = _model_arrays(bundle.train, bundle.norm_stats)
+    amp, psd = sim.model_inputs(bundle.train, bundle.norm_stats)
     n = amp.shape[0]
 
     opt = Adam(model.params.tensors(), lr=cfg.learning_rate)
@@ -264,8 +257,9 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
 def per_sample_losses(model, snapshots, norm_stats, bank, lambda1: float,
                       lambda2: float,
                       batch_size: int = SCORE_BATCH) -> np.ndarray:
-    """Composite loss of each snapshot alone, vectorized over batches."""
-    amp, psd = _model_arrays(snapshots, norm_stats)
+    """Composite loss of each snapshot of a split alone, vectorized over
+    batches."""
+    amp, psd = sim.model_inputs(snapshots, norm_stats)
     out = np.empty(len(snapshots), dtype=np.float64)
     with ad.no_grad():
         for start in range(0, len(snapshots), batch_size):
@@ -290,9 +284,9 @@ def threshold_from_losses(losses) -> Threshold:
 def calibrate_threshold(model, validation, norm_stats, bank, lambda1: float,
                         lambda2: float) -> Threshold:
     """Threshold one population std above the mean validation loss."""
-    if not validation:
+    if len(validation) == 0:
         raise ConfigError("validation split is empty")
-    if any(s.label != 0 for s in validation):
+    if np.any(validation.label != 0):
         raise ConfigError("validation split must contain only label-0 "
                           "snapshots")
     losses = per_sample_losses(model, validation, norm_stats, bank,

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import struct
 import types
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +272,61 @@ def test_corrupt_dataset_exits_2(tmp_path, workspace, capsys):
     rc = cli.main(["eval", "--model", str(model), "--data", str(bad),
                    "--out-dir", str(tmp_path / "ev")])
     assert rc == 2
+
+
+def test_train_frees_the_test_split(tmp_path, workspace, monkeypatch):
+    # training never reads the test split, so `train` drops it before the
+    # first step and its rows are freed, not kept alive by a view
+    _, data, _ = workspace
+    read, train = datafile.read_dataset, training.train_and_calibrate
+    test_split, seen = [], []
+
+    def reading(path):
+        bundle = read(path)
+        test_split.append(weakref.ref(bundle.test))
+        return bundle
+
+    def training_(bundle, model, cfg):
+        seen.append((len(bundle.test), test_split[0]()))
+        return train(bundle, model, cfg)
+
+    monkeypatch.setattr(datafile, "read_dataset", reading)
+    monkeypatch.setattr(training, "train_and_calibrate", training_)
+    assert cli.main(["train", "--data", str(data), "--epochs", "1",
+                     "--out", str(tmp_path / "m.dawm")]) == 0
+    assert seen == [(0, None)]
+
+
+# the dataset header: 60 bytes, the three split counts at offset 8
+HEADER_LEN, COUNTS_AT = 60, 8
+
+
+@pytest.mark.parametrize("command,empty", [("train", "validation"),
+                                          ("eval", "test")])
+def test_zero_row_split_exits_2(tmp_path, workspace, capsys, command, empty):
+    _, data, model = workspace
+    bundle = datafile.read_dataset(data)
+    counts = [len(bundle.train), len(bundle.validation), len(bundle.test)]
+    blob = bytearray(data.read_bytes())
+    if empty == "validation":
+        # the validation records become training records
+        counts = [counts[0] + counts[1], 0, counts[2]]
+    else:
+        # the test records go
+        size = datafile.RECORD.itemsize
+        del blob[HEADER_LEN + (counts[0] + counts[1]) * size:]
+        counts[2] = 0
+    struct.pack_into("<3I", blob, COUNTS_AT, *counts)
+    bad = tmp_path / "empty.dawn"
+    bad.write_bytes(bytes(blob))
+    argv = {"train": ["train", "--epochs", "1",
+                      "--out", str(tmp_path / "m.dawm")],
+            "eval": ["eval", "--model", str(model),
+                     "--out-dir", str(tmp_path / "ev")]}[command]
+    assert cli.main([*argv, "--data", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"{empty} split is empty" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("scales", ["4,eight", "1000000000000"])

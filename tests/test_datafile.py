@@ -27,8 +27,8 @@ def test_dataset_round_trip(tmp_path):
     datafile.write_dataset(p, bundle)
     back = datafile.read_dataset(p)
     assert back.norm_stats == bundle.norm_stats
-    for a, b in zip(bundle.train + bundle.validation + bundle.test,
-                    back.train + back.validation + back.test):
+    for a, b in zip([*bundle.train, *bundle.validation, *bundle.test],
+                    [*back.train, *back.validation, *back.test]):
         np.testing.assert_array_equal(a.time_samples, b.time_samples)
         np.testing.assert_array_equal(a.psd_db, b.psd_db)
         assert a.label == b.label
@@ -187,24 +187,40 @@ def test_dataset_first_bad_label_offset(tmp_path):
     assert exc.value.offset == HEADER_LEN + 3 * size
 
 
+@pytest.mark.parametrize("label", [2, 256, -1])
+def test_dataset_write_refuses_a_label_its_byte_cannot_hold(tmp_path, label):
+    bundle = _bundle()
+    bundle.test.label[-1] = label
+    p = tmp_path / "ds.bin"
+    with pytest.raises(FormatError, match="labels must be 0 or 1"):
+        datafile.write_dataset(p, bundle)
+    assert not p.exists()
+
+
 def test_dataset_reads_inr_minus_inf(tmp_path):
     # -inf INR means no LEO in band: a legitimate value, not corruption
     p, _ = _written(tmp_path)
     _patch(p, HEADER_LEN + sum(RECORD_PIECES) + 1, "<d", float("-inf"))
     back = datafile.read_dataset(p)
     assert back.train[1].inr_db == float("-inf")
-    assert type(back.train[1].inr_db) is float
+    assert back.train.inr_db.dtype == np.float64
 
 
 def test_dataset_read_types(tmp_path):
     p, _ = _written(tmp_path)
-    for s in datafile.read_dataset(p).test:
+    test = datafile.read_dataset(p).test
+    assert isinstance(test, np.recarray) and test.dtype == sim.SNAPSHOT
+    assert test.label.shape == test.inr_db.shape == (len(test),)
+    assert test.label.dtype == np.int64
+    assert test.inr_db.dtype == test.cnr_db.dtype == np.float64
+    for s in test:
         assert s.time_samples.dtype == np.complex64
         assert s.psd_db.dtype == np.float32
         assert s.time_samples.shape == s.psd_db.shape == (sim.SNAPSHOT_LEN,)
         assert s.time_samples.flags.writeable and s.psd_db.flags.writeable
-        assert type(s.label) is int
-        assert type(s.inr_db) is float and type(s.cnr_db) is float
+        assert isinstance(s.label, np.int64)
+        assert isinstance(s.inr_db, np.float64)
+        assert isinstance(s.cnr_db, np.float64)
 
 
 # --- checkpoint container ----------------------------------------------------

@@ -250,7 +250,7 @@ def test_time_inference_contract(small_world):
     # evaluate times its own batches; the benchmark traces this by name
     bundle, net = small_world
     amp, psd = sim.model_inputs(bundle.test[:4], bundle.norm_stats)
-    amp, psd = amp[:, 0, :], psd[:, 0, :]
+    assert amp.shape == psd.shape == (4, sim.SNAPSHOT_LEN)
     secs = ev.time_inference(net, amp, psd, repeats=3)
     assert secs > 0.0 and np.isfinite(secs)
     with pytest.raises(ConfigError):
@@ -368,3 +368,32 @@ def test_write_report_files(tmp_path, small_world):
     assert len(roc_lines) == len(report.roc) + 1
     conf_lines = (tmp_path / "confusion.csv").read_text().strip().split("\n")
     assert conf_lines[0] == "tn,fp,fn,tp"
+
+
+def test_zero_row_splits_refused_one_row_accepted(small_world):
+    # a split's emptiness is its length: numpy refuses the truth value of an
+    # empty array, and that error would escape the CLI as a traceback
+    bundle, net = small_world
+    cfg = tr.TrainConfig(epochs=1, batch_size=4)
+    trained = m.DualDomainAutoencoder(m.ModelConfig(), seed=9)
+    stages = {
+        "stats": lambda s: sim.normalization_stats(s),
+        "train": lambda s: tr.train(sim.DatasetBundle(
+            s, bundle.validation, bundle.test, bundle.norm_stats), trained,
+            cfg),
+        "calibrate": lambda s: tr.calibrate_threshold(
+            net, s, bundle.norm_stats, None, 1.0, 0.0),
+    }
+    for name, stage in stages.items():
+        with pytest.raises(ConfigError, match="empty"):
+            stage(bundle.train[:0])
+        assert stage(bundle.train[:1]) is not None, name
+    with pytest.raises(ConfigError, match="empty"):
+        ev.evaluate(_detector(net), bundle.test[:0], bundle.norm_stats)
+    # one row is one class, and evaluation needs both
+    with pytest.raises(ConfigError, match="both classes"):
+        ev.evaluate(_detector(net), bundle.test[:1], bundle.norm_stats)
+    pair = bundle.test[[0, -1]]
+    assert list(pair.label) == [0, 1]
+    report = ev.evaluate(_detector(net), pair, bundle.norm_stats)
+    assert report.num_class0 == report.num_class1 == 1

@@ -223,8 +223,8 @@ def test_dataset_deterministic():
     a = sim.generate_dataset(33, (30, 10, 10))
     b = sim.generate_dataset(33, (30, 10, 10))
     assert a.norm_stats == b.norm_stats
-    for sa, sb in zip(a.train + a.validation + a.test,
-                      b.train + b.validation + b.test):
+    for sa, sb in zip([*a.train, *a.validation, *a.test],
+                      [*b.train, *b.validation, *b.test]):
         np.testing.assert_array_equal(sa.time_samples, sb.time_samples)
         np.testing.assert_array_equal(sa.psd_db, sb.psd_db)
         assert (sa.label, sa.inr_db, sa.cnr_db) == (sb.label, sb.inr_db, sb.cnr_db)
@@ -268,11 +268,11 @@ def test_dataset_matches_walk_over_every_candidate(seed, counts, last_label):
     clean, interfered, last = _walk_every_candidate(seed, counts)
     assert last == last_label
     bundle = sim.generate_dataset(seed, counts)
-    made = bundle.train + bundle.validation + bundle.test
+    made = [*bundle.train, *bundle.validation, *bundle.test]
     assert len(made) == len(clean) + len(interfered)
     assert all(map(_same_snapshot, made, clean + interfered))
     assert bundle.norm_stats == sim.normalization_stats(
-        clean[:counts[0]])
+        sim.stack_rows(clean[:counts[0]]))
 
 
 def test_dataset_synthesizes_only_kept_candidates(monkeypatch):

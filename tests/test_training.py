@@ -78,7 +78,7 @@ def test_composite_loss_is_mean_of_per_sample_losses(lambda2):
     bank = wavelet.build_bank((4, 8, 16)) if lambda2 else None
     rows = tr.per_sample_losses(net, bundle.test, bundle.norm_stats, bank,
                                 1.0, lambda2)
-    amp, psd = tr._model_arrays(bundle.test, bundle.norm_stats)
+    amp, psd = sim.model_inputs(bundle.test, bundle.norm_stats)
     loss = tr.composite_loss(net.forward(amp, psd),
                              np.concatenate([amp, psd], axis=1), bank, 1.0,
                              lambda2)
@@ -317,9 +317,9 @@ def test_per_sample_losses_match_dwt_definition():
     got = tr.per_sample_losses(net, bundle.test, bundle.norm_stats, bank,
                                1.0, 0.1, batch_size=5)
     amp, psd = sim.model_inputs(bundle.test, bundle.norm_stats)
-    target = np.concatenate([amp[:, 0], psd[:, 0]], axis=1)
+    target = np.concatenate([amp, psd], axis=1)
     with ad.no_grad():
-        recon = net.forward(amp[:, 0], psd[:, 0]).data
+        recon = net.forward(amp, psd).data
     coeffs = (wavelet.dwt(ad.Tensor(recon[:, None]), bank).data
               - wavelet.dwt(ad.Tensor(target[:, None]), bank).data)
     want = (np.mean((recon - target) ** 2, axis=1)
