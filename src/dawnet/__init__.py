@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DawnetError, FormatError, GenerationError,
                      NumericalError, ShapeError)
-from .linkbudget import LinkGeometry, fspl_db
-from .simulate import SNAPSHOT, DatasetBundle, generate_dataset
+from .simulate import SNAPSHOT, DatasetBundle, fspl_db, generate_dataset
 from .model import DualDomainAutoencoder, ModelConfig
 from .training import Detector, Threshold, TrainConfig, train_and_calibrate
 from .evaluation import MetricsReport, evaluate
@@ -20,8 +19,7 @@ __all__ = [
     "__version__",
     "ConfigError", "DawnetError", "FormatError", "GenerationError",
     "NumericalError", "ShapeError",
-    "LinkGeometry", "fspl_db",
-    "SNAPSHOT", "DatasetBundle", "generate_dataset",
+    "fspl_db", "SNAPSHOT", "DatasetBundle", "generate_dataset",
     "DualDomainAutoencoder", "ModelConfig",
     "Detector", "Threshold", "TrainConfig", "train_and_calibrate",
     "MetricsReport", "evaluate",

@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -169,8 +170,8 @@ def _train_one(bundle, train_cfg: tr.TrainConfig, ablation: str,
                                    threshold.sigma))):
         raise _diverged(f"final loss {final}, threshold {threshold.value}")
     config = {
-        "model": model.config.to_dict(),
-        "train": train_cfg.to_dict(),
+        "model": asdict(model.config),
+        "train": asdict(train_cfg),
         "threshold": {"value": threshold.value, "mu": threshold.mu,
                       "sigma": threshold.sigma},
         "dataset_sha256": dataset_digest,
@@ -214,7 +215,7 @@ def _load_checkpoint(path) -> tr.Detector:
     """
     config, params = datafile.read_checkpoint(path)
     try:
-        model_cfg = ModelConfig.from_dict(config["model"])
+        model_cfg = ModelConfig(**config["model"])
         block = config["train"]
         train_cfg = tr.TrainConfig(**{
             **block, "wavelet_scales": tuple(block["wavelet_scales"])})
@@ -245,11 +246,15 @@ def _summary_row(report) -> str:
 
 def cmd_eval(args) -> int:
     detector = _load_checkpoint(args.model)
+    # read whole to validate the file; only the test split is scored, so
+    # the other two are freed before scoring
     bundle = datafile.read_dataset(args.data)
+    test, norm_stats = bundle.test, bundle.norm_stats
+    del bundle
     inputs = _digests({"checkpoint": args.model, "dataset": args.data})
     t0 = time.perf_counter()
     try:
-        report = ev.evaluate(detector, bundle.test, bundle.norm_stats)
+        report = ev.evaluate(detector, test, norm_stats)
     except NumericalError as exc:
         # the dataset is checked finite on read, so the parameters are at fault
         raise FormatError(f"checkpoint {Path(args.model).name} cannot score "

@@ -62,13 +62,6 @@ class ModelConfig:
     def uses_wavelet_loss(self) -> bool:
         return self.ablation not in ("no_wavelet_loss", "vanilla")
 
-    def to_dict(self) -> dict:
-        return {"ablation": self.ablation}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 @dataclass
 class AttentionParams:

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import linkbudget as lb
 from .errors import ConfigError, GenerationError, ShapeError
 
 EARTH_RADIUS_M = 6_371_000.0
+SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 # the paper's one downlink scenario: a Ku-band GSO carrier at 11.7 GHz and
 # 40 MHz, three LEO interferers, carrier-to-noise and extra-loss ranges, the
@@ -73,6 +73,26 @@ def stack_rows(rows) -> np.recarray:
     return np.array(rows, SNAPSHOT).view(np.recarray)
 
 
+def fspl_db(distance_m: float, freq_hz: float) -> float:
+    """Free-space path loss 20*log10(4*pi*d*f/c) in dB."""
+    if distance_m <= 0.0:
+        raise ConfigError(f"distance must be positive, got {distance_m}")
+    if freq_hz <= 0.0:
+        raise ConfigError(f"frequency must be positive, got {freq_hz}")
+    return 20.0 * math.log10(4.0 * math.pi * distance_m * freq_hz
+                             / SPEED_OF_LIGHT_M_S)
+
+
+def db_to_linear(x_db: float) -> float:
+    return 10.0 ** (x_db / 10.0)
+
+
+def linear_to_db(x: float) -> float:
+    if x <= 0.0:
+        raise ConfigError(f"cannot convert non-positive power {x} to dB")
+    return 10.0 * math.log10(x)
+
+
 def slant_range_m(altitude_m: float, elevation_deg: float) -> float:
     """Ground-station-to-satellite distance for a circular orbit."""
     if altitude_m <= 0:
@@ -87,14 +107,20 @@ def leo_eirp_dbw() -> float:
     """EIRP such that the closest possible pass at full overlap and zero
     extra loss produces exactly the peak INR."""
     d_min = slant_range_m(LEO_ALT_RANGE_M[0], 90.0)
-    return INR_PEAK_DB + lb.fspl_db(d_min, CARRIER_FREQ_HZ) - RX_GAIN_DB
+    return INR_PEAK_DB + fspl_db(d_min, CARRIER_FREQ_HZ) - RX_GAIN_DB
 
 
 LEO_EIRP_DBW = leo_eirp_dbw()
 
 
-def sample_leo_link(rng: np.random.Generator) -> "lb.LinkGeometry":
-    """Draw one interferer's geometry. Consumes exactly 6 uniforms."""
+def sample_leo_link(rng: np.random.Generator) -> tuple:
+    """Draw one interferer: (in-band power over the unit noise floor,
+    Doppler offset in Hz). Consumes exactly 6 uniforms.
+
+    The power is the link budget EIRP + receive gain - path loss - extra
+    loss, scaled by the fraction of the transmit power inside the victim's
+    band: 0 for a pass whose beam misses the band.
+    """
     altitude = rng.uniform(*LEO_ALT_RANGE_M)
     elevation = rng.uniform(LEO_MIN_ELEVATION_DEG, 90.0)
     u_overlap = rng.uniform()
@@ -102,15 +128,9 @@ def sample_leo_link(rng: np.random.Generator) -> "lb.LinkGeometry":
     overlap = 0.0 if u_overlap < OVERLAP_ZERO_PROB else 10.0 ** u_log
     add_loss = rng.uniform(*LINK_LOSS_RANGE_DB)
     doppler = rng.uniform(-0.1, 0.1) * BANDWIDTH_HZ
-    return lb.LinkGeometry(
-        eirp_dbw=LEO_EIRP_DBW,
-        rx_gain_db=RX_GAIN_DB,
-        fspl_db=lb.fspl_db(slant_range_m(altitude, elevation),
-                           CARRIER_FREQ_HZ),
-        add_loss_db=add_loss,
-        spectral_overlap=overlap,
-        doppler_offset_hz=doppler,
-    )
+    path_loss = fspl_db(slant_range_m(altitude, elevation), CARRIER_FREQ_HZ)
+    power = db_to_linear(LEO_EIRP_DBW + RX_GAIN_DB - path_loss - add_loss)
+    return power * overlap, doppler
 
 
 def _qpsk(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -142,7 +162,7 @@ def synthesize_waveform(cnr_db: float, per_leo, rng: np.random.Generator,
     n = int(num_samples)
     if n <= 0:
         raise ConfigError("sample count must be positive")
-    cnr_lin = 0.0 if cnr_db == float("-inf") else lb.db_to_linear(cnr_db)
+    cnr_lin = 0.0 if cnr_db == float("-inf") else db_to_linear(cnr_db)
     y = _qpsk(rng, n) * math.sqrt(cnr_lin)
     t = np.arange(n, dtype=np.float64)
     for inr_db, doppler_hz in per_leo:
@@ -152,7 +172,7 @@ def synthesize_waveform(cnr_db: float, per_leo, rng: np.random.Generator,
             # adding it times 0 would leave y as it is
             continue
         rotation = np.exp(2j * math.pi * doppler_hz * t / BANDWIDTH_HZ)
-        y = y + stream * rotation * math.sqrt(lb.db_to_linear(inr_db))
+        y = y + stream * rotation * math.sqrt(db_to_linear(inr_db))
     if include_noise:
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
             / math.sqrt(2.0)
@@ -191,10 +211,11 @@ def welch_psd_db(y: np.ndarray, fft_bins: int) -> np.ndarray:
 def _draw_links(seed: int, index: int) -> tuple:
     """The draws that label candidate ``index``, before its waveform.
 
-    Returns (rng, cnr_db, links, inr_db): the candidate's RNG, keyed on
+    Returns (rng, cnr_db, per_leo, inr_db): the candidate's RNG, keyed on
     (seed, index) and positioned after the GSO loss and the LEO links, the
-    carrier's CNR, the links in draw order, and their aggregate INR (-inf if
-    none is in band).
+    carrier's CNR, each link's (INR dB, Doppler Hz) in draw order as
+    :func:`synthesize_waveform` takes them, and their aggregate INR. An INR
+    is -inf for no power in band.
     """
     if index < 0:
         raise ConfigError("candidate index must be non-negative")
@@ -208,9 +229,12 @@ def _draw_links(seed: int, index: int) -> tuple:
     cnr_db = chi - (add_loss - llo) * (chi - clo) / (lhi - llo)
 
     links = [sample_leo_link(rng) for _ in range(NUM_LEO)]
-    inr_lin = lb.aggregate_interference(links)
-    inr_db = lb.linear_to_db(inr_lin) if inr_lin > 0 else float("-inf")
-    return rng, cnr_db, links, inr_db
+    per_leo = [(_power_db(p), doppler) for p, doppler in links]
+    return rng, cnr_db, per_leo, _power_db(float(sum(p for p, _ in links)))
+
+
+def _power_db(p: float) -> float:
+    return linear_to_db(p) if p > 0 else float("-inf")
 
 
 def _label(inr_db: float) -> int:
@@ -230,14 +254,7 @@ def generate_snapshot(seed: int, index: int, draws=None) -> np.record:
     """
     if draws is None:
         draws = _draw_links(seed, index)
-    rng, cnr_db, links, inr_db = draws
-
-    per_leo = []
-    for lk in links:
-        p = lb.interference_power(lk)
-        link_inr_db = lb.linear_to_db(p) if p > 0 else float("-inf")
-        per_leo.append((link_inr_db, lk.doppler_offset_hz))
-
+    rng, cnr_db, per_leo, inr_db = draws
     y = synthesize_waveform(cnr_db, per_leo, rng, num_samples=SYNTHESIS_LEN)
     psd = welch_psd_db(y, SNAPSHOT_LEN)
 

@@ -52,17 +52,6 @@ class TrainConfig:
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "wavelet_scales": list(self.wavelet_scales),
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class Threshold:

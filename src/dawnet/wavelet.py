@@ -5,7 +5,7 @@ linear, so the loss on a residual d = xhat - x is the quadratic form
 d^T G d with G = W^T W (:func:`autodiff.dwt_gram`). G is banded with
 half-width K-1, so it is block tridiagonal in K x K blocks: the bank keeps
 it as ceil(L/K) column panels of 3K x K and applies it with one batched
-matmul. :func:`dwt` remains the defining transform.
+matmul. :func:`autodiff.dwt` remains the defining transform.
 """
 
 import math
@@ -118,11 +118,6 @@ def build_bank(scales) -> WaveletBank:
     taps = kernel_len(scales)
     return WaveletBank(scales,
                        np.stack([morlet_kernel(s, taps) for s in scales]))
-
-
-def dwt(x: ad.Tensor, bank: WaveletBank) -> ad.Tensor:
-    """Length-preserving (B,C,L) -> (B,C,S,L) decomposition."""
-    return ad.dwt(x, bank.kernels)
 
 
 def wavelet_loss(d: np.ndarray, bank: WaveletBank) -> tuple:

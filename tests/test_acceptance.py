@@ -9,6 +9,7 @@ dominates the suite's runtime.
 import json
 import math
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ import pytest
 from dawnet import autodiff as ad
 from dawnet import cli, datafile
 from dawnet import evaluation as ev
-from dawnet import linkbudget as lb
 from dawnet import model as m
 from dawnet import simulate as sim
 from dawnet import training as tr
@@ -136,7 +136,7 @@ def test_criterion_04_wavelet_bank_normalized_linear_shape_preserving():
     a, b = 1.7, -0.4
 
     def transform(arr):
-        return wavelet.dwt(ad.Tensor(arr), bank).data
+        return ad.dwt(ad.Tensor(arr), bank.kernels).data
 
     combined = transform(a * x + b * y)
     separate = a * transform(x) + b * transform(y)
@@ -193,13 +193,13 @@ def test_criterion_06_metric_oracles():
 # --- 7: simulator physics ----------------------------------------------------------
 
 def test_criterion_07_simulator_physics():
-    assert abs(lb.fspl_db(36_000_000.0, 11.7e9) - 204.94) <= 0.01
+    assert abs(sim.fspl_db(36_000_000.0, 11.7e9) - 204.94) <= 0.01
 
     rng = np.random.default_rng(77)
     cnr_db, inrs = 9.0, [(6.0, 2e5), (12.0, -3e5)]
     y = sim.synthesize_waveform(cnr_db, inrs, rng, num_samples=100_000)
-    expected = 1.0 + lb.db_to_linear(cnr_db) + sum(lb.db_to_linear(i)
-                                                   for i, _ in inrs)
+    expected = 1.0 + sim.db_to_linear(cnr_db) + sum(sim.db_to_linear(i)
+                                                    for i, _ in inrs)
     power = float(np.mean(np.abs(y) ** 2))
     assert abs(power - expected) / expected < 0.05
 
@@ -299,7 +299,7 @@ def test_criterion_10_dataset_and_checkpoint_round_trip(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
     net = m.DualDomainAutoencoder(m.ModelConfig(), seed=4)
-    config = {"model": net.config.to_dict(), "note": "round-trip"}
+    config = {"model": asdict(net.config), "note": "round-trip"}
     c1, c2 = tmp_path / "one.dawm", tmp_path / "two.dawm"
     datafile.write_checkpoint(c1, config, net.named_parameters())
     datafile.write_checkpoint(c2, *datafile.read_checkpoint(c1))

@@ -1,7 +1,11 @@
-"""The statistics of ``tools/bench_pairs.py``: pair wins and the gain rule."""
+"""The statistics of ``tools/bench_pairs.py``: pair wins and the gain rule;
+and how both paired-run tools clean up when they are stopped."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +72,40 @@ def test_spec_comes_from_the_parent(tmp_path):
     got = bench_pairs.summarize({"parent": [run], "change": [worse]},
                                 declared)["eval_ms_per_snapshot"]
     assert got["bound"] == 0.25 and got["within_bound"] is False
+
+
+# loads a tool, replaces the first thing its main does after making its
+# work directory with a step that sends the process SIGTERM, and runs main
+STOPPED_RUN = """
+import glob, importlib.util, os, signal, sys, time
+spec = importlib.util.spec_from_file_location("tool", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+
+def step(*args):
+    print(*glob.glob(os.path.join(os.environ["TMPDIR"], sys.argv[2] + "*")))
+    sys.stdout.flush()
+    os.kill(os.getpid(), signal.SIGTERM)
+    time.sleep(60)
+
+setattr(tool, sys.argv[3], step)
+sys.exit(tool.main(sys.argv[4:]))
+"""
+
+
+@pytest.mark.parametrize("tool,prefix,first,argv", [
+    ("bench_pairs.py", "bench-pairs-", "git",
+     ["HEAD", "HEAD", "--out", "b.json", "--seed", "0"]),
+    ("same_bytes.py", "same-bytes-", "extract", ["HEAD", "HEAD"])],
+    ids=["bench_pairs", "same_bytes"])
+def test_sigterm_removes_the_work_directory(tmp_path, tool, prefix, first,
+                                            argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", STOPPED_RUN, str(TOOL.parent / tool), prefix,
+         first, *argv],
+        cwd=tmp_path, env=dict(os.environ, TMPDIR=str(tmp_path)),
+        capture_output=True, text=True, timeout=60)
+    made = proc.stdout.split()
+    assert len(made) == 1 and Path(made[0]).parent == tmp_path
+    assert not Path(made[0]).exists()
+    assert proc.returncode == 128 + 15

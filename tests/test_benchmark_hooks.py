@@ -9,6 +9,7 @@ without importing it as a package, so no bytecode cache is written there.
 
 import importlib
 import types
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -41,8 +42,8 @@ def test_traced_name_resolves(module, attr, span):
 
 def test_loaded_checkpoint_unpacks_into_five(tmp_path):
     net = DualDomainAutoencoder(ModelConfig(), seed=0)
-    config = {"model": net.config.to_dict(),
-              "train": training.TrainConfig().to_dict(),
+    config = {"model": asdict(net.config),
+              "train": asdict(training.TrainConfig()),
               "threshold": {"value": 1.0, "mu": 0.5, "sigma": 0.5},
               "dataset_sha256": ""}
     path = tmp_path / "model.dawm"

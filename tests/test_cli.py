@@ -6,12 +6,13 @@ import struct
 import types
 import warnings
 import weakref
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dawnet import cli, datafile, training, wavelet
+from dawnet import cli, datafile, evaluation, training, wavelet
 from dawnet import simulate as sim
 from dawnet.errors import NumericalError
 from dawnet.model import ModelConfig
@@ -119,7 +120,7 @@ def test_train_vanilla_disables_attention_and_wavelet(tmp_path, workspace):
                    "--out", str(out)])
     assert rc == 0
     config, _ = datafile.read_checkpoint(out)
-    mc = ModelConfig.from_dict(config["model"])
+    mc = ModelConfig(**config["model"])
     assert not mc.uses_attention and not mc.uses_wavelet_loss
     _, _, lambda1, lambda2, bank = cli._load_checkpoint(out)
     assert lambda2 == 0.0 and bank is None
@@ -295,6 +296,52 @@ def test_train_frees_the_test_split(tmp_path, workspace, monkeypatch):
     assert cli.main(["train", "--data", str(data), "--epochs", "1",
                      "--out", str(tmp_path / "m.dawm")]) == 0
     assert seen == [(0, None)]
+
+
+def test_eval_frees_the_unscored_splits(tmp_path, workspace, monkeypatch):
+    # eval scores only the test split, so the training and validation rows
+    # it read are freed before scoring starts
+    _, data, model = workspace
+    read, evaluate = datafile.read_dataset, evaluation.evaluate
+    unscored, seen = [], []
+
+    def reading(path):
+        bundle = read(path)
+        unscored.extend(weakref.ref(s) for s in (bundle.train,
+                                                  bundle.validation))
+        return bundle
+
+    def scoring(detector, test, norm_stats):
+        seen.append([ref() is None for ref in unscored])
+        return evaluate(detector, test, norm_stats)
+
+    monkeypatch.setattr(datafile, "read_dataset", reading)
+    monkeypatch.setattr(evaluation, "evaluate", scoring)
+    assert cli.main(["eval", "--model", str(model), "--data", str(data),
+                     "--out-dir", str(tmp_path / "ev")]) == 0
+    assert seen == [[True, True]]
+
+
+def test_config_blocks_serialize_as_their_fields():
+    # a checkpoint's model and train blocks are the configs' fields, so
+    # checkpoints written before and after read the same
+    cases = [
+        (ModelConfig(), training.TrainConfig(),
+         '{"model": {"ablation": "full"}, "train": {"batch_size": 64, '
+         '"epochs": 50, "lambda1": 1.0, "lambda2": 0.1, "learning_rate": '
+         '0.001, "seed": 0, "wavelet_scales": [4, 8, 16]}}'),
+        (ModelConfig("no_wavelet_loss"),
+         training.TrainConfig(epochs=3, batch_size=5, learning_rate=2.5e-4,
+                              lambda1=0.5, lambda2=0.0,
+                              wavelet_scales=(2, 3.5), seed=9),
+         '{"model": {"ablation": "no_wavelet_loss"}, "train": {"batch_size": '
+         '5, "epochs": 3, "lambda1": 0.5, "lambda2": 0.0, "learning_rate": '
+         '0.00025, "seed": 9, "wavelet_scales": [2, 3.5]}}'),
+    ]
+    for model_cfg, train_cfg, text in cases:
+        blocks = {"model": asdict(model_cfg), "train": asdict(train_cfg)}
+        assert json.dumps(blocks, sort_keys=True) == text
+        assert ModelConfig(**json.loads(text)["model"]) == model_cfg
 
 
 # the dataset header: 60 bytes, the three split counts at offset 8

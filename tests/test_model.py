@@ -1,6 +1,7 @@
 """Model contracts: attention oracle, identity gates, shapes, persistence."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -116,11 +117,10 @@ def test_attention_param_count():
 def test_model_config_validation():
     with pytest.raises(ConfigError):
         m.ModelConfig(ablation="bogus")
-    assert m.ModelConfig.from_dict({"ablation": "vanilla"}).to_dict() == {
-        "ablation": "vanilla"}
+    assert asdict(m.ModelConfig("vanilla")) == {"ablation": "vanilla"}
     # the layer sizes are fixed: a config that still names one is refused
     with pytest.raises(TypeError):
-        m.ModelConfig.from_dict({"ablation": "full", "input_len": 800})
+        m.ModelConfig(ablation="full", input_len=800)
 
 
 def test_ablation_flags():
@@ -227,10 +227,10 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     net = m.DualDomainAutoencoder(m.ModelConfig(), seed=4)
     net.params["attention.gamma"].data = np.array(0.25)
     p = tmp_path / "model.bin"
-    datafile.write_checkpoint(p, {"model": net.config.to_dict()},
+    datafile.write_checkpoint(p, {"model": asdict(net.config)},
                               net.named_parameters())
     cfg, params = datafile.read_checkpoint(p)
-    net2 = m.DualDomainAutoencoder(m.ModelConfig.from_dict(cfg["model"]), seed=99)
+    net2 = m.DualDomainAutoencoder(m.ModelConfig(**cfg["model"]), seed=99)
     net2.load_named_parameters(params)
     rng = np.random.default_rng(9)
     t_in = rng.standard_normal((2, 800))

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dawnet import linkbudget as lb
 from dawnet import simulate as sim
 from dawnet.errors import ConfigError, GenerationError, ShapeError
 
@@ -22,6 +23,88 @@ def test_slant_range_overhead_pass():
     assert abs(sim.slant_range_m(500e3, 90.0) - 500e3) < 1e-3
     # at lower elevation the path is longer
     assert sim.slant_range_m(500e3, 10.0) > 500e3
+
+
+# --- link budget -------------------------------------------------------------
+
+def test_fspl_geo_ku_band():
+    # 36,000 km slant range at 11.7 GHz
+    assert abs(sim.fspl_db(36_000_000.0, 11.7e9) - 204.94) <= 0.01
+
+
+def test_fspl_unity_point():
+    # d = c/(4 pi) at 1 Hz makes the argument 1, so the loss is 0 dB
+    d = sim.SPEED_OF_LIGHT_M_S / (4.0 * math.pi)
+    assert abs(sim.fspl_db(d, 1.0)) < 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(1e3, 1e8), st.floats(1e6, 1e12))
+def test_fspl_doubling_adds_6db(d, f):
+    delta = sim.fspl_db(2.0 * d, f) - sim.fspl_db(d, f)
+    assert abs(delta - 20.0 * math.log10(2.0)) < 1e-9
+    assert abs(delta - 6.0206) < 1e-3
+
+
+def test_fspl_domain_errors():
+    with pytest.raises(ConfigError):
+        sim.fspl_db(0.0, 1e9)
+    with pytest.raises(ConfigError):
+        sim.fspl_db(-5.0, 1e9)
+    with pytest.raises(ConfigError):
+        sim.fspl_db(1e6, 0.0)
+
+
+def test_db_round_trip():
+    for x in (1e-12, 0.5, 1.0, 42.0):
+        assert abs(sim.db_to_linear(sim.linear_to_db(x)) - x) < 1e-9 * x
+    with pytest.raises(ConfigError):
+        sim.linear_to_db(0.0)
+
+
+def _budget_link(rng):
+    # one LEO's in-band power from its six uniforms, as the link budget
+    # states it: EIRP + receive gain - path loss - extra loss, in dB, then
+    # scaled by the in-band fraction
+    altitude = rng.uniform(*sim.LEO_ALT_RANGE_M)
+    elevation = rng.uniform(sim.LEO_MIN_ELEVATION_DEG, 90.0)
+    u_overlap = rng.uniform()
+    u_log = rng.uniform(sim.OVERLAP_LOG10_MIN, sim.OVERLAP_LOG10_MAX)
+    add_loss = rng.uniform(*sim.LINK_LOSS_RANGE_DB)
+    doppler = rng.uniform(-0.1, 0.1) * sim.BANDWIDTH_HZ
+    overlap = 0.0 if u_overlap < sim.OVERLAP_ZERO_PROB else 10.0 ** u_log
+    fspl = sim.fspl_db(sim.slant_range_m(altitude, elevation),
+                       sim.CARRIER_FREQ_HZ)
+    power = sim.db_to_linear(sim.LEO_EIRP_DBW + sim.RX_GAIN_DB - fspl
+                             - add_loss) * overlap
+    return power, doppler
+
+
+def test_leo_links_match_the_budget_bitwise():
+    out_of_band = 0
+    for index in range(200):
+        rng, cnr_db, per_leo, inr_db = sim._draw_links(4, index)
+        twin = np.random.default_rng(np.random.SeedSequence([4, index]))
+        again = np.random.default_rng(np.random.SeedSequence([4, index]))
+        twin.uniform(*sim.LINK_LOSS_RANGE_DB)      # the GSO carrier's loss
+        again.uniform(*sim.LINK_LOSS_RANGE_DB)
+        links = [_budget_link(twin) for _ in range(sim.NUM_LEO)]
+        drawn = [sim.sample_leo_link(again) for _ in range(sim.NUM_LEO)]
+        assert np.array(drawn).tobytes() == np.array(links).tobytes()
+        total = 0.0
+        for (power, doppler), (link_db, shift) in zip(links, per_leo):
+            total = total + power
+            assert shift == doppler
+            if power == 0.0:
+                out_of_band += 1
+                assert link_db == float("-inf")
+            else:
+                assert link_db == sim.linear_to_db(power)
+        assert inr_db == (sim.linear_to_db(total) if total > 0
+                          else float("-inf"))
+        # the candidate's RNG is left where the waveform draws start
+        assert rng.uniform() == twin.uniform() == again.uniform()
+    assert 0 < out_of_band < 200 * sim.NUM_LEO
 
 
 # --- waveform synthesis ------------------------------------------------------
@@ -58,8 +141,8 @@ def test_waveform_full_budget_monte_carlo():
     rng = np.random.default_rng(77)
     cnr_db, inrs = 9.0, [(6.0, 2e5), (12.0, -3e5)]
     y = sim.synthesize_waveform(cnr_db, inrs, rng, num_samples=100_000)
-    expected = 1.0 + lb.db_to_linear(cnr_db) + sum(lb.db_to_linear(i)
-                                                   for i, _ in inrs)
+    expected = 1.0 + sim.db_to_linear(cnr_db) + sum(sim.db_to_linear(i)
+                                                    for i, _ in inrs)
     power = float(np.mean(np.abs(y) ** 2))
     assert abs(power - expected) / expected < 0.05
 
@@ -84,10 +167,11 @@ def test_qpsk_matches_full_length_exp():
 def _waveform_all_links(cnr_db, per_leo, rng, n):
     # every interferer rotated and added, a -inf one at zero power
     y = _qpsk_exp(rng, n) * math.sqrt(0.0 if cnr_db == float("-inf")
-                                      else lb.db_to_linear(cnr_db))
+                                      else sim.db_to_linear(cnr_db))
     t = np.arange(n, dtype=np.float64)
     for inr_db, doppler_hz in per_leo:
-        inr_lin = 0.0 if inr_db == float("-inf") else lb.db_to_linear(inr_db)
+        inr_lin = (0.0 if inr_db == float("-inf")
+                   else sim.db_to_linear(inr_db))
         stream = _qpsk_exp(rng, n)
         rotation = np.exp(2j * math.pi * doppler_hz * t / sim.BANDWIDTH_HZ)
         y = y + stream * rotation * math.sqrt(inr_lin)

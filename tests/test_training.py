@@ -320,8 +320,8 @@ def test_per_sample_losses_match_dwt_definition():
     target = np.concatenate([amp, psd], axis=1)
     with ad.no_grad():
         recon = net.forward(amp, psd).data
-    coeffs = (wavelet.dwt(ad.Tensor(recon[:, None]), bank).data
-              - wavelet.dwt(ad.Tensor(target[:, None]), bank).data)
+    coeffs = (ad.dwt(ad.Tensor(recon[:, None]), bank.kernels).data
+              - ad.dwt(ad.Tensor(target[:, None]), bank.kernels).data)
     want = (np.mean((recon - target) ** 2, axis=1)
             + 0.1 * 3 * np.mean(coeffs ** 2, axis=(1, 2, 3)))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -54,6 +54,7 @@ statistics; a pair with a null on either side is neither a win nor a loss.
 import argparse
 import json
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -151,7 +152,14 @@ def benchmark_spec(checkouts):
             {m["name"]: m for m in spec["end_to_end"]})
 
 
+def _stop(signum, frame):
+    # SIGTERM's default action ends the process without running the
+    # ``finally`` that removes the work directory; an exception runs it
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None):
+    signal.signal(signal.SIGTERM, _stop)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")

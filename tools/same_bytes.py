@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -162,7 +163,14 @@ def compare_printed(parent: list, change: list) -> list:
             for argv, a, b in zip(PIPELINE, parent, change)]
 
 
+def _stop(signum, frame):
+    # SIGTERM's default action ends the process without running the
+    # ``finally`` that removes the work directory; an exception runs it
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, _stop)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
