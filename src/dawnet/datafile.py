@@ -6,6 +6,7 @@ with the absolute file offset of the first inconsistency.
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from .errors import FormatError
 from .simulate import SNAPSHOT, SNAPSHOT_LEN, DatasetBundle
 
 DATASET_MAGIC = b"DAWN"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 CHECKPOINT_MAGIC = b"DAWM"
 CHECKPOINT_VERSION = 1
 # the dataset header stores each split's length as a u32
@@ -64,103 +65,100 @@ class _Reader:
 # dataset container
 # ---------------------------------------------------------------------------
 
-# one packed record, in file order: 17 + 12·SNAPSHOT_LEN bytes
-RECORD = np.dtype([("label", "u1"), ("inr_db", "<f8"), ("cnr_db", "<f8"),
-                   ("re", "<f4", (SNAPSHOT_LEN,)),
-                   ("im", "<f4", (SNAPSHOT_LEN,)),
-                   ("psd", "<f4", (SNAPSHOT_LEN,))])
+# magic, version, the three split counts, samples and bins per record, and
+# the normalization stats; then each split's ``SNAPSHOT`` rows, as in memory
+DATASET_HEADER = "<4sI3I2I4d"
+HEADER_LEN = struct.calcsize(DATASET_HEADER)
 
 
 def write_dataset(path, bundle: DatasetBundle) -> None:
-    """The header, then each split's columns assigned to ``RECORD`` rows;
-    one split's records at a time, so that writing holds at most one
-    split's copy besides the bundle."""
+    """``SNAPSHOT`` declares every field little-endian, so the rows are the
+    same bytes on any host."""
     splits = (bundle.train, bundle.validation, bundle.test)
-    # the label byte would wrap a label that the reader must refuse
+    # the reader refuses any other label
     if not all(np.all((s.label == 0) | (s.label == 1)) for s in splits):
         raise FormatError("labels must be 0 or 1")
     with Path(path).open("wb") as f:
-        f.write(struct.pack("<4sI3I2I4d", DATASET_MAGIC, DATASET_VERSION,
+        f.write(struct.pack(DATASET_HEADER, DATASET_MAGIC, DATASET_VERSION,
                             *map(len, splits), SNAPSHOT_LEN, SNAPSHOT_LEN,
                             *bundle.norm_stats))
         for split in splits:
-            rec = np.empty(len(split), RECORD)
-            time = split.time_samples
-            rec["re"], rec["im"], rec["psd"] = (time.real, time.imag,
-                                                split.psd_db)
-            for name in ("label", "inr_db", "cnr_db"):
-                rec[name] = split[name]
-            rec.tofile(f)
+            split.tofile(f)
 
 
-def _read_records(r: _Reader, counts) -> list:
-    """One split per count, from consecutive records at the cursor, in one
-    ``frombuffer``.
+def _check_size(size: int, count: int, label: str) -> None:
+    """Refuse a file that is not the header and ``count`` records long: a
+    short one at the first field of its first incomplete record."""
+    end = HEADER_LEN + count * SNAPSHOT.itemsize
+    if size > end:
+        raise FormatError(f"{size - end} trailing bytes in {label}",
+                          offset=end)
+    if size < end:
+        whole, spare = divmod(size - HEADER_LEN, SNAPSHOT.itemsize)
+        dtype, at = next((d, at) for d, at in SNAPSHOT.fields.values()
+                         if at + d.itemsize > spare)
+        raise FormatError(f"truncated {label}: wanted {dtype.itemsize} bytes",
+                          offset=HEADER_LEN + whole * SNAPSHOT.itemsize + at)
 
-    The size is checked in Python integers first. A short file fails at the
-    first piece that does not fit: the label with both ratios, then each
-    array. Each split owns its rows, so a caller that drops one split
-    frees its memory."""
-    widths = [RECORD[name].itemsize for name in RECORD.names]
-    size, start, count = RECORD.itemsize, r.pos, sum(counts)
-    whole = min(count, (len(r.blob) - start) // size)
-    if whole < count:
-        r.pos = start + whole * size
-        for width in (sum(widths[:3]), *widths[3:]):
-            r.take(width)  # one of these raises: the record is incomplete
-    rec = np.frombuffer(r.blob, RECORD, count, start)
-    r.pos = start + count * size
 
-    splits, first = [], 0
-    for n in counts:
-        part = rec[first:first + n]
-        split = np.recarray(n, SNAPSHOT)
-        time, psd = split.time_samples, split.psd_db
-        time.real, time.imag, psd[...] = part["re"], part["im"], part["psd"]
-        labels = part["label"]
-        # a row's min and max carry any NaN or inf in it
-        time_ok, psd_ok = (np.isfinite(a.min(axis=1))
-                           & np.isfinite(a.max(axis=1))
-                           for a in (time.view(np.float32), psd))
-        bad = (labels > 1) | ~time_ok | ~psd_ok
-        if bad.any():
-            i = int(np.argmax(bad))
-            what = "PSD bin" if time_ok[i] else "time sample"
-            raise FormatError(f"label byte must be 0 or 1, got {labels[i]}"
-                              if labels[i] > 1 else
-                              f"non-finite {what} in record {first + i}",
-                              offset=start + (first + i) * size)
-        for name in ("label", "inr_db", "cnr_db"):
-            split[name] = part[name]
-        splits.append(split)
-        first += n
-    return splits
+def _check_rows(split, first: int) -> None:
+    """Refuse the first row that no writer produces, at the offset of its
+    record; the split holds records ``first`` onward."""
+    # a row's min and max carry any NaN or inf in it
+    time_ok, psd_ok = (np.isfinite(a.min(axis=1)) & np.isfinite(a.max(axis=1))
+                       for a in (split.time_samples.view(np.float32),
+                                 split.psd_db))
+    masks = ((split.label == 0) | (split.label == 1), time_ok, psd_ok,
+             # -inf INR means no LEO in band
+             np.isfinite(split.inr_db) | (split.inr_db == -np.inf),
+             np.isfinite(split.cnr_db))
+    ok = np.logical_and.reduce(masks)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        what = next(r for m, r in zip(masks, (
+            f"label must be 0 or 1, got {split.label[i]}",
+            "non-finite time sample", "non-finite PSD bin",
+            "INR neither finite nor -inf", "non-finite CNR")) if not m[i])
+        raise FormatError(f"{what} in record {first + i}",
+                          offset=HEADER_LEN + (first + i) * SNAPSHOT.itemsize)
 
 
 def read_dataset(path) -> DatasetBundle:
+    """Each split in one ``np.fromfile``, after the header and the file size
+    are checked; each split owns its rows, so a caller that drops one split
+    frees its memory."""
     path = Path(path)
-    r = _Reader(path.read_bytes(), f"dataset {path.name}")
-    magic = r.take(4)
-    if magic != DATASET_MAGIC:
-        raise FormatError(f"bad magic {magic!r}", offset=0)
-    (version,) = r.unpack("I")
-    if version != DATASET_VERSION:
-        raise FormatError(f"unsupported dataset version {version}", offset=4)
-    n_train, n_val, n_test = r.unpack("III")
-    dims = r.unpack("II")
-    if dims != (SNAPSHOT_LEN, SNAPSHOT_LEN):
-        raise FormatError(f"{dims[0]} time samples and {dims[1]} PSD bins "
-                          f"per record; both must be {SNAPSHOT_LEN}",
-                          offset=20)
-    norm_stats = r.unpack("dddd")
-    if not (all(map(math.isfinite, norm_stats)) and norm_stats[1] > 0
-            and norm_stats[3] > 0):
-        raise FormatError(f"normalization stats {norm_stats} must be finite "
-                          f"with positive standard deviations", offset=28)
-    train, val, test = _read_records(r, (n_train, n_val, n_test))
-    r.expect_end()
-    return DatasetBundle(train=train, validation=val, test=test,
-                         norm_stats=norm_stats)
+    label = f"dataset {path.name}"
+    with path.open("rb", buffering=0) as f:
+        r = _Reader(f.read(HEADER_LEN), label)
+        magic = r.take(4)
+        if magic != DATASET_MAGIC:
+            raise FormatError(f"bad magic {magic!r}", offset=0)
+        (version,) = r.unpack("I")
+        if version != DATASET_VERSION:
+            raise FormatError(f"unsupported dataset version {version} (this "
+                              f"release reads version {DATASET_VERSION}); "
+                              f"regenerate it with dawnet gen-data", offset=4)
+        counts = r.unpack("III")
+        dims = r.unpack("II")
+        if dims != (SNAPSHOT_LEN, SNAPSHOT_LEN):
+            raise FormatError(f"{dims[0]} time samples and {dims[1]} PSD "
+                              f"bins per record; both must be {SNAPSHOT_LEN}",
+                              offset=20)
+        norm_stats = r.unpack("dddd")
+        if not (all(map(math.isfinite, norm_stats)) and norm_stats[1] > 0
+                and norm_stats[3] > 0):
+            raise FormatError(f"normalization stats {norm_stats} must be "
+                              f"finite with positive standard deviations",
+                              offset=28)
+        _check_size(os.fstat(f.fileno()).st_size, sum(counts), label)
+        splits, first = [], 0
+        for n in counts:
+            split = np.fromfile(f, SNAPSHOT, n).view(np.recarray)
+            _check_rows(split, first)
+            splits.append(split)
+            first += n
+    return DatasetBundle(*splits, norm_stats=norm_stats)
 
 
 # ---------------------------------------------------------------------------

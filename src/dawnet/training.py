@@ -213,8 +213,7 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
 
     lambda2, bank = wavelet_term(model.config, cfg.lambda2,
                                  cfg.wavelet_scales)
-    amp, psd = sim.model_inputs(bundle.train, bundle.norm_stats)
-    n = amp.shape[0]
+    n = len(bundle.train)
 
     opt = Adam(model.params.tensors(), lr=cfg.learning_rate)
     shuffle_rng = np.random.default_rng(
@@ -226,7 +225,8 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            a, p = amp[idx], psd[idx]
+            # normalized per batch: the split's rows are the only copy
+            a, p = sim.model_inputs(bundle.train[idx], bundle.norm_stats)
             try:
                 out = model.forward(a, p)
                 loss = composite_loss(out, np.concatenate([a, p], axis=1),

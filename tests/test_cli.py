@@ -360,7 +360,7 @@ def test_zero_row_split_exits_2(tmp_path, workspace, capsys, command, empty):
         counts = [counts[0] + counts[1], 0, counts[2]]
     else:
         # the test records go
-        size = datafile.RECORD.itemsize
+        size = sim.SNAPSHOT.itemsize
         del blob[HEADER_LEN + (counts[0] + counts[1]) * size:]
         counts[2] = 0
     struct.pack_into("<3I", blob, COUNTS_AT, *counts)
@@ -593,10 +593,11 @@ def test_gen_data_largest_counts_reach_the_draw(tmp_path, monkeypatch, flag,
 
 
 def test_nonfinite_dataset_exits_2(tmp_path, workspace, capsys):
-    # one NaN PSD bin in the last test record
+    # one NaN PSD bin, the last, in the last test record
     _, data, model = workspace
     blob = bytearray(data.read_bytes())
-    blob[-4:] = np.float32(np.nan).tobytes()
+    at = len(blob) - sim.SNAPSHOT.itemsize + sim.SNAPSHOT.fields["psd_db"][1]
+    blob[at + 4 * 799:at + 4 * 800] = np.float32(np.nan).tobytes()
     bad = tmp_path / "nan.dawn"
     bad.write_bytes(bytes(blob))
     for argv in (["eval", "--model", str(model), "--out-dir",
@@ -604,4 +605,20 @@ def test_nonfinite_dataset_exits_2(tmp_path, workspace, capsys):
                  ["train", "--epochs", "1", "--out", str(tmp_path / "m.dawm")]):
         assert cli.main([*argv, "--data", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "non-finite" in err
+        assert err.startswith("error:") and "non-finite PSD bin" in err
+        assert f"offset {len(blob) - sim.SNAPSHOT.itemsize})" in err
+
+
+def test_version_1_dataset_exits_2(tmp_path, workspace, capsys):
+    # version 1 stored planar samples and a one-byte label: no reader left
+    _, data, model = workspace
+    blob = bytearray(data.read_bytes())
+    struct.pack_into("<I", blob, 4, 1)
+    old = tmp_path / "v1.dawn"
+    old.write_bytes(bytes(blob))
+    assert cli.main(["eval", "--model", str(model), "--data", str(old),
+                     "--out-dir", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "dataset version 1" in err and "regenerate" in err
+    assert not (tmp_path / "ev").exists()

@@ -1,11 +1,13 @@
 """Container format round-trips and corruption handling."""
 
 import hashlib
-import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dawnet import datafile, simulate as sim
 from dawnet.errors import FormatError
@@ -80,21 +82,24 @@ def test_dataset_trailing_garbage(tmp_path):
     assert "trailing" in str(exc.value)
 
 
+HEADER_PIECES = (4, 4, 12, 8, 32)   # magic, version, counts, dims, stats
+HEADER_LEN = sum(HEADER_PIECES)
+# a record is one SNAPSHOT row: each field's offset in it, in file order
+FIELD_AT = {name: at for name, (_, at) in sim.SNAPSHOT.fields.items()}
+RECORD_LEN = sim.SNAPSHOT.itemsize
+
+
 def test_dataset_bad_label_byte(tmp_path):
     bundle = _bundle(seed=1, counts=(4, 2, 2))
     p = tmp_path / "ds.bin"
     datafile.write_dataset(p, bundle)
     blob = bytearray(p.read_bytes())
-    header = 4 + 4 + 12 + 8 + 32  # magic, version, counts, dims, stats
-    blob[header] = 7  # first record's label byte
+    blob[HEADER_LEN + FIELD_AT["label"]] = 7  # first record's label, low byte
     p.write_bytes(bytes(blob))
     with pytest.raises(FormatError) as exc:
         datafile.read_dataset(p)
-    assert "label" in str(exc.value)
-
-
-HEADER_PIECES = (4, 4, 12, 8, 32)   # magic, version, counts, dims, stats
-HEADER_LEN = sum(HEADER_PIECES)
+    assert "label must be 0 or 1, got 7 in record 0" in str(exc.value)
+    assert exc.value.offset == HEADER_LEN
 
 
 def _written(tmp_path, counts=(4, 2, 2)):
@@ -106,10 +111,6 @@ def _written(tmp_path, counts=(4, 2, 2)):
     return p, records
 
 
-# widths of a record's pieces: label with both ratios, re, im, PSD
-RECORD_PIECES = (17, *(4 * sim.SNAPSHOT_LEN,) * 3)
-
-
 def _patch(p, at, fmt, value):
     blob = bytearray(p.read_bytes())
     blob[at:at + struct.calcsize(fmt)] = struct.pack(fmt, value)
@@ -119,11 +120,10 @@ def _patch(p, at, fmt, value):
 def test_dataset_truncation_offsets(tmp_path):
     p, records = _written(tmp_path, counts=(2, 1, 1))
     blob = p.read_bytes()
-    size = sum(RECORD_PIECES)
-    starts = list(itertools.accumulate(HEADER_PIECES[:-1], initial=0))
-    for first in (HEADER_LEN, HEADER_LEN + (records - 1) * size):
-        starts += itertools.accumulate(RECORD_PIECES[:-1], initial=first)
-    starts.append(HEADER_LEN + size)   # the end of the first record
+    starts = [0, 4, 8, 20, 28]   # the header fields
+    for first in (HEADER_LEN, HEADER_LEN + (records - 1) * RECORD_LEN):
+        starts += [first + at for at in FIELD_AT.values()]
+    starts.append(HEADER_LEN + RECORD_LEN)   # the end of the first record
     for start in starts:
         for cut in (start, start + 1):
             p.write_bytes(blob[:cut])
@@ -134,17 +134,18 @@ def test_dataset_truncation_offsets(tmp_path):
 
 
 def test_dataset_huge_declared_size_is_truncated(tmp_path):
-    # 3·(2³²−1) declared records: refused before anything is allocated
+    # 3·(2³²−1) declared records: refused before anything is allocated.
+    # The first record's time samples fit and its PSD does not.
     p = tmp_path / "ds.bin"
     huge = 2**32 - 1
-    p.write_bytes(b"DAWN" + struct.pack("<I3I2I4d", 1, huge, huge, huge,
+    p.write_bytes(b"DAWN" + struct.pack("<I3I2I4d", 2, huge, huge, huge,
                                         800, 800, 0.0, 1.0, 0.0, 1.0)
-                  + bytes(40))
+                  + bytes(FIELD_AT["psd_db"] + 40))
     with pytest.raises(FormatError) as exc:
         datafile.read_dataset(p)
     assert "truncated" in str(exc.value)
     assert "wanted 3200 bytes" in str(exc.value)
-    assert exc.value.offset == HEADER_LEN + 17
+    assert exc.value.offset == HEADER_LEN + FIELD_AT["psd_db"]
 
 
 @pytest.mark.parametrize("at,fmt,value", [
@@ -161,34 +162,51 @@ def test_dataset_bad_header_values(tmp_path, at, fmt, value):
     assert exc.value.offset == (20 if at < 28 else 28)
 
 
-@pytest.mark.parametrize("record,piece,value", [
-    (-1, 3, float("nan")), (0, 1, float("inf")), (5, 2, float("-inf")),
+# (field, float32 index in it): PSD bin 3, and the real and imaginary parts
+# of time sample 3, which are interleaved
+@pytest.mark.parametrize("record,field,index,value", [
+    (-1, "psd_db", 3, float("nan")), (0, "time_samples", 6, float("inf")),
+    (5, "time_samples", 7, float("-inf")),
 ], ids=["psd-nan-test-split", "re-inf-train-split", "im-neginf-val-split"])
-def test_dataset_nonfinite_sample_rejected(tmp_path, record, piece, value):
+def test_dataset_nonfinite_sample_rejected(tmp_path, record, field, index,
+                                           value):
     p, records = _written(tmp_path)
-    start = HEADER_LEN + (record % records) * sum(RECORD_PIECES)
-    _patch(p, start + sum(RECORD_PIECES[:piece]) + 4 * 3, "<f", value)
+    start = HEADER_LEN + (record % records) * RECORD_LEN
+    _patch(p, start + FIELD_AT[field] + 4 * index, "<f", value)
     with pytest.raises(FormatError) as exc:
         datafile.read_dataset(p)
     assert "non-finite" in str(exc.value)
     assert exc.value.offset == start
 
 
+@pytest.mark.parametrize("field,value,what", [
+    ("inr_db", float("nan"), "INR"), ("inr_db", float("inf"), "INR"),
+    ("cnr_db", float("nan"), "CNR"), ("cnr_db", float("inf"), "CNR"),
+    ("cnr_db", float("-inf"), "CNR"),
+], ids=["inr-nan", "inr-inf", "cnr-nan", "cnr-inf", "cnr-neginf"])
+def test_dataset_nonfinite_link_figure_rejected(tmp_path, field, value, what):
+    p, _ = _written(tmp_path)
+    start = HEADER_LEN + 6 * RECORD_LEN   # the test split's first row
+    _patch(p, start + FIELD_AT[field], "<d", value)
+    with pytest.raises(FormatError) as exc:
+        datafile.read_dataset(p)
+    assert what in str(exc.value) and "in record 6" in str(exc.value)
+    assert exc.value.offset == start
+
+
 def test_dataset_first_bad_label_offset(tmp_path):
     p, records = _written(tmp_path)
-    size = sum(RECORD_PIECES)
     for k in (records - 1, 3):
-        blob = bytearray(p.read_bytes())
-        blob[HEADER_LEN + k * size] = 2
-        p.write_bytes(bytes(blob))
+        _patch(p, HEADER_LEN + k * RECORD_LEN + FIELD_AT["label"], "<q", 2)
     with pytest.raises(FormatError) as exc:
         datafile.read_dataset(p)
     assert "label" in str(exc.value)
-    assert exc.value.offset == HEADER_LEN + 3 * size
+    assert exc.value.offset == HEADER_LEN + 3 * RECORD_LEN
 
 
 @pytest.mark.parametrize("label", [2, 256, -1])
 def test_dataset_write_refuses_a_label_its_byte_cannot_hold(tmp_path, label):
+    # the reader would refuse the file
     bundle = _bundle()
     bundle.test.label[-1] = label
     p = tmp_path / "ds.bin"
@@ -200,7 +218,8 @@ def test_dataset_write_refuses_a_label_its_byte_cannot_hold(tmp_path, label):
 def test_dataset_reads_inr_minus_inf(tmp_path):
     # -inf INR means no LEO in band: a legitimate value, not corruption
     p, _ = _written(tmp_path)
-    _patch(p, HEADER_LEN + sum(RECORD_PIECES) + 1, "<d", float("-inf"))
+    _patch(p, HEADER_LEN + RECORD_LEN + FIELD_AT["inr_db"], "<d",
+           float("-inf"))
     back = datafile.read_dataset(p)
     assert back.train[1].inr_db == float("-inf")
     assert back.train.inr_db.dtype == np.float64
@@ -221,6 +240,65 @@ def test_dataset_read_types(tmp_path):
         assert isinstance(s.label, np.int64)
         assert isinstance(s.inr_db, np.float64)
         assert isinstance(s.cnr_db, np.float64)
+
+
+def test_dataset_is_the_splits_bytes(tmp_path):
+    bundle = _bundle()
+    p = tmp_path / "ds.bin"
+    datafile.write_dataset(p, bundle)
+    assert p.read_bytes()[HEADER_LEN:] == (bundle.train.tobytes()
+                                           + bundle.validation.tobytes()
+                                           + bundle.test.tobytes())
+
+
+def test_dataset_read_holds_only_the_splits(tmp_path):
+    # zero rows are valid records; 400 of them are 3.8 MB
+    rows = np.zeros(400, sim.SNAPSHOT).view(np.recarray)
+    bundle = sim.DatasetBundle(rows[:300], rows[300:350], rows[350:],
+                               (0.0, 1.0, 0.0, 1.0))
+    p = tmp_path / "ds.bin"
+    datafile.write_dataset(p, bundle)
+    tracemalloc.start()
+    try:
+        back = datafile.read_dataset(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back.train) + len(back.validation) + len(back.test) == 400
+    assert peak <= rows.nbytes + 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.fixture(scope="module")
+def tiny_blob(tmp_path_factory):
+    """A five-record dataset's bytes."""
+    p = tmp_path_factory.mktemp("tiny") / "ds.bin"
+    datafile.write_dataset(p, _bundle(seed=1, counts=(2, 1, 1)))
+    return p.read_bytes()
+
+
+def _cuts(blob):
+    """Every field boundary of the first and the last record, +/- 1 byte."""
+    bounds = {first + at for first in (HEADER_LEN, len(blob) - RECORD_LEN)
+              for at in (*FIELD_AT.values(), RECORD_LEN)}
+    return sorted(b + d for b in bounds for d in (-1, 0, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_dataset_damaged_reads_or_fails_inside_file(tmp_path_factory,
+                                                    tiny_blob, data):
+    blob = bytearray(tiny_blob)
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[data.draw(st.sampled_from(_cuts(blob)), label="cut"):]
+    else:
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+    p = tmp_path_factory.getbasetemp() / "damaged.bin"
+    p.write_bytes(bytes(blob))
+    try:
+        datafile.read_dataset(p)
+    except FormatError as exc:
+        assert exc.offset is not None and 0 <= exc.offset <= len(blob)
 
 
 # --- checkpoint container ----------------------------------------------------

@@ -223,6 +223,20 @@ def test_train_history_length_and_validation():
         tr.train(bad, _net(), cfg)
 
 
+def test_train_normalizes_per_batch(monkeypatch):
+    # the split's rows are the only copy of the inputs a training run holds
+    rows = []
+    inputs = sim.model_inputs
+
+    def counted(split, norm_stats):
+        rows.append(len(split))
+        return inputs(split, norm_stats)
+
+    monkeypatch.setattr(sim, "model_inputs", counted)
+    tr.train(_bundle(), _net(), tr.TrainConfig(epochs=2, batch_size=10))
+    assert rows == [10, 10, 4] * 2
+
+
 def test_train_loss_decreases():
     bundle = _bundle(seed=11, counts=(96, 16, 8))
     net = _net(seed=1)
