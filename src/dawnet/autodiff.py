@@ -140,32 +140,6 @@ def _consumed(g=None):
                       "consumed; run one backward per forward")
 
 
-class ParamRegistry:
-    """Named parameter tensors with stable (insertion) iteration order."""
-
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-
-    def register(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self._params:
-            raise ConfigError(f"duplicate parameter name: {name}")
-        tensor.requires_grad = True
-        self._params[name] = tensor
-        return tensor
-
-    def names(self):
-        return list(self._params)
-
-    def tensors(self):
-        return list(self._params.values())
-
-    def items(self):
-        return list(self._params.items())
-
-    def __getitem__(self, name):
-        return self._params[name]
-
-
 # ---------------------------------------------------------------------------
 # elementwise / structural ops
 # ---------------------------------------------------------------------------

@@ -41,15 +41,15 @@ ABLATION_FLAGS = {
 }
 
 
-def _artifact_digest(path) -> str:
+def _artifact_digest(path, canonical_json: bool) -> str:
     """Digest over stable content.
 
-    JSON artifacts are digested over their canonical form with any
-    top-level "volatile" block removed, so identical-seed runs record
-    identical digests; everything else is digested over raw bytes.
+    A JSON report is digested over its canonical form with any top-level
+    "volatile" block removed, so identical-seed runs record identical
+    digests; every other file, whatever its name, over its raw bytes.
     """
     path = Path(path)
-    if path.suffix == ".json":
+    if canonical_json:
         doc = json.loads(path.read_text(encoding="utf-8"))
         if isinstance(doc, dict):
             doc.pop("volatile", None)
@@ -63,8 +63,10 @@ def _artifact_digest(path) -> str:
 
 
 def _digests(paths: dict) -> dict:
-    """The manifest record of named files, each read once."""
-    return {name: {"path": str(Path(p)), "sha256": _artifact_digest(p)}
+    """The manifest record of named files, each read once; a report is
+    recorded under a name that ends in ``report.json``."""
+    return {name: {"path": str(Path(p)),
+                   "sha256": _artifact_digest(p, name.endswith("report.json"))}
             for name, p in paths.items()}
 
 
@@ -321,15 +323,18 @@ def cmd_ablate(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 def _add_train_flags(parser) -> None:
-    """The training flags `train` and `ablate` share (read by _train_config)."""
-    parser.add_argument("--epochs", type=int, default=50)
-    parser.add_argument("--batch", type=int, default=64)
-    parser.add_argument("--lr", type=float, default=1e-3)
-    parser.add_argument("--lambda1", type=float, default=1.0)
-    parser.add_argument("--lambda2", type=float, default=0.1)
-    parser.add_argument("--scales", default="4,8,16",
+    """The training flags `train` and `ablate` share (read by _train_config),
+    each defaulting to its ``TrainConfig`` field."""
+    cfg = tr.TrainConfig()
+    parser.add_argument("--epochs", type=int, default=cfg.epochs)
+    parser.add_argument("--batch", type=int, default=cfg.batch_size)
+    parser.add_argument("--lr", type=float, default=cfg.learning_rate)
+    parser.add_argument("--lambda1", type=float, default=cfg.lambda1)
+    parser.add_argument("--lambda2", type=float, default=cfg.lambda2)
+    parser.add_argument("--scales",
+                        default=",".join(map(str, cfg.wavelet_scales)),
                         help="comma-separated wavelet scales")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=cfg.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -176,8 +176,7 @@ def f1_accuracy_confusion(pred, labels):
     return accuracy, f1, (tn, fp, fn, tp)
 
 
-def time_inference(model, amp: np.ndarray, psd: np.ndarray,
-                   repeats: int = 5) -> float:
+def time_inference(model, x: np.ndarray, repeats: int = 5) -> float:
     """Median wall-clock seconds per forward batch, warm-up excluded.
 
     Not used by ``evaluate``, which times the batches it scores; kept
@@ -186,11 +185,11 @@ def time_inference(model, amp: np.ndarray, psd: np.ndarray,
     if repeats < 3:
         raise ConfigError("repeats must be at least 3")
     with ad.no_grad():
-        model.forward(amp, psd)  # warm-up
+        model.forward(x)  # warm-up
         samples = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            model.forward(amp, psd)
+            model.forward(x)
             samples.append(time.perf_counter() - t0)
     return float(np.median(samples))
 

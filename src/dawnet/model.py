@@ -1,12 +1,14 @@
 """Dual-branch convolutional autoencoder with bidirectional mutual attention.
 
-Two width-800 channels (waveform amplitude, log-PSD) are encoded separately
-to 16x4 latents, cross-refined through a shared single-head attention block
-at channel reduction 8, concatenated to a 128-d code, and decoded back to
-the stacked 1600-d signal. The layer sizes are the module constants below;
-the only choice a model makes is its ablation variant. Ablation flags drop
-the attention stage and/or the wavelet term of the loss without touching
-parameter layout, so every variant shares checkpoints and initialization.
+The input is one stacked 1600-sample signal per snapshot: its normalized
+amplitude followed by its normalized log-PSD. Each 800-sample half is
+encoded separately to a 16x4 latent, the two are cross-refined through a
+shared single-head attention block at channel reduction 8, joined on the
+channel axis into a 32x4 code, and decoded back to the stacked signal.
+The layer sizes are the module constants below; the only choice a model
+makes is its ablation variant. Ablation flags drop the attention stage
+and/or the wavelet term of the loss without touching parameter layout, so
+every variant shares checkpoints and initialization.
 """
 
 import math
@@ -21,7 +23,6 @@ from .simulate import SNAPSHOT_LEN
 INPUT_LEN = SNAPSHOT_LEN                 # samples per branch input
 LATENT_CHANNELS, LATENT_LEN = 16, 4      # each branch's latent
 REDUCTION = 8                            # attention query/key reduction
-FUSED_DIM = 2 * LATENT_CHANNELS * LATENT_LEN
 
 # (cin, cout, kernel, stride, pad, relu) per encoder layer: four reflect-
 # padded stride-2 convs 800 -> 50, then a linear stride-adjusting conv with
@@ -99,57 +100,50 @@ def fuse_bidirectional(x: ad.Tensor, y: ad.Tensor, p: AttentionParams):
 
 
 class DualDomainAutoencoder:
-    """Encoders, shared attention, decoder; parameters in a fixed registry.
+    """Encoders, shared attention, decoder; parameters in one ordered dict.
 
-    Every ablation registers the identical parameter set in the identical
+    ``params`` maps each parameter's name to its tensor in creation order.
+    Every ablation creates the identical parameter set in the identical
     order, so checkpoints are interchangeable and seed-matched variants
     start from bitwise-equal weights.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        self.params = ad.ParamRegistry()
+        self.params = {}
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
 
-        def uniform(shape, fan_in):
-            bound = 1.0 / math.sqrt(fan_in)
-            return ad.Tensor(rng.uniform(-bound, bound, size=shape))
+        def param(name, shape, fan_in=None):
+            """A trainable tensor: uniform in +-1/sqrt(fan_in), or zeros."""
+            if fan_in is None:
+                data = np.zeros(shape)
+            else:
+                bound = 1.0 / math.sqrt(fan_in)
+                data = rng.uniform(-bound, bound, size=shape)
+            self.params[name] = ad.Tensor(data, requires_grad=True)
+            return self.params[name]
 
         self._enc = {}
         for branch in ("time_encoder", "freq_encoder"):
-            layers = []
-            for i, (cin, cout, k, s, pad, act) in enumerate(ENCODER):
-                w = self.params.register(f"{branch}.conv{i}.weight",
-                                         uniform((cout, cin, k), cin * k))
-                b = self.params.register(f"{branch}.conv{i}.bias",
-                                         ad.Tensor(np.zeros(cout)))
-                layers.append((w, b, s, pad, act))
-            self._enc[branch] = layers
+            self._enc[branch] = [
+                (param(f"{branch}.conv{i}.weight", (cout, cin, k), cin * k),
+                 param(f"{branch}.conv{i}.bias", cout), s, pad, act)
+                for i, (cin, cout, k, s, pad, act) in enumerate(ENCODER)]
 
         c, r = LATENT_CHANNELS, REDUCTION
         self.attention = AttentionParams(
-            w_q=self.params.register("attention.w_q",
-                                     uniform((c // r, c, 1), c)),
-            w_k=self.params.register("attention.w_k",
-                                     uniform((c // r, c, 1), c)),
-            w_v=self.params.register("attention.w_v",
-                                     uniform((c, c, 1), c)),
-            gamma=self.params.register("attention.gamma",
-                                       ad.Tensor(np.array(0.0))),
+            w_q=param("attention.w_q", (c // r, c, 1), c),
+            w_k=param("attention.w_k", (c // r, c, 1), c),
+            w_v=param("attention.w_v", (c, c, 1), c),
+            gamma=param("attention.gamma", ()),
         )
 
-        self._dec = []
-        for i, (cin, cout, k, s) in enumerate(DECODER):
-            w = self.params.register(f"decoder.tconv{i}.weight",
-                                     uniform((cin, cout, k), cin * k))
-            b = self.params.register(f"decoder.tconv{i}.bias",
-                                     ad.Tensor(np.zeros(cout)))
-            self._dec.append((w, b, s))
-        dense_in, dense_out = DENSE
-        self.dense_w = self.params.register(
-            "decoder.out.weight", uniform(DENSE, dense_in))
-        self.dense_b = self.params.register(
-            "decoder.out.bias", ad.Tensor(np.zeros(dense_out)))
+        self._dec = [
+            (param(f"decoder.tconv{i}.weight", (cin, cout, k), cin * k),
+             param(f"decoder.tconv{i}.bias", cout), s)
+            for i, (cin, cout, k, s) in enumerate(DECODER)]
+        self.dense_w = param("decoder.out.weight", DENSE, DENSE[0])
+        self.dense_b = param("decoder.out.bias", DENSE[1])
 
     # -- stages ------------------------------------------------------------
 
@@ -170,34 +164,27 @@ class DualDomainAutoencoder:
             return fuse_bidirectional(tx, fx, self.attention)
         return tx, fx
 
-    def decode(self, fused: ad.Tensor) -> ad.Tensor:
-        fused = ad.as_tensor(fused)
-        if fused.data.ndim != 2 or fused.data.shape[1] != FUSED_DIM:
-            raise ShapeError(f"decoder expects (B,{FUSED_DIM}), "
-                             f"got {fused.data.shape}")
-        b = fused.data.shape[0]
-        h = ad.reshape(fused, (b, 2 * LATENT_CHANNELS, LATENT_LEN))
+    def decode(self, code: ad.Tensor) -> ad.Tensor:
+        """The (B, 2L) reconstruction of a (B, 32, 4) fused code."""
+        h = ad.as_tensor(code)
+        if h.data.shape[1:] != (2 * LATENT_CHANNELS, LATENT_LEN):
+            raise ShapeError(f"decoder expects (B,{2 * LATENT_CHANNELS},"
+                             f"{LATENT_LEN}), got {h.data.shape}")
         for w, bias, stride in self._dec:
             h = ad.conv1d_transpose(h, w, b=bias, stride=stride, relu=True)
-        h = ad.reshape(h, (b, DENSE[0]))
+        h = ad.reshape(h, (h.data.shape[0], DENSE[0]))
         return ad.add_bias(ad.matmul(h, self.dense_w), self.dense_b)
 
-    def forward(self, time_in, freq_in) -> ad.Tensor:
-        time_in, freq_in = ad.as_tensor(time_in), ad.as_tensor(freq_in)
-        n = INPUT_LEN
-        if time_in.data.ndim != 2 or time_in.data.shape[1] != n:
-            raise ShapeError(f"expected (B,{n}) time input, got "
-                             f"{time_in.data.shape}")
-        if freq_in.data.shape != time_in.data.shape:
-            raise ShapeError("time and frequency batches must match")
-        b = time_in.data.shape[0]
-        tx = self.encode(ad.reshape(time_in, (b, 1, n)), "time")
-        fx = self.encode(ad.reshape(freq_in, (b, 1, n)), "freq")
-        tx, fx = self.fuse(tx, fx)
-        cl = LATENT_CHANNELS * LATENT_LEN
-        fused = ad.concat([ad.reshape(tx, (b, cl)), ad.reshape(fx, (b, cl))],
-                          axis=1)
-        return self.decode(fused)
+    def forward(self, x) -> ad.Tensor:
+        """Reconstruct (B, 2L) stacked rows, each an amplitude half and a
+        PSD half as :func:`simulate.model_inputs` makes them."""
+        x = ad.as_tensor(x).data
+        if x.ndim != 2 or x.shape[1] != 2 * INPUT_LEN:
+            raise ShapeError(f"expected (B,{2 * INPUT_LEN}) input, got "
+                             f"{x.shape}")
+        tx = self.encode(x[:, None, :INPUT_LEN], "time")
+        fx = self.encode(x[:, None, INPUT_LEN:], "freq")
+        return self.decode(ad.concat(self.fuse(tx, fx), axis=1))
 
     # -- persistence ---------------------------------------------------------
 
@@ -206,7 +193,7 @@ class DualDomainAutoencoder:
 
     def load_named_parameters(self, named):
         named = list(named)
-        expected = self.params.names()
+        expected = list(self.params)
         got = [n for n, _ in named]
         if got != expected:
             raise ConfigError(

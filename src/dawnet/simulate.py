@@ -263,33 +263,44 @@ def generate_snapshot(seed: int, index: int, draws=None) -> np.record:
 
 
 def amplitude(split) -> np.ndarray:
-    """(N, SNAPSHOT_LEN) float64 |y[n]| matrix."""
-    return np.abs(split.time_samples).astype(np.float64)
+    """(N, SNAPSHOT_LEN) float64 |y[n]| matrix: each complex64 sample's
+    float32 modulus, written straight into the float64 result."""
+    return np.abs(split.time_samples, out=np.empty(split.time_samples.shape))
 
 
 def psd_matrix(split) -> np.ndarray:
     return split.psd_db.astype(np.float64)
 
 
+def _mean_std(column: np.ndarray) -> tuple:
+    """The float64 column's np.mean and np.std, the same two numbers, with
+    the column itself as the scratch that np.std would allocate."""
+    mean = column.mean()
+    column -= mean
+    column *= column
+    return float(mean), float(np.sqrt(column.sum() / column.size))
+
+
 def normalization_stats(train) -> tuple:
-    """Per-domain (mean, population std) over the training split only."""
+    """Per-domain (mean, population std) over the training split only,
+    one float64 column copy at a time."""
     if len(train) == 0:
         raise ConfigError("cannot compute stats from an empty training split")
-    amp = amplitude(train)
-    psd = psd_matrix(train)
-    tm, ts = float(amp.mean()), float(amp.std())
-    pm, ps = float(psd.mean()), float(psd.std())
+    tm, ts = _mean_std(amplitude(train))
+    pm, ps = _mean_std(psd_matrix(train))
     if ts == 0.0 or ps == 0.0:
         raise ConfigError("degenerate training split: zero variance")
     return (tm, ts, pm, ps)
 
 
-def model_inputs(split, norm_stats) -> tuple:
-    """Normalized (N, L) amplitude and PSD rows ready for the model; a
-    batch's (B, 2L) reconstruction target is its rows of both,
-    concatenated."""
+def model_inputs(split, norm_stats) -> np.ndarray:
+    """The (N, 2L) rows the model reads and reconstructs: each snapshot's
+    normalized amplitude, then its normalized PSD."""
     tm, ts, pm, ps = norm_stats
-    return (amplitude(split) - tm) / ts, (psd_matrix(split) - pm) / ps
+    x = np.empty((len(split), 2 * SNAPSHOT_LEN))
+    x[:, :SNAPSHOT_LEN] = (amplitude(split) - tm) / ts
+    x[:, SNAPSHOT_LEN:] = (psd_matrix(split) - pm) / ps
+    return x
 
 
 RETRY_FACTOR = 20
@@ -301,9 +312,9 @@ def generate_dataset(seed: int, counts) -> DatasetBundle:
     Label-0 candidates fill train, then validation, then the clean half of
     the test split; label-1 candidates fill the interference half. Each
     candidate is labelled from its link draws alone, and only those a quota
-    still needs are synthesized. Raises when the candidate budget
-    (RETRY_FACTOR times the total requested) runs out before every quota is
-    met.
+    still needs are synthesized, each straight into its row of its split.
+    Raises when the candidate budget (RETRY_FACTOR times the total
+    requested) runs out before every quota is met.
     """
     n_train, n_val, n_test_pc = (int(c) for c in counts)
     if n_train <= 0 or n_val <= 0 or n_test_pc <= 0:
@@ -314,26 +325,31 @@ def generate_dataset(seed: int, counts) -> DatasetBundle:
     need1 = n_test_pc
     budget = RETRY_FACTOR * (need0 + need1)
 
-    clean, interfered = [], []
+    # the (split, row) of each label's next kept snapshot, in walk order
+    slots = (((split, row) for split, n in enumerate((n_train, n_val,
+                                                      n_test_pc))
+              for row in range(n)),
+             ((2, n_test_pc + row) for row in range(n_test_pc)))
+    splits = None
+    kept = [0, 0]
     index = 0
-    while (len(clean) < need0 or len(interfered) < need1) and index < budget:
+    while (kept[0] < need0 or kept[1] < need1) and index < budget:
         draws = _draw_links(seed, index)
         label = _label(draws[3])
-        if label == 0 and len(clean) < need0:
-            clean.append(generate_snapshot(seed, index, draws))
-        elif label == 1 and len(interfered) < need1:
-            interfered.append(generate_snapshot(seed, index, draws))
+        if kept[label] < (need0, need1)[label]:
+            if splits is None:
+                # allocated at the first kept row: counts that pass the
+                # checks above reach the first draw, whatever their size
+                splits = [np.zeros(n, SNAPSHOT).view(np.recarray)
+                          for n in (n_train, n_val, 2 * n_test_pc)]
+            split, row = next(slots[label])
+            splits[split][row] = generate_snapshot(seed, index, draws)
+            kept[label] += 1
         index += 1
-    if len(clean) < need0 or len(interfered) < need1:
+    if kept[0] < need0 or kept[1] < need1:
         raise GenerationError(
-            f"candidate budget {budget} exhausted: got {len(clean)}/{need0} "
-            f"clean and {len(interfered)}/{need1} interfered snapshots")
-
-    # one copy per split, so that each owns its rows; the rows are freed
-    # before the statistics take their own copies
-    train = stack_rows(clean[:n_train])
-    val = stack_rows(clean[n_train:n_train + n_val])
-    test = stack_rows(clean[n_train + n_val:need0] + interfered)
-    del clean, interfered
+            f"candidate budget {budget} exhausted: got {kept[0]}/{need0} "
+            f"clean and {kept[1]}/{need1} interfered snapshots")
+    train, val, test = splits
     return DatasetBundle(train=train, validation=val, test=test,
                          norm_stats=normalization_stats(train))

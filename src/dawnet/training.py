@@ -215,7 +215,7 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
                                  cfg.wavelet_scales)
     n = len(bundle.train)
 
-    opt = Adam(model.params.tensors(), lr=cfg.learning_rate)
+    opt = Adam(model.params.values(), lr=cfg.learning_rate)
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, 2]))
 
@@ -226,11 +226,10 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             # normalized per batch: the split's rows are the only copy
-            a, p = sim.model_inputs(bundle.train[idx], bundle.norm_stats)
+            x = sim.model_inputs(bundle.train[idx], bundle.norm_stats)
             try:
-                out = model.forward(a, p)
-                loss = composite_loss(out, np.concatenate([a, p], axis=1),
-                                      bank, cfg.lambda1, lambda2)
+                loss = composite_loss(model.forward(x), x, bank, cfg.lambda1,
+                                      lambda2)
                 opt.zero_grad()
                 ad.backward(loss)
                 opt.step()
@@ -244,18 +243,15 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
 
 
 def per_sample_losses(model, snapshots, norm_stats, bank, lambda1: float,
-                      lambda2: float,
-                      batch_size: int = SCORE_BATCH) -> np.ndarray:
-    """Composite loss of each snapshot of a split alone, vectorized over
-    batches."""
-    amp, psd = sim.model_inputs(snapshots, norm_stats)
+                      lambda2: float) -> np.ndarray:
+    """Composite loss of each snapshot of a split alone, scored and
+    normalized ``SCORE_BATCH`` snapshots at a time."""
     out = np.empty(len(snapshots), dtype=np.float64)
     with ad.no_grad():
-        for start in range(0, len(snapshots), batch_size):
-            sl = slice(start, start + batch_size)
-            recon = model.forward(amp[sl], psd[sl]).data
-            target = np.concatenate([amp[sl], psd[sl]], axis=1)
-            out[sl] = sample_losses(recon - target, bank, lambda1,
+        for start in range(0, len(snapshots), SCORE_BATCH):
+            sl = slice(start, start + SCORE_BATCH)
+            x = sim.model_inputs(snapshots[sl], norm_stats)
+            out[sl] = sample_losses(model.forward(x).data - x, bank, lambda1,
                                     lambda2)[0]
     return out
 

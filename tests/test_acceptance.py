@@ -44,12 +44,13 @@ def test_criterion_01_analytic_gradients_match_finite_differences():
     t_in = rng.standard_normal((2, 800))
     f_in = rng.standard_normal((2, 800))
     target = rng.standard_normal((2, 1600))
+    x = np.concatenate([t_in, f_in], axis=1)
 
     def f():
-        out = net.forward(t_in, f_in)
+        out = net.forward(x)
         return tr.composite_loss(out, target, bank, 1.0, 0.1)
 
-    err = ad.grad_check(f, net.params.tensors(), samples_per_param=3,
+    err = ad.grad_check(f, list(net.params.values()), samples_per_param=3,
                         rng=np.random.default_rng(1))
     elapsed = time.perf_counter() - start
     assert err < 1e-4, f"max relative gradient error {err}"
@@ -75,9 +76,10 @@ def test_criterion_02_zero_gamma_is_bitwise_identity():
         m.ModelConfig(ablation="no_mutual_attention"), seed=5)
     t_in = rng.standard_normal((2, 800))
     f_in = rng.standard_normal((2, 800))
+    x = np.concatenate([t_in, f_in], axis=1)
     with ad.no_grad():
-        a = full.forward(t_in, f_in).data
-        b = plain.forward(t_in, f_in).data
+        a = full.forward(x).data
+        b = plain.forward(x).data
     assert np.array_equal(a, b)  # bitwise, not allclose
 
 

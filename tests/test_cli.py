@@ -230,9 +230,9 @@ def test_each_file_digested_once(tmp_path, workspace, monkeypatch, capsys,
     digested, hashes = [], []
     artifact_digest = cli._artifact_digest
 
-    def recorded(path):
+    def recorded(path, *args):
         digested.append(str(Path(path)))
-        return artifact_digest(path)
+        return artifact_digest(path, *args)
 
     def sha256(*args):
         hashes.append(1)
@@ -253,6 +253,37 @@ def test_each_file_digested_once(tmp_path, workspace, monkeypatch, capsys,
     if command == "train":
         config, _ = datafile.read_checkpoint(tmp_path / "m.dawm")
         assert config["dataset_sha256"] == doc["inputs"]["dataset"]["sha256"]
+
+
+def test_json_named_dataset_and_checkpoint_digested_by_bytes(tmp_path):
+    # a name ending in .json does not make a binary file a JSON document
+    data, model = tmp_path / "data.json", tmp_path / "model.json"
+    assert cli.main(["gen-data", "--out", str(data), "--seed", "0",
+                     "--train", "16", "--val", "8",
+                     "--test-per-class", "8"]) == 0
+    assert cli.main(["train", "--data", str(data), "--epochs", "1",
+                     "--batch", "8", "--out", str(model)]) == 0
+    assert cli.main(["eval", "--model", str(model), "--data", str(data),
+                     "--out-dir", str(tmp_path / "ev")]) == 0
+    records = []
+    for manifest in ("data.json.manifest.json", "model.json.manifest.json",
+                     "ev/manifest.json"):
+        doc = json.loads((tmp_path / manifest).read_text())
+        records += [*doc["inputs"].values(), *doc["outputs"].values()]
+    binary = [r for r in records if Path(r["path"]).suffix == ".json"
+              and Path(r["path"]).name != "report.json"]
+    assert len(binary) == 5
+    for record in binary:
+        want = hashlib.sha256(Path(record["path"]).read_bytes()).hexdigest()
+        assert record["sha256"] == want
+
+
+def test_train_flag_defaults_are_train_config():
+    args = cli.build_parser().parse_args(["train", "--data", "d.dawn",
+                                          "--out", "m.dawm"])
+    assert cli._train_config(args) == training.TrainConfig()
+    # the manifest records the flag as given, a string
+    assert args.scales == "4,8,16"
 
 
 def test_missing_required_flag_is_usage_error():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dawnet import autodiff as ad
 from dawnet import evaluation as ev
 from dawnet import model as m
 from dawnet import simulate as sim
@@ -249,12 +250,12 @@ def test_score_nonnegative_and_deterministic(small_world):
 def test_time_inference_contract(small_world):
     # evaluate times its own batches; the benchmark traces this by name
     bundle, net = small_world
-    amp, psd = sim.model_inputs(bundle.test[:4], bundle.norm_stats)
-    assert amp.shape == psd.shape == (4, sim.SNAPSHOT_LEN)
-    secs = ev.time_inference(net, amp, psd, repeats=3)
+    x = sim.model_inputs(bundle.test[:4], bundle.norm_stats)
+    assert x.shape == (4, 2 * sim.SNAPSHOT_LEN)
+    secs = ev.time_inference(net, x, repeats=3)
     assert secs > 0.0 and np.isfinite(secs)
     with pytest.raises(ConfigError):
-        ev.time_inference(net, amp, psd, repeats=2)
+        ev.time_inference(net, x, repeats=2)
 
 
 def _detector(net):
@@ -284,15 +285,17 @@ def test_evaluate_scores_each_snapshot_once(monkeypatch):
     th = tr.Threshold(value=0.5, mu=0.4, sigma=0.1)
     detector = tr.Detector(net, th, 1.0, 0.1, bank)
     labels = [s.label for s in bundle.test]
-    want = tr.per_sample_losses(net, bundle.test, bundle.norm_stats, bank,
-                                1.0, 0.1, batch_size=256)
+    # the whole split as one batch
+    x = sim.model_inputs(bundle.test, bundle.norm_stats)
+    with ad.no_grad():
+        want = tr.sample_losses(net.forward(x).data - x, bank, 1.0, 0.1)[0]
 
     rows, batches = [], []
     forward, losses = net.forward, ev.per_sample_losses
 
-    def counted_forward(amp, psd):
-        rows.append(len(amp))
-        return forward(amp, psd)
+    def counted_forward(x):
+        rows.append(len(x))
+        return forward(x)
 
     def kept_losses(*args, **kwargs):
         batches.append(losses(*args, **kwargs))

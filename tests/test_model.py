@@ -107,8 +107,8 @@ def test_fuse_is_order_sensitive_and_shares_params():
 def test_attention_param_count():
     # query and key at channel reduction 8, value, and the gate
     net = m.DualDomainAutoencoder(m.ModelConfig(), seed=0)
-    n_attn = sum(net.params[k].data.size
-                 for k in net.params.names() if k.startswith("attention."))
+    n_attn = sum(t.data.size for k, t in net.params.items()
+                 if k.startswith("attention."))
     assert n_attn == 2 * (16 * 16 // 8) + 16 * 16 + 1 == 321
 
 
@@ -159,28 +159,55 @@ def test_encoder_shapes():
 def test_forward_shapes_and_finiteness():
     net = m.DualDomainAutoencoder(m.ModelConfig(), seed=1)
     rng = np.random.default_rng(2)
-    out = net.forward(rng.standard_normal((3, 800)), rng.standard_normal((3, 800)))
+    out = net.forward(np.concatenate([rng.standard_normal((3, 800)),
+                                      rng.standard_normal((3, 800))], axis=1))
     assert out.data.shape == (3, 1600)
     assert np.all(np.isfinite(out.data))
     with pytest.raises(ShapeError):
-        net.forward(rng.standard_normal((3, 700)), rng.standard_normal((3, 700)))
+        net.forward(np.concatenate([rng.standard_normal((3, 700)),
+                                    rng.standard_normal((3, 700))], axis=1))
 
 
 def test_decode_shape_guard():
     net = m.DualDomainAutoencoder(m.ModelConfig(), seed=0)
     with pytest.raises(ShapeError):
         net.decode(ad.Tensor(np.zeros((2, 100))))
+    with pytest.raises(ShapeError):
+        net.decode(ad.Tensor(np.zeros((2, 16, 4))))
 
 
 def test_same_seed_same_init():
     a = m.DualDomainAutoencoder(m.ModelConfig(), seed=7)
     b = m.DualDomainAutoencoder(m.ModelConfig(), seed=7)
-    assert a.params.names() == b.params.names()
-    for name in a.params.names():
+    assert list(a.params) == list(b.params)
+    for name in a.params:
         np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
     c = m.DualDomainAutoencoder(m.ModelConfig(), seed=8)
     assert any(not np.array_equal(a.params[n].data, c.params[n].data)
-               for n in a.params.names())
+               for n in a.params)
+
+
+def test_parameter_names_and_shapes():
+    # the checkpoint's parameter list, in creation order: a repeated name
+    # would drop an entry from the dict and shorten this list
+    net = m.DualDomainAutoencoder(m.ModelConfig(), seed=0)
+    encoder = [((8, 1, 7), (8,)), ((16, 8, 7), (16,)), ((16, 16, 7), (16,)),
+               ((16, 16, 7), (16,)), ((16, 16, 14), (16,))]
+    want = [(f"{branch}.conv{i}.{kind}", shape)
+            for branch in ("time_encoder", "freq_encoder")
+            for i, shapes in enumerate(encoder)
+            for kind, shape in zip(("weight", "bias"), shapes)]
+    want += [("attention.w_q", (2, 16, 1)), ("attention.w_k", (2, 16, 1)),
+             ("attention.w_v", (16, 16, 1)), ("attention.gamma", ()),
+             ("decoder.tconv0.weight", (32, 16, 4)),
+             ("decoder.tconv0.bias", (16,)),
+             ("decoder.tconv1.weight", (16, 8, 5)),
+             ("decoder.tconv1.bias", (8,)),
+             ("decoder.out.weight", (400, 1600)),
+             ("decoder.out.bias", (1600,))]
+    assert len(want) == 30
+    assert [(n, a.shape) for n, a in net.named_parameters()] == want
+    assert all(t.requires_grad for t in net.params.values())
 
 
 def test_gamma_initialized_to_exactly_zero():
@@ -193,11 +220,12 @@ def test_full_equals_no_attention_at_init():
     rng = np.random.default_rng(5)
     t_in = rng.standard_normal((2, 800))
     f_in = rng.standard_normal((2, 800))
+    x = np.concatenate([t_in, f_in], axis=1)
     full = m.DualDomainAutoencoder(m.ModelConfig(ablation="full"), seed=11)
     noat = m.DualDomainAutoencoder(
         m.ModelConfig(ablation="no_mutual_attention"), seed=11)
-    ya = full.forward(t_in, f_in).data
-    yb = noat.forward(t_in, f_in).data
+    ya = full.forward(x).data
+    yb = noat.forward(x).data
     assert np.array_equal(ya, yb)  # bitwise
 
 
@@ -207,9 +235,10 @@ def test_batch_equivariance():
     rng = np.random.default_rng(6)
     t_in = rng.standard_normal((4, 800))
     f_in = rng.standard_normal((4, 800))
+    x = np.concatenate([t_in, f_in], axis=1)
     perm = np.array([2, 0, 3, 1])
-    y = net.forward(t_in, f_in).data
-    yp = net.forward(t_in[perm], f_in[perm]).data
+    y = net.forward(x).data
+    yp = net.forward(x[perm]).data
     np.testing.assert_allclose(yp, y[perm], atol=1e-10)
 
 
@@ -235,8 +264,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(9)
     t_in = rng.standard_normal((2, 800))
     f_in = rng.standard_normal((2, 800))
-    np.testing.assert_array_equal(net.forward(t_in, f_in).data,
-                                  net2.forward(t_in, f_in).data)
+    x = np.concatenate([t_in, f_in], axis=1)
+    np.testing.assert_array_equal(net.forward(x).data, net2.forward(x).data)
 
 
 def test_load_rejects_wrong_names():
@@ -251,13 +280,13 @@ def test_load_rejects_wrong_names():
 def test_grad_check_through_decode():
     net = m.DualDomainAutoencoder(m.ModelConfig(), seed=6)
     rng = np.random.default_rng(10)
-    fused = rng.standard_normal((2, 128))
+    code = rng.standard_normal((2, 128)).reshape(2, 32, 4)
     target = rng.standard_normal((2, 1600))
-    dec_params = [net.params[n] for n in net.params.names()
+    dec_params = [t for n, t in net.params.items()
                   if n.startswith("decoder.")]
 
     def f():
-        return ad.mse(net.decode(fused), ad.Tensor(target))
+        return ad.mse(net.decode(code), ad.Tensor(target))
 
     err = ad.grad_check(f, dec_params, samples_per_param=4,
                         rng=np.random.default_rng(0))
@@ -272,10 +301,11 @@ def test_grad_check_full_forward():
     t_in = rng.standard_normal((2, 800))
     f_in = rng.standard_normal((2, 800))
     target = rng.standard_normal((2, 1600))
+    x = np.concatenate([t_in, f_in], axis=1)
 
     def f():
-        return ad.mse(net.forward(t_in, f_in), ad.Tensor(target))
+        return ad.mse(net.forward(x), ad.Tensor(target))
 
-    err = ad.grad_check(f, net.params.tensors(), samples_per_param=3,
+    err = ad.grad_check(f, list(net.params.values()), samples_per_param=3,
                         rng=np.random.default_rng(1))
     assert err < 1e-4

@@ -1,6 +1,7 @@
 """Waveform synthesis, Welch PSD, and dataset assembly oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,7 +317,8 @@ def test_dataset_deterministic():
 
 def test_dataset_normalization_invariant():
     bundle = sim.generate_dataset(2, (60, 12, 12))
-    amp, psd = sim.model_inputs(bundle.train, bundle.norm_stats)
+    x = sim.model_inputs(bundle.train, bundle.norm_stats)
+    amp, psd = x[:, :sim.SNAPSHOT_LEN], x[:, sim.SNAPSHOT_LEN:]
     assert abs(amp.mean()) < 1e-6 and abs(amp.std() - 1.0) < 1e-6
     assert abs(psd.mean()) < 1e-6 and abs(psd.std() - 1.0) < 1e-6
 
@@ -374,6 +376,33 @@ def test_dataset_synthesizes_only_kept_candidates(monkeypatch):
         kept = len(bundle.train) + len(bundle.validation) + len(bundle.test)
         assert len(calls) == kept == sum(counts) + counts[2]
         assert calls == sorted(set(calls))
+
+
+def test_generate_dataset_holds_each_split_once():
+    # the kept rows go straight into their split; on top of the splits the
+    # statistics hold one float64 column of the training split
+    tracemalloc.start()
+    try:
+        bundle = sim.generate_dataset(4, (16, 16, 150))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    splits = sum(split.nbytes for split in
+                 (bundle.train, bundle.validation, bundle.test))
+    assert splits == 332 * sim.SNAPSHOT.itemsize
+    column = len(bundle.train) * sim.SNAPSHOT_LEN * 8
+    assert peak <= splits + column + 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_normalization_stats_are_numpy_mean_and_std():
+    # the statistics reuse each column copy as their scratch; the numbers
+    # are bitwise the ones np.mean and np.std give
+    train = sim.generate_dataset(6, (40, 1, 1)).train
+    amp = np.abs(train.time_samples).astype(np.float64)
+    np.testing.assert_array_equal(sim.amplitude(train), amp)
+    psd = train.psd_db.astype(np.float64)
+    want = (amp.mean(), amp.std(), psd.mean(), psd.std())
+    assert sim.normalization_stats(train) == tuple(map(float, want))
 
 
 def test_dataset_unsatisfiable_quota_raises(monkeypatch):

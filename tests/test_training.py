@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dawnet import autodiff as ad
+from dawnet import evaluation as ev
 from dawnet import model as m
 from dawnet import simulate as sim
 from dawnet import training as tr
@@ -78,10 +79,8 @@ def test_composite_loss_is_mean_of_per_sample_losses(lambda2):
     bank = wavelet.build_bank((4, 8, 16)) if lambda2 else None
     rows = tr.per_sample_losses(net, bundle.test, bundle.norm_stats, bank,
                                 1.0, lambda2)
-    amp, psd = sim.model_inputs(bundle.test, bundle.norm_stats)
-    loss = tr.composite_loss(net.forward(amp, psd),
-                             np.concatenate([amp, psd], axis=1), bank, 1.0,
-                             lambda2)
+    x = sim.model_inputs(bundle.test, bundle.norm_stats)
+    loss = tr.composite_loss(net.forward(x), x, bank, 1.0, lambda2)
     assert float(loss.data) == np.mean(rows)
 
 
@@ -182,15 +181,15 @@ def test_training_step_memory_bounds():
     # versions and allocators
     rng = np.random.default_rng(0)
     amp, psd = rng.standard_normal((2, 64, m.INPUT_LEN))
+    x = np.concatenate([amp, psd], axis=1)
     net = _net()
     lambda2, bank = tr.wavelet_term(net.config, 0.1, (4, 8, 16))
-    opt = tr.Adam(net.params.tensors(), lr=1e-3)
+    opt = tr.Adam(net.params.values(), lr=1e-3)
 
     def step(after_forward=lambda: None):
-        out = net.forward(amp, psd)
+        out = net.forward(x)
         after_forward()
-        loss = tr.composite_loss(out, np.concatenate([amp, psd], axis=1),
-                                 bank, 1.0, lambda2)
+        loss = tr.composite_loss(out, x, bank, 1.0, lambda2)
         opt.zero_grad()
         ad.backward(loss)
         opt.step()
@@ -237,6 +236,22 @@ def test_train_normalizes_per_batch(monkeypatch):
     assert rows == [10, 10, 4] * 2
 
 
+def test_calibration_normalizes_per_score_batch(monkeypatch):
+    # scoring holds one normalized batch of a split at a time
+    bundle = _bundle(seed=31, counts=(8, 130, 4))
+    rows = []
+    inputs = sim.model_inputs
+
+    def counted(split, norm_stats):
+        rows.append(len(split))
+        return inputs(split, norm_stats)
+
+    monkeypatch.setattr(sim, "model_inputs", counted)
+    tr.calibrate_threshold(_net(), bundle.validation, bundle.norm_stats,
+                           None, 1.0, 0.0)
+    assert rows == [tr.SCORE_BATCH, tr.SCORE_BATCH, 2]
+
+
 def test_train_loss_decreases():
     bundle = _bundle(seed=11, counts=(96, 16, 8))
     net = _net(seed=1)
@@ -254,7 +269,7 @@ def test_train_deterministic():
     tr.train(bundle, net_a, cfg)
     net_b = _net(seed=2)
     tr.train(bundle, net_b, cfg)
-    for name in net_a.params.names():
+    for name in net_a.params:
         np.testing.assert_array_equal(net_a.params[name].data,
                                       net_b.params[name].data)
 
@@ -267,7 +282,7 @@ def test_no_wavelet_ablation_equals_lambda2_zero():
                                              lambda2=0.1))
     tr.train(bundle, net_l20, tr.TrainConfig(epochs=2, batch_size=8, seed=6,
                                              lambda2=0.0))
-    for name in net_abl.params.names():
+    for name in net_abl.params:
         np.testing.assert_array_equal(net_abl.params[name].data,
                                       net_l20.params[name].data)
 
@@ -317,9 +332,9 @@ def test_per_sample_losses_batch_invariant():
     net = _net(seed=7)
     bank = wavelet.build_bank((4, 8, 16))
     a = tr.per_sample_losses(net, bundle.test, bundle.norm_stats, bank,
-                             1.0, 0.1, batch_size=1)
-    b = tr.per_sample_losses(net, bundle.test, bundle.norm_stats, bank,
-                             1.0, 0.1, batch_size=5)
+                             1.0, 0.1)
+    b = [ev.score(net, snap, bundle.norm_stats, bank, 1.0, 0.1)
+         for snap in bundle.test]
     np.testing.assert_allclose(a, b, atol=1e-10)
     assert np.all(a >= 0.0)
 
@@ -329,11 +344,10 @@ def test_per_sample_losses_match_dwt_definition():
     net = _net(seed=7)
     bank = wavelet.build_bank((4, 8, 16))
     got = tr.per_sample_losses(net, bundle.test, bundle.norm_stats, bank,
-                               1.0, 0.1, batch_size=5)
-    amp, psd = sim.model_inputs(bundle.test, bundle.norm_stats)
-    target = np.concatenate([amp, psd], axis=1)
+                               1.0, 0.1)
+    target = sim.model_inputs(bundle.test, bundle.norm_stats)
     with ad.no_grad():
-        recon = net.forward(amp, psd).data
+        recon = net.forward(target).data
     coeffs = (ad.dwt(ad.Tensor(recon[:, None]), bank.kernels).data
               - ad.dwt(ad.Tensor(target[:, None]), bank.kernels).data)
     want = (np.mean((recon - target) ** 2, axis=1)

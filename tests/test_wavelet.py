@@ -230,10 +230,8 @@ def test_gram_path_makes_no_dwt_kernel_calls(monkeypatch):
     bundle = sim.generate_dataset(2, (6, 4, 2))
     net = DualDomainAutoencoder(ModelConfig(), seed=1)
     bank = wavelet.build_bank((4, 8, 16))
-    amp, psd = sim.model_inputs(bundle.train, bundle.norm_stats)
-    target = np.concatenate([amp, psd], axis=1)
-    loss = tr.composite_loss(net.forward(amp, psd), target,
-                             bank, 1.0, 0.1)
+    target = sim.model_inputs(bundle.train, bundle.norm_stats)
+    loss = tr.composite_loss(net.forward(target), target, bank, 1.0, 0.1)
     ad.backward(loss)
     tr.per_sample_losses(net, bundle.validation, bundle.norm_stats, bank,
                          1.0, 0.1)
