@@ -78,8 +78,8 @@ def _write_manifest(path, args, inputs: dict, outputs: dict,
     manifest = {
         "command": args.command,
         "tool_version": __version__,
-        "digest_policy": "json files: canonical form minus volatile block; "
-                         "other files: raw bytes",
+        "digest_policy": "report.json: canonical form minus volatile "
+                         "block; other files: raw bytes",
         "flags": {k: v for k, v in vars(args).items()
                   if k not in ("command", "func")},
         "seed": getattr(args, "seed", None),
@@ -212,8 +212,8 @@ def cmd_train(args) -> int:
 def _load_checkpoint(path) -> tr.Detector:
     """Rebuild the detector a checkpoint stores.
 
-    The parameters must be exactly the model's: the bank is rebuilt from the
-    configured scales, so a file that stores wavelet kernels is refused.
+    The format holds exactly the model's parameters: the bank is rebuilt
+    from the configured scales, so a stored bank is refused as trailing bytes.
     """
     config, params = datafile.read_checkpoint(path)
     try:

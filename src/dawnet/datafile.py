@@ -7,69 +7,80 @@ with the absolute file offset of the first inconsistency.
 import json
 import math
 import os
-import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError
+from .model import PARAMETERS, check_layout
 from .simulate import SNAPSHOT, SNAPSHOT_LEN, DatasetBundle
 
 DATASET_MAGIC = b"DAWN"
 DATASET_VERSION = 2
 CHECKPOINT_MAGIC = b"DAWM"
-CHECKPOINT_VERSION = 1
-# the dataset header stores each split's length as a u32
-MAX_SPLIT_LEN = 2 ** 32 - 1
+CHECKPOINT_VERSION = 2
+
+# the split counts, the samples and bins per record, and the normalization
+# stats; then each split's ``SNAPSHOT`` rows, as in memory
+DATASET_HEADER = np.dtype([
+    ("magic", "S4"), ("version", "<u4"), ("counts", "<u4", (3,)),
+    ("dims", "<u4", (2,)), ("norm_stats", "<f8", (4,))])
+MAX_SPLIT_LEN = int(np.iinfo(DATASET_HEADER["counts"].base).max)
+# the length of the JSON config block that follows; then one ``PARAMETERS``
+# record
+CHECKPOINT_HEADER = np.dtype([
+    ("magic", "S4"), ("version", "<u4"), ("config_len", "<u4")])
 
 
-class _Reader:
-    """Cursor over bytes that reports offsets in parse errors."""
+def _check_size(size: int, at: int, dtype: np.dtype, count: int, label: str,
+                last: bool = True) -> int:
+    """Return the end of ``count`` records of ``dtype`` that start at ``at``
+    in a file of ``size`` bytes. Refuse a file that stops short of it at the
+    first field of its first incomplete record, and, if nothing may follow
+    them (``last``), a longer one as trailing bytes at that end."""
+    end = at + count * dtype.itemsize
+    if size < end:
+        whole, spare = divmod(size - at, dtype.itemsize)
+        field, field_at = next((d, o) for d, o in dtype.fields.values()
+                               if o + d.itemsize > spare)
+        raise FormatError(f"truncated {label}: wanted {field.itemsize} bytes",
+                          offset=at + whole * dtype.itemsize + field_at)
+    if last and size > end:
+        raise FormatError(f"{size - end} trailing bytes in {label}",
+                          offset=end)
+    return end
 
-    def __init__(self, blob: bytes, label: str):
-        self.blob = blob
-        self.pos = 0
-        self.label = label
 
-    def _need(self, n: int):
-        if self.pos + n > len(self.blob):
-            raise FormatError(
-                f"truncated {self.label}: wanted {n} bytes", offset=self.pos)
-
-    def take(self, n: int) -> bytes:
-        self._need(n)
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
-
-    def array(self, dtype, count: int) -> np.ndarray:
-        """``count`` items at the cursor, copied once out of the blob."""
-        dtype = np.dtype(dtype).newbyteorder("<")
-        count = int(count)
-        self._need(count * dtype.itemsize)
-        out = np.frombuffer(self.blob, dtype, count, self.pos).copy()
-        self.pos += count * dtype.itemsize
-        return out
-
-    def expect_end(self):
-        if self.pos != len(self.blob):
-            raise FormatError(
-                f"{len(self.blob) - self.pos} trailing bytes in {self.label}",
-                offset=self.pos)
+@contextmanager
+def _open(path, kind: str, header: np.dtype, magic: bytes, version: int,
+          remedy: str):
+    """Yield the open file, its size, its label in errors and its header
+    record, once the header's magic and ``kind``'s version are this
+    release's."""
+    path = Path(path)
+    label = f"{kind} {path.name}"
+    with path.open("rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(header.itemsize)
+        # the magic and then the version are refused as soon as their bytes
+        # are in, so a short foreign file is not called truncated
+        if len(head) >= len(magic) and head[:len(magic)] != magic:
+            raise FormatError(f"bad magic {head[:len(magic)]!r}", offset=0)
+        field, at = header.fields["version"]
+        if len(head) >= at + field.itemsize:
+            got = int(np.frombuffer(head, field, 1, at)[0])
+            if got != version:
+                raise FormatError(f"unsupported {kind} version {got} (this "
+                                  f"release reads version {version}); "
+                                  f"{remedy}", offset=at)
+        _check_size(len(head), 0, header, 1, label, last=False)
+        yield f, size, label, np.frombuffer(head, header)[0]
 
 
 # ---------------------------------------------------------------------------
 # dataset container
 # ---------------------------------------------------------------------------
-
-# magic, version, the three split counts, samples and bins per record, and
-# the normalization stats; then each split's ``SNAPSHOT`` rows, as in memory
-DATASET_HEADER = "<4sI3I2I4d"
-HEADER_LEN = struct.calcsize(DATASET_HEADER)
-
 
 def write_dataset(path, bundle: DatasetBundle) -> None:
     """``SNAPSHOT`` declares every field little-endian, so the rows are the
@@ -78,27 +89,13 @@ def write_dataset(path, bundle: DatasetBundle) -> None:
     # the reader refuses any other label
     if not all(np.all((s.label == 0) | (s.label == 1)) for s in splits):
         raise FormatError("labels must be 0 or 1")
+    header = np.array((DATASET_MAGIC, DATASET_VERSION, [*map(len, splits)],
+                       (SNAPSHOT_LEN, SNAPSHOT_LEN), bundle.norm_stats),
+                      DATASET_HEADER)
     with Path(path).open("wb") as f:
-        f.write(struct.pack(DATASET_HEADER, DATASET_MAGIC, DATASET_VERSION,
-                            *map(len, splits), SNAPSHOT_LEN, SNAPSHOT_LEN,
-                            *bundle.norm_stats))
+        header.tofile(f)
         for split in splits:
             split.tofile(f)
-
-
-def _check_size(size: int, count: int, label: str) -> None:
-    """Refuse a file that is not the header and ``count`` records long: a
-    short one at the first field of its first incomplete record."""
-    end = HEADER_LEN + count * SNAPSHOT.itemsize
-    if size > end:
-        raise FormatError(f"{size - end} trailing bytes in {label}",
-                          offset=end)
-    if size < end:
-        whole, spare = divmod(size - HEADER_LEN, SNAPSHOT.itemsize)
-        dtype, at = next((d, at) for d, at in SNAPSHOT.fields.values()
-                         if at + d.itemsize > spare)
-        raise FormatError(f"truncated {label}: wanted {dtype.itemsize} bytes",
-                          offset=HEADER_LEN + whole * SNAPSHOT.itemsize + at)
 
 
 def _check_rows(split, first: int) -> None:
@@ -120,38 +117,31 @@ def _check_rows(split, first: int) -> None:
             "non-finite time sample", "non-finite PSD bin",
             "INR neither finite nor -inf", "non-finite CNR")) if not m[i])
         raise FormatError(f"{what} in record {first + i}",
-                          offset=HEADER_LEN + (first + i) * SNAPSHOT.itemsize)
+                          offset=DATASET_HEADER.itemsize
+                          + (first + i) * SNAPSHOT.itemsize)
 
 
 def read_dataset(path) -> DatasetBundle:
     """Each split in one ``np.fromfile``, after the header and the file size
     are checked; each split owns its rows, so a caller that drops one split
     frees its memory."""
-    path = Path(path)
-    label = f"dataset {path.name}"
-    with path.open("rb", buffering=0) as f:
-        r = _Reader(f.read(HEADER_LEN), label)
-        magic = r.take(4)
-        if magic != DATASET_MAGIC:
-            raise FormatError(f"bad magic {magic!r}", offset=0)
-        (version,) = r.unpack("I")
-        if version != DATASET_VERSION:
-            raise FormatError(f"unsupported dataset version {version} (this "
-                              f"release reads version {DATASET_VERSION}); "
-                              f"regenerate it with dawnet gen-data", offset=4)
-        counts = r.unpack("III")
-        dims = r.unpack("II")
+    with _open(path, "dataset", DATASET_HEADER, DATASET_MAGIC,
+               DATASET_VERSION, "regenerate it with dawnet gen-data") as (
+                   f, size, label, header):
+        dims = tuple(header["dims"].tolist())
         if dims != (SNAPSHOT_LEN, SNAPSHOT_LEN):
             raise FormatError(f"{dims[0]} time samples and {dims[1]} PSD "
                               f"bins per record; both must be {SNAPSHOT_LEN}",
-                              offset=20)
-        norm_stats = r.unpack("dddd")
+                              offset=DATASET_HEADER.fields["dims"][1])
+        norm_stats = tuple(header["norm_stats"].tolist())
         if not (all(map(math.isfinite, norm_stats)) and norm_stats[1] > 0
                 and norm_stats[3] > 0):
             raise FormatError(f"normalization stats {norm_stats} must be "
                               f"finite with positive standard deviations",
-                              offset=28)
-        _check_size(os.fstat(f.fileno()).st_size, sum(counts), label)
+                              offset=DATASET_HEADER.fields["norm_stats"][1])
+        counts = header["counts"].tolist()
+        _check_size(size, DATASET_HEADER.itemsize, SNAPSHOT, sum(counts),
+                    label)
         splits, first = [], 0
         for n in counts:
             split = np.fromfile(f, SNAPSHOT, n).view(np.recarray)
@@ -166,70 +156,43 @@ def read_dataset(path) -> DatasetBundle:
 # ---------------------------------------------------------------------------
 
 def write_checkpoint(path, config: dict, named_params) -> None:
-    """Serialize (name, float64 array) pairs after a JSON config block.
-
-    Parameter order is preserved; values are raw IEEE doubles so a
-    write→read→write cycle is byte-identical.
-    """
+    """Write the header, the JSON config block and the values of
+    (name, array) pairs, which must be ``PARAMETERS``' fields in order, as
+    one ``PARAMETERS`` record: raw IEEE doubles, so a write→read→write
+    cycle is byte-identical."""
     named_params = list(named_params)
+    check_layout(named_params, FormatError)
     cfg_blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    parts = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<I", CHECKPOINT_VERSION),
-        struct.pack("<I", len(cfg_blob)),
-        cfg_blob,
-        struct.pack("<I", len(named_params)),
-    ]
-    for name, arr in named_params:
-        raw_name = name.encode("utf-8")
-        if len(raw_name) > 0xFFFF:
-            raise FormatError(f"parameter name too long: {name[:32]}...")
-        # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
-        arr = np.asarray(arr, dtype="<f8")
-        parts.append(struct.pack("<H", len(raw_name)))
-        parts.append(raw_name)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    header = np.array((CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(cfg_blob)),
+                      CHECKPOINT_HEADER)
+    with Path(path).open("wb") as f:
+        header.tofile(f)
+        f.write(cfg_blob)
+        for _, values in named_params:
+            np.asarray(values, "<f8").tofile(f)
 
 
 def read_checkpoint(path):
-    """Returns (config dict, list of (name, float64 array)) in file order."""
-    path = Path(path)
-    r = _Reader(path.read_bytes(), f"checkpoint {path.name}")
-    magic = r.take(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad magic {magic!r}", offset=0)
-    (version,) = r.unpack("I")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    (cfg_len,) = r.unpack("I")
-    at = r.pos
-    try:
-        config = json.loads(r.take(cfg_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"bad config block: {exc}", offset=at) from exc
-    (n_params,) = r.unpack("I")
-    params = []
-    for _ in range(n_params):
-        (name_len,) = r.unpack("H")
-        at = r.pos
+    """Returns (config, list of (name, float64 array)), the arrays in
+    ``PARAMETERS`` order and views of one record the file is read into."""
+    with _open(path, "checkpoint", CHECKPOINT_HEADER, CHECKPOINT_MAGIC,
+               CHECKPOINT_VERSION, "retrain it with dawnet train") as (
+                   f, size, label, header):
+        at, n = CHECKPOINT_HEADER.itemsize, int(header["config_len"])
+        if size < at + n:
+            raise FormatError(f"truncated {label}: wanted {n} bytes",
+                              offset=at)
+        end = at + n
         try:
-            name = r.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"parameter name is not UTF-8: {exc}",
-                              offset=at) from exc
-        (rank,) = r.unpack("B")
-        dims = r.unpack(f"{rank}I") if rank else ()
-        count = 1
-        for d in dims:
-            count *= d
-        at = r.pos
-        values = r.array("f8", count).reshape(dims)
+            config = json.loads(f.read(n).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"bad config block: {exc}", offset=at) from exc
+        _check_size(size, end, PARAMETERS, 1, label)
+        record = np.fromfile(f, PARAMETERS, 1).reshape(())
+    params = [(name, record[name]) for name in PARAMETERS.names]
+    for name, values in params:
         if not np.isfinite(values).all():
             raise FormatError(f"non-finite value in parameter {name} of "
-                              f"{r.label}", offset=at)
-        params.append((name, values))
-    r.expect_end()
+                              f"{label}",
+                              offset=end + PARAMETERS.fields[name][1])
     return config, params

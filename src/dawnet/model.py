@@ -39,6 +39,40 @@ ENCODER = (
 DECODER = ((32, 16, 4, 4), (16, 8, 5, 3))
 DENSE = (400, 2 * INPUT_LEN)
 
+# (name, shape, fan-in) of every parameter, in creation order. A weight
+# starts uniform in +-1/sqrt(fan-in); a fan-in of None (biases and the
+# attention gate) starts at exactly 0
+LAYOUT = (
+    *(entry for branch in ("time_encoder", "freq_encoder")
+      for i, (cin, cout, k, *_) in enumerate(ENCODER)
+      for entry in ((f"{branch}.conv{i}.weight", (cout, cin, k), cin * k),
+                    (f"{branch}.conv{i}.bias", (cout,), None))),
+    ("attention.w_q", (LATENT_CHANNELS // REDUCTION, LATENT_CHANNELS, 1),
+     LATENT_CHANNELS),
+    ("attention.w_k", (LATENT_CHANNELS // REDUCTION, LATENT_CHANNELS, 1),
+     LATENT_CHANNELS),
+    ("attention.w_v", (LATENT_CHANNELS, LATENT_CHANNELS, 1), LATENT_CHANNELS),
+    ("attention.gamma", (), None),
+    *(entry for i, (cin, cout, k, _) in enumerate(DECODER)
+      for entry in ((f"decoder.tconv{i}.weight", (cin, cout, k), cin * k),
+                    (f"decoder.tconv{i}.bias", (cout,), None))),
+    ("decoder.out.weight", DENSE, DENSE[0]),
+    ("decoder.out.bias", (DENSE[1],), None),
+)
+# one record of every parameter's values: a checkpoint's parameter block
+PARAMETERS = np.dtype([(name, "<f8", shape) for name, shape, _ in LAYOUT])
+
+
+def check_layout(named, error=ConfigError) -> None:
+    """Refuse (name, array) pairs whose names and shapes are not
+    ``LAYOUT``'s, in order, with ``error`` naming where they differ."""
+    got = [(name, np.shape(values)) for name, values in named]
+    want = [(name, shape) for name, shape, _ in LAYOUT]
+    if got != want:
+        odd = sorted(set(got) ^ set(want), key=str) or "order"
+        raise error(f"not the model's parameters: they differ in {odd}")
+
+
 ABLATIONS = ("full", "no_mutual_attention", "no_wavelet_loss", "vanilla")
 # variants whose forward pass bypasses the attention stage
 _NO_ATTENTION = ("no_mutual_attention", "vanilla")
@@ -102,7 +136,7 @@ def fuse_bidirectional(x: ad.Tensor, y: ad.Tensor, p: AttentionParams):
 class DualDomainAutoencoder:
     """Encoders, shared attention, decoder; parameters in one ordered dict.
 
-    ``params`` maps each parameter's name to its tensor in creation order.
+    ``params`` maps each parameter's name to its tensor in ``LAYOUT`` order.
     Every ablation creates the identical parameter set in the identical
     order, so checkpoints are interchangeable and seed-matched variants
     start from bitwise-equal weights.
@@ -112,38 +146,16 @@ class DualDomainAutoencoder:
         self.config = config
         self.params = {}
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
-
-        def param(name, shape, fan_in=None):
-            """A trainable tensor: uniform in +-1/sqrt(fan_in), or zeros."""
+        for name, shape, fan_in in LAYOUT:
             if fan_in is None:
                 data = np.zeros(shape)
             else:
                 bound = 1.0 / math.sqrt(fan_in)
                 data = rng.uniform(-bound, bound, size=shape)
             self.params[name] = ad.Tensor(data, requires_grad=True)
-            return self.params[name]
-
-        self._enc = {}
-        for branch in ("time_encoder", "freq_encoder"):
-            self._enc[branch] = [
-                (param(f"{branch}.conv{i}.weight", (cout, cin, k), cin * k),
-                 param(f"{branch}.conv{i}.bias", cout), s, pad, act)
-                for i, (cin, cout, k, s, pad, act) in enumerate(ENCODER)]
-
-        c, r = LATENT_CHANNELS, REDUCTION
         self.attention = AttentionParams(
-            w_q=param("attention.w_q", (c // r, c, 1), c),
-            w_k=param("attention.w_k", (c // r, c, 1), c),
-            w_v=param("attention.w_v", (c, c, 1), c),
-            gamma=param("attention.gamma", ()),
-        )
-
-        self._dec = [
-            (param(f"decoder.tconv{i}.weight", (cin, cout, k), cin * k),
-             param(f"decoder.tconv{i}.bias", cout), s)
-            for i, (cin, cout, k, s) in enumerate(DECODER)]
-        self.dense_w = param("decoder.out.weight", DENSE, DENSE[0])
-        self.dense_b = param("decoder.out.bias", DENSE[1])
+            *(self.params[f"attention.{n}"]
+              for n in ("w_q", "w_k", "w_v", "gamma")))
 
     # -- stages ------------------------------------------------------------
 
@@ -155,7 +167,9 @@ class DualDomainAutoencoder:
             raise ShapeError(f"encoder expects (B,1,{INPUT_LEN}), "
                              f"got {x.data.shape}")
         h = x
-        for w, b, stride, pad, act in self._enc[f"{which}_encoder"]:
+        for i, (*_, stride, pad, act) in enumerate(ENCODER):
+            layer = f"{which}_encoder.conv{i}"
+            w, b = self.params[f"{layer}.weight"], self.params[f"{layer}.bias"]
             h = ad.conv1d(h, w, b=b, stride=stride, padding=pad, relu=act)
         return h
 
@@ -170,10 +184,13 @@ class DualDomainAutoencoder:
         if h.data.shape[1:] != (2 * LATENT_CHANNELS, LATENT_LEN):
             raise ShapeError(f"decoder expects (B,{2 * LATENT_CHANNELS},"
                              f"{LATENT_LEN}), got {h.data.shape}")
-        for w, bias, stride in self._dec:
-            h = ad.conv1d_transpose(h, w, b=bias, stride=stride, relu=True)
+        for i, (*_, stride) in enumerate(DECODER):
+            layer = f"decoder.tconv{i}"
+            w, b = self.params[f"{layer}.weight"], self.params[f"{layer}.bias"]
+            h = ad.conv1d_transpose(h, w, b=b, stride=stride, relu=True)
         h = ad.reshape(h, (h.data.shape[0], DENSE[0]))
-        return ad.add_bias(ad.matmul(h, self.dense_w), self.dense_b)
+        return ad.add_bias(ad.matmul(h, self.params["decoder.out.weight"]),
+                           self.params["decoder.out.bias"])
 
     def forward(self, x) -> ad.Tensor:
         """Reconstruct (B, 2L) stacked rows, each an amplitude half and a
@@ -192,18 +209,11 @@ class DualDomainAutoencoder:
         return [(name, t.data) for name, t in self.params.items()]
 
     def load_named_parameters(self, named):
+        """Take each parameter's values from (name, array) pairs in
+        ``LAYOUT``'s names and shapes, such as :func:`datafile.read_checkpoint`
+        returns. A float64 array becomes the tensor's data itself, not a
+        copy, so the caller must not hand in arrays another model trains."""
         named = list(named)
-        expected = list(self.params)
-        got = [n for n, _ in named]
-        if got != expected:
-            raise ConfigError(
-                f"parameter list mismatch: unexpected "
-                f"{sorted(set(got) - set(expected))}, missing "
-                f"{sorted(set(expected) - set(got))}")
+        check_layout(named)
         for name, values in named:
-            tensor = self.params[name]
-            values = np.asarray(values, dtype=np.float64)
-            if values.shape != tensor.data.shape:
-                raise ConfigError(f"shape mismatch for {name}: checkpoint "
-                                  f"{values.shape} vs model {tensor.data.shape}")
-            tensor.data = values.copy()
+            self.params[name].data = np.asarray(values, dtype=np.float64)

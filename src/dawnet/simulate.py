@@ -340,8 +340,16 @@ def generate_dataset(seed: int, counts) -> DatasetBundle:
             if splits is None:
                 # allocated at the first kept row: counts that pass the
                 # checks above reach the first draw, whatever their size
-                splits = [np.zeros(n, SNAPSHOT).view(np.recarray)
-                          for n in (n_train, n_val, 2 * n_test_pc)]
+                splits = []
+                for name, n in (("train", n_train), ("validation", n_val),
+                                ("test", 2 * n_test_pc)):
+                    try:
+                        splits.append(np.zeros(n, SNAPSHOT).view(np.recarray))
+                    except MemoryError as exc:
+                        raise GenerationError(
+                            f"cannot allocate the {name} split: {n} rows of "
+                            f"{SNAPSHOT.itemsize} bytes, "
+                            f"{n * SNAPSHOT.itemsize} bytes") from exc
             split, row = next(slots[label])
             splits[split][row] = generate_snapshot(seed, index, draws)
             kept[label] += 1

@@ -68,6 +68,32 @@ def test_gen_data_writes_dataset_and_manifest_only(tmp_path):
         "d.dawn", "d.dawn.manifest.json"]
 
 
+def test_gen_data_split_too_large_to_allocate_exits_2(tmp_path, capsys,
+                                                      monkeypatch):
+    # a count the header allows, whose split this machine cannot hold: the
+    # allocation is refused by a stand-in np.zeros, never attempted
+    class NoHugeZeros:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def zeros(shape, dtype=float):
+            if np.prod(shape) * np.dtype(dtype).itemsize > 2 ** 30:
+                raise MemoryError("stand-in for a failed allocation")
+            return np.zeros(shape, dtype)
+
+    monkeypatch.setattr(sim, "np", NoHugeZeros())
+    out = tmp_path / "d.dawn"
+    huge = datafile.MAX_SPLIT_LEN
+    assert cli.main(["gen-data", "--out", str(out), "--train", str(huge),
+                     "--val", "2", "--test-per-class", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "train split" in err
+    assert f"{huge * sim.SNAPSHOT.itemsize} bytes" in err
+    assert not out.exists()
+
+
 def test_gen_data_negative_seed_exits_2(tmp_path, capsys):
     out = tmp_path / "d.dawn"
     assert cli.main(["gen-data", "--out", str(out), "--seed", "-1",
@@ -269,6 +295,9 @@ def test_json_named_dataset_and_checkpoint_digested_by_bytes(tmp_path):
     for manifest in ("data.json.manifest.json", "model.json.manifest.json",
                      "ev/manifest.json"):
         doc = json.loads((tmp_path / manifest).read_text())
+        assert doc["digest_policy"] == ("report.json: canonical form minus "
+                                        "volatile block; other files: raw "
+                                        "bytes")
         records += [*doc["inputs"].values(), *doc["outputs"].values()]
     binary = [r for r in records if Path(r["path"]).suffix == ".json"
               and Path(r["path"]).name != "report.json"]
@@ -486,17 +515,17 @@ def test_missing_dataset_file_exits_2(tmp_path, workspace, argv):
     assert cli.main(argv) == 2
 
 
-def _tamper_checkpoint(params, case):
-    params = [(n, a.copy()) for n, a in params]
-    values = dict(params)
+def _tamper_checkpoint(path, config, params, case):
+    values = {n: a.copy() for n, a in params}
     if case == "huge-weights":      # finite, but every score overflows
         values["decoder.out.weight"] *= 1e300
     elif case == "nan-bias":
         values["decoder.out.bias"][-1] = np.nan
-    else:                           # a stored wavelet bank
-        params.append(("wavelet.kernels",
-                       wavelet.build_bank((4, 8, 16)).kernels))
-    return params
+    datafile.write_checkpoint(path, config, values.items())
+    if case == "wavelet-kernels":   # a stored wavelet bank, after the model's
+        with path.open("ab") as f:
+            f.write(wavelet.build_bank((4, 8, 16)).kernels.astype("<f8")
+                    .tobytes())
 
 
 @pytest.mark.parametrize("case", ["huge-weights", "nan-bias",
@@ -505,7 +534,7 @@ def test_unscorable_checkpoint_exits_2(tmp_path, workspace, capsys, case):
     _, data, model = workspace
     config, params = datafile.read_checkpoint(model)
     bad = tmp_path / "bad.dawm"
-    datafile.write_checkpoint(bad, config, _tamper_checkpoint(params, case))
+    _tamper_checkpoint(bad, config, params, case)
     out_dir = tmp_path / "ev"
     with warnings.catch_warnings():
         # a numpy RuntimeWarning on the way becomes a traceback here
@@ -518,7 +547,7 @@ def test_unscorable_checkpoint_exits_2(tmp_path, workspace, capsys, case):
     assert err.startswith("error:") and "bad.dawm" in err
     assert not (out_dir / "report.json").exists()
     if case == "wavelet-kernels":
-        assert "unexpected ['wavelet.kernels']" in err
+        assert "trailing bytes" in err
 
 
 def _with_model_key(key, value):
@@ -652,4 +681,35 @@ def test_version_1_dataset_exits_2(tmp_path, workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "dataset version 1" in err and "regenerate" in err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_version_1_checkpoint_exits_2(tmp_path, workspace, capsys):
+    # version 1 stored each parameter's name and dims: no reader left
+    _, data, model = workspace
+    blob = bytearray(model.read_bytes())
+    struct.pack_into("<I", blob, 4, 1)
+    old = tmp_path / "v1.dawm"
+    old.write_bytes(bytes(blob))
+    assert cli.main(["eval", "--model", str(old), "--data", str(data),
+                     "--out-dir", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "checkpoint version 1" in err and "retrain" in err
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("config_len", [2**31, 2**32 - 1])
+def test_huge_checkpoint_config_length_exits_2(tmp_path, workspace, capsys,
+                                               config_len):
+    _, data, model = workspace
+    blob = bytearray(model.read_bytes())
+    struct.pack_into("<I", blob, 8, config_len)
+    bad = tmp_path / "huge.dawm"
+    bad.write_bytes(bytes(blob))
+    assert cli.main(["eval", "--model", str(bad), "--data", str(data),
+                     "--out-dir", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "truncated" in err and "offset 12" in err
     assert not (tmp_path / "ev").exists()

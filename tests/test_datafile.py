@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dawnet import datafile, simulate as sim
 from dawnet.errors import FormatError
+from dawnet.model import PARAMETERS, DualDomainAutoencoder, ModelConfig
 
 
 def _bundle(seed=3, counts=(20, 6, 5)):
@@ -51,6 +52,26 @@ def test_dataset_bad_magic(tmp_path):
     with pytest.raises(FormatError) as exc:
         datafile.read_dataset(p)
     assert "offset 0" in str(exc.value)
+
+
+@pytest.mark.parametrize("read,blob,what,offset", [
+    (datafile.read_dataset, b"hello\n", "bad magic b'hell'", 0),
+    (datafile.read_checkpoint, b"hello\n", "bad magic b'hell'", 0),
+    (datafile.read_dataset, b"DAW", "truncated", 0),
+    (datafile.read_checkpoint, b"DAW", "truncated", 0),
+    (datafile.read_dataset, b"DAWN" + struct.pack("<I", 99), "version 99", 4),
+    (datafile.read_checkpoint, b"DAWM" + struct.pack("<I", 99), "version 99",
+     4),
+], ids=["dataset-text", "checkpoint-text", "dataset-3-bytes",
+        "checkpoint-3-bytes", "dataset-v99", "checkpoint-v99"])
+def test_header_shorter_than_its_dtype(tmp_path, read, blob, what, offset):
+    # the magic and the version are judged before the header's length
+    p = tmp_path / "short"
+    p.write_bytes(blob)
+    with pytest.raises(FormatError) as exc:
+        read(p)
+    assert what in str(exc.value)
+    assert exc.value.offset == offset
 
 
 def test_dataset_bad_version(tmp_path):
@@ -303,13 +324,9 @@ def test_dataset_damaged_reads_or_fails_inside_file(tmp_path_factory,
 
 # --- checkpoint container ----------------------------------------------------
 
-def _params():
-    rng = np.random.default_rng(5)
-    return [
-        ("enc.w0", rng.standard_normal((4, 1, 7))),
-        ("enc.b0", rng.standard_normal(4)),
-        ("gate", np.array(0.0)),
-    ]
+def _params(seed=5):
+    """A model's parameters: the only list a checkpoint holds."""
+    return DualDomainAutoencoder(ModelConfig(), seed=seed).named_parameters()
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -335,10 +352,13 @@ def test_checkpoint_write_read_write_identical(tmp_path):
 
 def test_checkpoint_scalar_rank_zero(tmp_path):
     p = tmp_path / "m.bin"
-    datafile.write_checkpoint(p, {}, [("gamma", np.array(2.5))])
-    _, params = datafile.read_checkpoint(p)
-    assert params[0][1].shape == ()
-    assert float(params[0][1]) == 2.5
+    params = dict(_params())
+    params["attention.gamma"] = np.array(2.5)
+    datafile.write_checkpoint(p, {}, params.items())
+    _, back = datafile.read_checkpoint(p)
+    gamma = dict(back)["attention.gamma"]
+    assert gamma.shape == ()
+    assert float(gamma) == 2.5
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -350,35 +370,99 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_checkpoint_corrupt_config(tmp_path):
     p = tmp_path / "m.bin"
-    blob = (b"DAWM" + struct.pack("<I", 1) + struct.pack("<I", 4) + b"{{{{"
-            + struct.pack("<I", 0))
-    p.write_bytes(blob)
+    datafile.write_checkpoint(p, {"a": 1}, _params())
+    blob = bytearray(p.read_bytes())
+    (cfg_len,) = struct.unpack_from("<I", blob, 8)
+    blob[12:12 + cfg_len] = b"{" * cfg_len
+    p.write_bytes(bytes(blob))
     with pytest.raises(FormatError) as exc:
         datafile.read_checkpoint(p)
     assert "config" in str(exc.value)
+    assert exc.value.offset == 12
+
+
+def test_checkpoint_version_1_refused(tmp_path):
+    # version 1 stored each parameter's name and dims: no reader left
+    p = tmp_path / "m.dawm"
+    p.write_bytes(b"DAWM" + struct.pack("<II", 1, 2) + b"{}"
+                  + struct.pack("<I", 0))
+    with pytest.raises(FormatError) as exc:
+        datafile.read_checkpoint(p)
+    assert "checkpoint version 1" in str(exc.value)
+    assert "retrain it with dawnet train" in str(exc.value)
+    assert exc.value.offset == 4
+
+
+@pytest.mark.parametrize("config_len", [2**31, 2**32 - 1])
+def test_checkpoint_huge_config_length_is_truncated(tmp_path, config_len):
+    p = tmp_path / "m.dawm"
+    datafile.write_checkpoint(p, {}, _params())
+    blob = bytearray(p.read_bytes())
+    struct.pack_into("<I", blob, 8, config_len)
+    p.write_bytes(bytes(blob))
+    with pytest.raises(FormatError) as exc:
+        datafile.read_checkpoint(p)
+    assert f"wanted {config_len} bytes" in str(exc.value)
+    assert exc.value.offset == 12
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
                          ids=["nan", "inf", "neginf"])
 def test_checkpoint_nonfinite_parameter_offset(tmp_path, value):
     p = tmp_path / "m.dawm"
-    bad = np.arange(5.0)
+    params = dict(_params())
+    bad = params["decoder.tconv1.bias"] = np.arange(8.0)
     bad[-1] = value
-    datafile.write_checkpoint(p, {}, [("w", np.ones((2, 3))), ("b", bad)])
-    # the offset is where the array starts, four doubles before the bad one
-    start = p.read_bytes().index(np.array(value, "<f8").tobytes()) - 4 * 8
+    datafile.write_checkpoint(p, {}, params.items())
+    # the offset is where the array starts, seven doubles before the bad one
+    start = p.read_bytes().index(np.array(value, "<f8").tobytes()) - 7 * 8
     with pytest.raises(FormatError) as exc:
         datafile.read_checkpoint(p)
     assert exc.value.offset == start
-    assert "parameter b" in str(exc.value) and "m.dawm" in str(exc.value)
+    assert ("parameter decoder.tconv1.bias" in str(exc.value)
+            and "m.dawm" in str(exc.value))
 
 
-def test_checkpoint_name_not_utf8(tmp_path):
-    p = tmp_path / "m.bin"
-    datafile.write_checkpoint(p, {}, [("gate", np.array(1.0))])
+@pytest.fixture(scope="module")
+def model_blob(tmp_path_factory):
+    """A model checkpoint's bytes and its config block's length."""
+    p = tmp_path_factory.mktemp("model") / "m.dawm"
+    datafile.write_checkpoint(p, {"threshold": {"value": 0.5}}, _params(1))
     blob = p.read_bytes()
-    at = blob.index(b"gate")
-    p.write_bytes(blob[:at] + b"\xff\xfe\xfd\xfc" + blob[at + 4:])
-    with pytest.raises(FormatError) as exc:
+    return blob, struct.unpack_from("<I", blob, 8)[0]
+
+
+def _checkpoint_cuts(blob, cfg_len):
+    """Every header field boundary, the end of the config block, and every
+    boundary of the first and the last parameter, +/- 1 byte."""
+    header = datafile.CHECKPOINT_HEADER
+    first = header.itemsize + cfg_len
+    fields = [at for _, at in PARAMETERS.fields.values()]
+    bounds = {*(at for _, at in header.fields.values()), header.itemsize,
+              first, *(first + at for at in fields[:2]),
+              first + fields[-1], len(blob)}
+    return sorted(b + d for b in bounds for d in (-1, 0, 1) if b + d >= 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_checkpoint_damaged_reads_or_fails_inside_file(tmp_path_factory,
+                                                       model_blob, data):
+    blob, cfg_len = model_blob
+    blob = bytearray(blob)
+    if data.draw(st.booleans(), label="truncate"):
+        cut = data.draw(st.sampled_from(_checkpoint_cuts(blob, cfg_len)),
+                        label="cut")
+        del blob[cut:]
+    else:
+        # half the flips land in the header, a sliver of the whole file
+        at = data.draw(st.one_of(
+            st.integers(0, datafile.CHECKPOINT_HEADER.itemsize - 1),
+            st.integers(0, len(blob) - 1)), label="at")
+        blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+    p = tmp_path_factory.getbasetemp() / "damaged.dawm"
+    p.write_bytes(bytes(blob))
+    try:
         datafile.read_checkpoint(p)
-    assert exc.value.offset == at
+    except FormatError as exc:
+        assert exc.offset is not None and 0 <= exc.offset <= len(blob)

@@ -10,7 +10,7 @@ from dawnet import autodiff as ad
 from dawnet import datafile
 from dawnet import model as m
 from dawnet import training
-from dawnet.errors import ConfigError, ShapeError
+from dawnet.errors import ConfigError, FormatError, ShapeError
 
 
 def _attn_params(c, r, seed=0, gamma=0.0):
@@ -268,11 +268,47 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     np.testing.assert_array_equal(net.forward(x).data, net2.forward(x).data)
 
 
+@pytest.mark.parametrize("case", ["renamed", "reshaped", "extra", "missing",
+                                  "reordered"])
+def test_checkpoint_write_refuses_other_parameters(tmp_path, case):
+    net = m.DualDomainAutoencoder(m.ModelConfig(), seed=0)
+    params = net.named_parameters()
+    if case == "renamed":
+        params[0] = ("nope", params[0][1])
+    elif case == "reshaped":
+        params[1] = (params[1][0], np.zeros(3))
+    elif case == "extra":
+        params.append(("wavelet.kernels", np.zeros((3, 64))))
+    elif case == "missing":
+        params.pop()
+    else:
+        params[0], params[2] = params[2], params[0]
+    p = tmp_path / "m.dawm"
+    with pytest.raises(FormatError, match="not the model.s parameters"):
+        datafile.write_checkpoint(p, {}, params)
+    assert not p.exists()
+
+
 def test_load_rejects_wrong_names():
     net = m.DualDomainAutoencoder(m.ModelConfig(), seed=0)
     bad = [("nope", np.zeros(3))] + net.named_parameters()[1:]
     with pytest.raises(ConfigError):
         net.load_named_parameters(bad)
+
+
+@pytest.mark.parametrize("case", ["reshaped", "missing"])
+def test_load_refuses_other_parameters(case):
+    net = m.DualDomainAutoencoder(m.ModelConfig(), seed=0)
+    params = m.DualDomainAutoencoder(m.ModelConfig(), seed=1).named_parameters()
+    if case == "reshaped":
+        params[1] = (params[1][0], np.zeros(3))
+    else:
+        params.pop()
+    before = net.named_parameters()
+    with pytest.raises(ConfigError, match="not the model.s parameters"):
+        net.load_named_parameters(params)
+    for (_, a), (_, b) in zip(before, net.named_parameters()):
+        assert a is b
 
 
 # --- gradients -----------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import importlib.util
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 
 from dawnet import datafile
+from dawnet.model import DualDomainAutoencoder, ModelConfig
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
 _spec = importlib.util.spec_from_file_location("same_bytes", TOOL)
@@ -22,25 +24,33 @@ def _sides(tmp_path):
 
 
 def _params():
-    rng = np.random.default_rng(11)
-    return [("enc.weight", rng.standard_normal((3, 2, 5))),
-            ("enc.bias", rng.standard_normal(3)),
-            ("dec.weight", rng.standard_normal((2, 4)))]
+    return DualDomainAutoencoder(ModelConfig(), seed=11).named_parameters()
 
 
 def test_one_ulp_in_one_parameter_is_named(tmp_path):
     parent, change = _sides(tmp_path)
     config = {"threshold": {"value": 0.5}}
-    params = _params()
-    datafile.write_checkpoint(parent / "model.dawm", config, params)
-    moved = params[1][1].copy()
-    moved[2] = np.nextafter(moved[2], np.inf)
+    params = dict(_params())
+    datafile.write_checkpoint(parent / "model.dawm", config, params.items())
+    moved = params["attention.w_v"].copy()
+    moved[2, 3, 0] = np.nextafter(moved[2, 3, 0], np.inf)
     datafile.write_checkpoint(change / "model.dawm", config,
-                              [params[0], ("enc.bias", moved), params[2]])
+                              {**params, "attention.w_v": moved}.items())
     [(name, difference)] = same_bytes.compare_dirs(parent, change)
     assert name == "model.dawm"
-    ulp = abs(np.spacing(params[1][1][2]))
-    assert difference == f"enc.bias max |diff| {ulp:.3g}"
+    ulp = abs(np.spacing(params["attention.w_v"][2, 3, 0]))
+    assert difference == f"attention.w_v max |diff| {ulp:.3g}"
+
+
+def test_unreadable_checkpoint_is_different(tmp_path):
+    # a version-1 checkpoint from a parent this tree has no reader for
+    parent, change = _sides(tmp_path)
+    (parent / "model.dawm").write_bytes(
+        b"DAWM" + struct.pack("<II", 1, 2) + b"{}" + struct.pack("<I", 0))
+    datafile.write_checkpoint(change / "model.dawm", {}, _params())
+    [(name, difference)] = same_bytes.compare_dirs(parent, change)
+    assert name == "model.dawm"
+    assert "checkpoint version 1" in difference and "retrain" in difference
 
 
 def test_json_differences_only_in_volatile_are_the_same(tmp_path):

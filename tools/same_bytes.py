@@ -16,7 +16,9 @@ Then every file the two runs wrote is compared, and one line per file says
 ``same`` or ``DIFFERENT``: JSON files outside their ``"volatile"`` block,
 whose keys must match too, and every other file byte for byte. For a
 checkpoint that differs, each parameter that differs is named with its
-largest absolute difference. The lines each command printed are compared
+largest absolute difference, and a checkpoint that this tree cannot read,
+such as one of an older format version, is reported with the reader's
+message. The lines each command printed are compared
 too, apart from the ``time_s`` column of ``eval`` and ``ablate``. Exits 0
 when everything is the same, 1 when something differs, and 2 when a
 pipeline could not be run.
@@ -38,6 +40,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from dawnet import datafile  # noqa: E402
+from dawnet.errors import FormatError  # noqa: E402
 
 SIDES = ("parent", "change")
 TRAIN = ("--epochs", "2", "--batch", "16")
@@ -114,16 +117,17 @@ def _json_difference(a: Path, b: Path):
 
 
 def _checkpoint_difference(a: Path, b: Path) -> str:
-    (cfg_a, params_a), (cfg_b, params_b) = (datafile.read_checkpoint(p)
-                                            for p in (a, b))
+    try:
+        (cfg_a, params_a), (cfg_b, params_b) = (datafile.read_checkpoint(p)
+                                                for p in (a, b))
+    except FormatError as exc:
+        # such as the other commit's checkpoint version
+        return f"unreadable by this tree's reader: {exc}"
     found = [] if cfg_a == cfg_b else ["config block"]
-    if [n for n, _ in params_a] != [n for n, _ in params_b]:
-        return "; ".join(found + ["parameter names differ"])
-    for (name, x), (_, y) in zip(params_a, params_b):
-        if x.shape != y.shape:
-            found.append(f"{name} shape {x.shape} against {y.shape}")
-        elif not np.array_equal(x, y):
-            found.append(f"{name} max |diff| {np.max(np.abs(x - y)):.3g}")
+    # one reader gives both the same names and shapes
+    found += [f"{name} max |diff| {np.max(np.abs(x - y)):.3g}"
+              for (name, x), (_, y) in zip(params_a, params_b)
+              if not np.array_equal(x, y)]
     return "; ".join(found) or "bytes differ"
 
 
