@@ -227,8 +227,7 @@ def _load_checkpoint(path) -> tr.Detector:
         if not all(map(math.isfinite, (threshold.value, threshold.mu,
                                        threshold.sigma))):
             raise ValueError("non-finite threshold")
-        model = DualDomainAutoencoder(model_cfg, seed=0)
-        model.load_named_parameters(params)
+        model = DualDomainAutoencoder(model_cfg, parameters=params)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(
             f"bad checkpoint {Path(path).name}: {exc!r}") from exc

@@ -133,6 +133,18 @@ def fuse_bidirectional(x: ad.Tensor, y: ad.Tensor, p: AttentionParams):
     return x_ref, y_ref
 
 
+def _initial_parameters(seed: int):
+    """(name, initial values) of every parameter, drawn in ``LAYOUT``
+    order from ``seed``."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
+    for name, shape, fan_in in LAYOUT:
+        if fan_in is None:
+            yield name, np.zeros(shape)
+        else:
+            bound = 1.0 / math.sqrt(fan_in)
+            yield name, rng.uniform(-bound, bound, size=shape)
+
+
 class DualDomainAutoencoder:
     """Encoders, shared attention, decoder; parameters in one ordered dict.
 
@@ -142,17 +154,20 @@ class DualDomainAutoencoder:
     start from bitwise-equal weights.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0, parameters=None):
+        """Weights drawn from ``seed``, or, with nothing drawn, taken from
+        ``parameters``: (name, array) pairs in ``LAYOUT``'s names and
+        shapes, such as :func:`datafile.read_checkpoint` returns. A float64
+        array becomes the tensor's data itself, not a copy, so the caller
+        must not hand in arrays another model trains."""
         self.config = config
-        self.params = {}
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
-        for name, shape, fan_in in LAYOUT:
-            if fan_in is None:
-                data = np.zeros(shape)
-            else:
-                bound = 1.0 / math.sqrt(fan_in)
-                data = rng.uniform(-bound, bound, size=shape)
-            self.params[name] = ad.Tensor(data, requires_grad=True)
+        if parameters is None:
+            parameters = _initial_parameters(seed)
+        else:
+            parameters = list(parameters)
+            check_layout(parameters)
+        self.params = {name: ad.Tensor(values, requires_grad=True)
+                       for name, values in parameters}
         self.attention = AttentionParams(
             *(self.params[f"attention.{n}"]
               for n in ("w_q", "w_k", "w_v", "gamma")))
@@ -207,13 +222,3 @@ class DualDomainAutoencoder:
 
     def named_parameters(self):
         return [(name, t.data) for name, t in self.params.items()]
-
-    def load_named_parameters(self, named):
-        """Take each parameter's values from (name, array) pairs in
-        ``LAYOUT``'s names and shapes, such as :func:`datafile.read_checkpoint`
-        returns. A float64 array becomes the tensor's data itself, not a
-        copy, so the caller must not hand in arrays another model trains."""
-        named = list(named)
-        check_layout(named)
-        for name, values in named:
-            self.params[name].data = np.asarray(values, dtype=np.float64)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -93,19 +94,99 @@ sys.exit(tool.main(sys.argv[4:]))
 """
 
 
+# loads bench_pairs.py with stub checkouts whose perfbench/run.py starts a
+# grandchild that keeps writing into the work directory, and then sends the
+# tool SIGTERM while it waits for the run; the run's pid and its process
+# group go to $STUB_PIDS
+STOPPED_BENCHMARK = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tool", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+
+RUN = '''
+import os, signal, subprocess, sys, time
+from pathlib import Path
+subprocess.Popen([sys.executable, "perfbench/writer.py"])
+Path(os.environ["STUB_PIDS"]).write_text(f"{os.getpid()} {os.getpgid(0)}")
+while not Path("late-0").exists():
+    time.sleep(0.01)
+os.kill(os.getppid(), signal.SIGTERM)
+time.sleep(60)
+'''
+
+WRITER = '''
+import time
+from pathlib import Path
+for i in range(6000):
+    try:
+        Path(f"late-{i}").write_text("x")
+    except OSError:
+        pass
+    time.sleep(0.01)
+'''
+
+def extract(commit, dest):
+    (dest / "perfbench").mkdir(parents=True)
+    (dest / "perfbench" / "run.py").write_text(RUN)
+    (dest / "perfbench" / "writer.py").write_text(WRITER)
+    (dest / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "train"}],
+         "end_to_end": []}))
+    print(dest.parent)
+    sys.stdout.flush()
+
+tool.git = lambda *args: "0" * 40
+tool.extract = extract
+sys.exit(tool.main(sys.argv[2:]))
+"""
+
+
+def _live_members(group):
+    """The pids of the processes of ``group`` that have not ended."""
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, pgrp = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except OSError:             # it ended while the table was read
+            continue
+        if int(pgrp) == group and state not in ("Z", "X"):
+            live.append(int(stat.parent.name))
+    return live
+
+
 @pytest.mark.parametrize("tool,prefix,first,argv", [
     ("bench_pairs.py", "bench-pairs-", "git",
      ["HEAD", "HEAD", "--out", "b.json", "--seed", "0"]),
-    ("same_bytes.py", "same-bytes-", "extract", ["HEAD", "HEAD"])],
-    ids=["bench_pairs", "same_bytes"])
+    ("same_bytes.py", "same-bytes-", "extract", ["HEAD", "HEAD"]),
+    ("bench_pairs.py", "bench-pairs-", None,
+     ["HEAD", "HEAD", "--out", "b.json", "--seed", "0"])],
+    ids=["bench_pairs", "same_bytes", "bench_pairs_grandchild"])
 def test_sigterm_removes_the_work_directory(tmp_path, tool, prefix, first,
                                             argv):
+    # with no first step to replace, the signal comes from a benchmark run
+    # whose grandchild is still writing into the work directory
+    if first is None and not Path("/proc/self/stat").is_file():
+        pytest.skip("process groups are read from /proc")
+    harness = ([STOPPED_RUN, str(TOOL.parent / tool), prefix, first]
+               if first else [STOPPED_BENCHMARK, str(TOOL.parent / tool)])
+    pids = tmp_path / "pids"
     proc = subprocess.run(
-        [sys.executable, "-c", STOPPED_RUN, str(TOOL.parent / tool), prefix,
-         first, *argv],
-        cwd=tmp_path, env=dict(os.environ, TMPDIR=str(tmp_path)),
+        [sys.executable, "-c", *harness, *argv],
+        cwd=tmp_path, env=dict(os.environ, TMPDIR=str(tmp_path),
+                               STUB_PIDS=str(pids)),
         capture_output=True, text=True, timeout=60)
-    made = proc.stdout.split()
-    assert len(made) == 1 and Path(made[0]).parent == tmp_path
-    assert not Path(made[0]).exists()
+    made = set(proc.stdout.split())
+    assert len(made) == 1
+    work = Path(made.pop())
+    assert work.parent == tmp_path and not work.exists()
     assert proc.returncode == 128 + 15
+    if first is None:
+        run, group = map(int, pids.read_text().split())
+        assert group == run         # the run leads a group of its own
+        for _ in range(100):        # a killed process ends in a moment
+            if not _live_members(group):
+                break
+            time.sleep(0.05)
+        assert _live_members(group) == []
+        assert not work.exists()

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import types
 import warnings
 import weakref
@@ -162,6 +165,25 @@ def test_load_checkpoint_restores_params(workspace):
         np.testing.assert_array_equal(stored, got)
     assert threshold.value == config["threshold"]["value"]
     assert lambda1 == 1.0 and lambda2 == 0.1 and bank is not None
+
+
+def test_load_checkpoint_builds_the_model_from_the_stored_arrays(
+        workspace, monkeypatch):
+    # no initial weights are drawn only to be overwritten: the model's
+    # parameters are the checkpoint's arrays, bit for bit
+    _, _, model = workspace
+    _, params = datafile.read_checkpoint(model)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("loading a checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    net = cli._load_checkpoint(model).model
+    got = net.named_parameters()
+    assert [name for name, _ in got] == [name for name, _ in params]
+    for (_, stored), (_, values) in zip(params, got):
+        assert values.dtype == np.float64
+        assert values.tobytes() == stored.tobytes()
 
 
 def test_eval_emits_exactly_four_files(tmp_path, workspace, capsys):
@@ -713,3 +735,84 @@ def test_huge_checkpoint_config_length_exits_2(tmp_path, workspace, capsys,
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "truncated" in err and "offset 12" in err
     assert not (tmp_path / "ev").exists()
+
+
+@pytest.fixture(scope="module")
+def two_batches(tmp_path_factory):
+    """A dataset whose test split is two scoring batches, and a checkpoint."""
+    root = tmp_path_factory.mktemp("twobatch")
+    data, model = root / "data.dawn", root / "model.dawm"
+    assert cli.main(["gen-data", "--out", str(data), "--seed", "7",
+                     "--train", "16", "--val", "8",
+                     "--test-per-class", "33"]) == 0
+    assert cli.main(["train", "--data", str(data), "--epochs", "1",
+                     "--batch", "8", "--out", str(model)]) == 0
+    return data, model
+
+
+def test_eval_files_do_not_depend_on_the_process_count(tmp_path, two_batches,
+                                                       monkeypatch):
+    data, model = two_batches
+    for cpus in (1, 2):
+        monkeypatch.setattr(evaluation, "_processes", lambda: cpus)
+        assert cli.main(["eval", "--model", str(model), "--data", str(data),
+                         "--out-dir", str(tmp_path / str(cpus))]) == 0
+    for name in ("roc.csv", "confusion.csv"):
+        assert ((tmp_path / "1" / name).read_bytes()
+                == (tmp_path / "2" / name).read_bytes())
+    one, two = (json.loads((tmp_path / d / "report.json").read_text())
+                for d in "12")
+    assert one.pop("volatile").keys() == two.pop("volatile").keys()
+    assert one == two
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_eval_error_in_the_forked_half_exits_2(tmp_path, two_batches,
+                                               monkeypatch, capsys):
+    data, model = two_batches
+    here, losses = os.getpid(), evaluation.per_sample_losses
+
+    def failing(*args):
+        if os.getpid() != here:
+            raise NumericalError(f"raised in process {os.getpid()}")
+        return losses(*args)
+
+    monkeypatch.setattr(evaluation, "per_sample_losses", failing)
+    monkeypatch.setattr(evaluation, "_processes", lambda: 2)
+    out_dir = tmp_path / "ev"
+    assert cli.main(["eval", "--model", str(model), "--data", str(data),
+                     "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "raised in process" in err
+    assert f"raised in process {here}" not in err
+    assert not (out_dir / "report.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a matrix product's bits depend on how many BLAS threads split it, so
+    # the dawnet entry point pins one whatever the environment holds
+    data = tmp_path / "data.dawn"
+    assert cli.main(["gen-data", "--out", str(data), "--seed", "5",
+                     "--train", "128", "--val", "32",
+                     "--test-per-class", "16"]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    checkpoints = set()
+    for threads in (None, "1", "2"):
+        out = tmp_path / f"threads-{threads}.dawm"
+        subprocess.run(
+            [sys.executable, "-m", "dawnet.cli", "train", "--data", str(data),
+             "--epochs", "2", "--seed", "5", "--out", str(out)],
+            env=env if threads is None
+            else dict(env, OPENBLAS_NUM_THREADS=threads),
+            check=True, capture_output=True, timeout=300)
+        checkpoints.add(out.read_bytes())
+    assert len(checkpoints) == 1

@@ -1,6 +1,12 @@
-"""Metric oracles: AUC, ROC geometry, confusion arithmetic, timing."""
+"""Metric oracles: AUC, ROC geometry, confusion arithmetic, timing, and
+scoring on several processes."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -303,6 +309,8 @@ def test_evaluate_scores_each_snapshot_once(monkeypatch):
 
     monkeypatch.setattr(net, "forward", counted_forward)
     monkeypatch.setattr(ev, "per_sample_losses", kept_losses)
+    # the calls are counted in this process, so every batch is scored here
+    monkeypatch.setattr(ev, "_processes", lambda: 1)
     report = ev.evaluate(detector, bundle.test, bundle.norm_stats)
 
     assert len(bundle.test) == 130 and sum(rows) == 130
@@ -400,3 +408,197 @@ def test_zero_row_splits_refused_one_row_accepted(small_world):
     assert list(pair.label) == [0, 1]
     report = ev.evaluate(_detector(net), pair, bundle.norm_stats)
     assert report.num_class0 == report.num_class1 == 1
+
+
+# --- scoring on several processes ---------------------------------------------
+
+@pytest.fixture(scope="module")
+def three_batches():
+    # 130 snapshots: two full scoring batches and a partial one
+    bundle = sim.generate_dataset(44, (8, 4, 65))
+    net = m.DualDomainAutoencoder(m.ModelConfig(), seed=5)
+    th = tr.Threshold(value=0.5, mu=0.4, sigma=0.1)
+    detector = tr.Detector(net, th, 1.0, 0.1, wavelet.build_bank((4, 8, 16)))
+    return bundle, detector
+
+
+def _evaluate(monkeypatch, processes, detector, split, norm_stats):
+    """``evaluate`` as it runs where ``_processes()`` is ``processes``."""
+    monkeypatch.setattr(ev, "_processes", lambda: processes)
+    return ev.evaluate(detector, split, norm_stats)
+
+
+def _count_forks(monkeypatch, then=None):
+    """The pids of the processes forked from now on, as this process sees
+    them; ``then(pid)`` runs in this process after each fork."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+            if then:
+                then(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _outside_volatile(report):
+    doc = report.to_dict()
+    doc.pop("volatile")
+    return doc, np.array(report.roc).tobytes()
+
+
+@pytest.mark.parametrize("one_thread", [True, False])
+def test_one_process_per_cpu_only_on_one_blas_thread(monkeypatch, one_thread):
+    # a BLAS that already uses every core would only lose from the fork
+    monkeypatch.setattr(ev, "ONE_BLAS_THREAD", one_thread)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    assert ev._processes() == (cpus if one_thread else 1)
+
+
+@pytest.mark.parametrize("imports, threads, expected", [
+    ("dawnet", "2", True),            # the pin overrides the environment
+    ("numpy, dawnet", None, False),   # numpy came first: its own count
+    ("numpy, dawnet", "1", True),     # numpy came first on one thread
+])
+def test_one_blas_thread_reads_the_pin(imports, threads, expected):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    if threads:
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                  "MKL_NUM_THREADS"), threads))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ev.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"import {imports}; print(dawnet.ONE_BLAS_THREAD)"],
+        env=env, check=True, capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == str(expected)
+
+
+@pytest.mark.parametrize("processes", [2, 3, 8])
+def test_forked_scoring_equals_one_process(three_batches, monkeypatch,
+                                           processes):
+    bundle, detector = three_batches
+    one = _evaluate(monkeypatch, 1, detector, bundle.test, bundle.norm_stats)
+    forks = _count_forks(monkeypatch)
+    many = _evaluate(monkeypatch, processes, detector, bundle.test,
+                     bundle.norm_stats)
+    # never more processes than batches; this one scores the first run
+    assert len(forks) == min(processes, 3) - 1
+    assert _outside_volatile(many) == _outside_volatile(one)
+    volatile = many.to_dict()["volatile"]
+    assert volatile["mean_batch_time_s"] > 0
+    assert volatile["ms_per_snapshot"] > 0
+    _assert_no_child_left()
+
+
+def test_one_batch_is_scored_here(small_world, monkeypatch):
+    bundle, net = small_world
+    forks = _count_forks(monkeypatch)
+    _evaluate(monkeypatch, 2, _detector(net), bundle.test, bundle.norm_stats)
+    assert forks == []
+
+
+def _raising_in(monkeypatch, exc_type, where):
+    """per_sample_losses raising ``exc_type``, naming the raising process,
+    in the forked processes (``where="child"``) or in this one, while the
+    forked processes take a minute to score."""
+    here, losses = os.getpid(), ev.per_sample_losses
+
+    def failing(*args):
+        forked = os.getpid() != here
+        if forked == (where == "child"):
+            raise exc_type(f"raised in process {os.getpid()}")
+        if forked:
+            time.sleep(60)
+        return losses(*args)
+
+    monkeypatch.setattr(ev, "per_sample_losses", failing)
+
+
+def test_error_in_the_forked_half_reaches_the_caller(three_batches,
+                                                     monkeypatch):
+    bundle, detector = three_batches
+    forks = _count_forks(monkeypatch)
+    _raising_in(monkeypatch, NumericalError, "child")
+    with pytest.raises(NumericalError) as info:
+        _evaluate(monkeypatch, 2, detector, bundle.test, bundle.norm_stats)
+    assert type(info.value) is NumericalError
+    assert str(info.value) == f"raised in process {forks[0]}"
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc_type", [NumericalError, KeyboardInterrupt])
+def test_error_here_reaps_the_forked_processes(three_batches, monkeypatch,
+                                               exc_type):
+    bundle, detector = three_batches
+    forks = _count_forks(monkeypatch)
+    _raising_in(monkeypatch, exc_type, "here")
+    t0 = time.monotonic()
+    with pytest.raises(exc_type, match=f"process {os.getpid()}"):
+        _evaluate(monkeypatch, 3, detector, bundle.test, bundle.norm_stats)
+    # killed, not waited for
+    assert len(forks) == 2 and time.monotonic() - t0 < 30
+    _assert_no_child_left()
+
+
+def test_interrupt_just_after_the_fork_reaps_the_process(three_batches,
+                                                         monkeypatch):
+    # SIGINT that reaches this process between the fork and the moment the
+    # new process is recorded: it is killed and reaped all the same
+    bundle, detector = three_batches
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    forks = _count_forks(monkeypatch,
+                         then=lambda pid: os.kill(os.getpid(), signal.SIGINT))
+    with pytest.raises(KeyboardInterrupt):
+        _evaluate(monkeypatch, 2, detector, bundle.test, bundle.norm_stats)
+    assert len(forks) == 1
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+    _assert_no_child_left()
+
+
+def test_forked_process_takes_signals_as_this_one(three_batches, monkeypatch):
+    # the signals held across the fork are released in the forked process
+    bundle, detector = three_batches
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    here, losses = os.getpid(), ev.per_sample_losses
+
+    def reporting(*args):
+        if os.getpid() != here:
+            raise NumericalError(
+                repr(sorted(signal.pthread_sigmask(signal.SIG_BLOCK, ()))))
+        return losses(*args)
+
+    monkeypatch.setattr(ev, "per_sample_losses", reporting)
+    with pytest.raises(NumericalError) as info:
+        _evaluate(monkeypatch, 2, detector, bundle.test, bundle.norm_stats)
+    assert str(info.value) == repr(sorted(mask))
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fork", ["missing", "refused"])
+def test_scoring_without_fork_is_unchanged(three_batches, monkeypatch, fork):
+    bundle, detector = three_batches
+    one = _evaluate(monkeypatch, 1, detector, bundle.test, bundle.norm_stats)
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        def refused():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", refused)
+    many = _evaluate(monkeypatch, 3, detector, bundle.test, bundle.norm_stats)
+    assert _outside_volatile(many) == _outside_volatile(one)
+    _assert_no_child_left()

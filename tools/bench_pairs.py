@@ -53,6 +53,7 @@ statistics; a pair with a null on either side is neither a win nor a loss.
 
 import argparse
 import json
+import os
 import shutil
 import signal
 import subprocess
@@ -81,15 +82,28 @@ def extract(commit: str, dest: Path) -> None:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int):
-    """(env, result) of one untraced benchmark run in ``checkout``."""
-    proc = subprocess.run(
+    """(env, result) of one untraced benchmark run in ``checkout``.
+
+    The run leads a process group of its own: its workload processes, and
+    the scorers they fork, are killed with it when this is interrupted, so
+    none of them writes into the work directory after it is removed.
+    """
+    proc = subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:
+        # not yet reaped, so the group still bears the run's pid
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    lines = stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or len(lines) < 2:
         raise RuntimeError(f"{checkout.name} {workload} seed {seed} exited "
-                           f"{proc.returncode}: {proc.stderr.strip()}")
+                           f"{proc.returncode}: {stderr.strip()}")
     return json.loads(lines[-2].removeprefix("env ")), json.loads(lines[-1])
 
 
