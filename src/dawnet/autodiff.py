@@ -18,25 +18,27 @@ the padded length, and the weight gradient pads the input again.
 """
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
 from . import backend
 from .errors import ConfigError, DawnetError, NumericalError, ShapeError
 
-_grad_enabled = True
+# per thread: a thread's no_grad block leaves every other thread's graph
+# building as it was, however the blocks of two threads overlap
+_grad_enabled = ContextVar("grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
-    """Disable graph construction (inference / finite differences)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph construction (inference / finite differences) in this
+    thread."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -76,7 +78,7 @@ def _make(data, parents, backward_fn) -> Tensor:
 def _node(data, parents, backward_fn) -> Tensor:
     """Tape node over already-checked ``data``."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

@@ -8,24 +8,23 @@ score exactly at the threshold stays in the clean class.
 snapshots, so every snapshot goes through the model once, and times each
 batch. When numpy computes on one BLAS thread (``dawnet.ONE_BLAS_THREAD``)
 the batches are cut into contiguous runs, one per CPU this process may run
-on: this process scores the first run and a forked process each other
-one, writing scores and batch times into memory they share. Each batch is
-computed exactly as in one process, so the scores are the same bits.
-``mean_batch_time_s`` is the median time of the full batches from all
-processes (normalization, forward pass, reconstruction and wavelet loss),
-or of the one batch when there is no full one;
+on: the calling thread scores the first run and a worker thread each other
+one, and numpy releases the GIL inside its kernels, so the runs compute
+side by side. Each batch is computed exactly as on one thread, so the
+scores are the same bits. ``mean_batch_time_s`` is the median time of the
+full batches from all runs (normalization, forward pass, reconstruction
+and wavelet loss), or of the one batch when there is no full one;
 ``ms_per_snapshot`` is the wall time of the whole scoring over the number
 of snapshots.
 """
 
 import csv
 import json
-import mmap
 import os
-import pickle
-import signal
 import statistics
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import ONE_BLAS_THREAD
 from . import autodiff as ad
-from .errors import ConfigError, DawnetError, NumericalError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError
 # evaluate does not use it; kept because perfbench/tracing.py wraps it
 from .simulate import model_inputs  # noqa: F401
 from .simulate import stack_rows
@@ -205,102 +204,15 @@ def time_inference(model, x: np.ndarray, repeats: int = 5) -> float:
     return float(np.median(samples))
 
 
-def _processes() -> int:
-    """How many processes ``evaluate`` scores on: one per CPU this process
+def _workers() -> int:
+    """How many threads ``evaluate`` scores on: one per CPU this process
     may run on when numpy computes on one BLAS thread, else 1, because a
-    BLAS that already uses every core only loses from the fork."""
+    BLAS that already uses every core only loses from more threads."""
     if not ONE_BLAS_THREAD:
         return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-_INTERRUPTS = (signal.SIGINT, signal.SIGTERM)
-
-
-def _fork(score, run, children) -> None:
-    """Fork a process that scores ``run`` and record it in ``children`` as
-    ``pid: fd``, the read end of its error pipe.
-
-    SIGINT and SIGTERM are held from before the fork until the process is
-    recorded, so an interrupt cannot leave behind a process that the
-    caller does not know of and so can neither kill nor reap.
-    """
-    held = signal.pthread_sigmask(signal.SIG_BLOCK, ())     # the mask now
-    fd = w = None
-    try:
-        # inside the try: an interrupt already pending is raised by this
-        # call after it has changed the mask
-        signal.pthread_sigmask(signal.SIG_BLOCK, _INTERRUPTS)
-        fd, w = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            _scorer(score, run, w, held)
-        children[pid] = fd
-    except BaseException:
-        if fd is not None:
-            os.close(fd)
-        raise
-    finally:
-        if w is not None:
-            os.close(w)
-        # an interrupt that arrived meanwhile is raised here
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
-
-
-def _scorer(score, run, w, mask):
-    """The forked process: score ``run`` and exit with status 0, or write
-    the pickled exception to the pipe ``w`` and exit with status 1. It
-    leaves only through ``os._exit``, so it flushes no inherited buffer,
-    runs no atexit hook and never returns into its caller's stack."""
-    status = 1
-    try:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        score(*run)
-        status = 0
-    except BaseException as exc:
-        error = pickle.dumps(exc)   # whole, or nothing is written
-        with open(w, "wb") as pipe:
-            pipe.write(error)
-    finally:
-        os._exit(status)
-
-
-def _score_runs(score, runs) -> None:
-    """``score(first, end)`` of every run: the first here, each other in a
-    forked process, or here too when no process can be started.
-
-    An exception a forked process raises is raised here, with its type and
-    message. Every forked process is reaped before this returns or raises;
-    on an error or an interrupt they are killed first.
-    """
-    children, here = {}, [runs[0]]    # pid -> read end of its error pipe
-    try:
-        for run in runs[1:]:
-            try:
-                _fork(score, run, children)
-            except OSError:
-                here.append(run)
-        for run in here:
-            score(*run)
-        for pid, fd in list(children.items()):
-            with open(fd, "rb", closefd=False) as pipe:
-                error = pipe.read()         # until the process exits
-            _, status = os.waitpid(pid, 0)
-            os.close(children.pop(pid))
-            if status != 0:
-                raise (pickle.loads(error) if error else DawnetError(
-                    f"scoring process {pid} ended with wait status "
-                    f"{status}"))
-    except BaseException:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, fd in children.items():
-            os.waitpid(pid, 0)
-            os.close(fd)
 
 
 def evaluate(detector, snapshots, norm_stats) -> MetricsReport:
@@ -312,9 +224,12 @@ def evaluate(detector, snapshots, norm_stats) -> MetricsReport:
     full batches (of the one partial batch if there is no full one) and
     ``ms_per_snapshot`` the wall time of the scoring per snapshot.
 
-    With at least two batches, the batches are cut into at most
-    ``_processes()`` contiguous runs and all but the first are scored in
-    forked processes (see ``_score_runs``).
+    The batches are cut into at most ``_workers()`` contiguous runs. This
+    thread scores the first and a worker thread each other one; one batch
+    starts no thread. An exception raised in any run is raised here, with
+    its type and message. A failed run, or an interrupt of this thread,
+    stops the other runs after their current batch, and every worker
+    thread has ended before this returns or raises.
 
     Raises ``NumericalError`` if any score is non-finite: NaN would rank as
     a perfect AUC and inf would pass as a detection.
@@ -326,31 +241,40 @@ def evaluate(detector, snapshots, norm_stats) -> MetricsReport:
     model, threshold, lambda1, lambda2, bank = detector
     n = len(snapshots)
     n_batches = -(-n // SCORE_BATCH)
-    k = max(1, min(_processes(), n_batches)) if hasattr(os, "fork") else 1
+    k = min(_workers(), n_batches)
     runs = [(i * n_batches // k, (i + 1) * n_batches // k) for i in range(k)]
-    t0 = time.perf_counter()
-    out = np.empty(n + n_batches)
-    if k > 1:
-        try:
-            # scores, then batch times, in memory the forked processes share
-            out = np.frombuffer(mmap.mmap(-1, out.nbytes))
-        except OSError:
-            runs = [(0, n_batches)]
-    scores, batch_times = out[:n], out[n:]
+    scores, batch_times = np.empty(n), np.empty(n_batches)
+    stop = threading.Event()
 
     def score(first, end):
-        # parameters that overflow the scores are reported by the check
-        # below, not by numpy warnings on the way
-        with np.errstate(over="ignore", invalid="ignore"):
-            for b in range(first, end):
-                sl = slice(b * SCORE_BATCH, (b + 1) * SCORE_BATCH)
-                t_batch = time.perf_counter()
-                scores[sl] = per_sample_losses(model, snapshots[sl],
-                                               norm_stats, bank, lambda1,
-                                               lambda2)
-                batch_times[b] = time.perf_counter() - t_batch
+        try:
+            # parameters that overflow the scores are reported by the
+            # check below, not by numpy warnings on the way
+            with np.errstate(over="ignore", invalid="ignore"):
+                for b in range(first, end):
+                    if stop.is_set():
+                        return
+                    sl = slice(b * SCORE_BATCH, (b + 1) * SCORE_BATCH)
+                    t_batch = time.perf_counter()
+                    scores[sl] = per_sample_losses(model, snapshots[sl],
+                                                   norm_stats, bank, lambda1,
+                                                   lambda2)
+                    batch_times[b] = time.perf_counter() - t_batch
+        except BaseException:
+            stop.set()
+            raise
 
-    _score_runs(score, runs)
+    t0 = time.perf_counter()
+    # the pool starts a thread only when a run is submitted to it
+    with ThreadPoolExecutor(max(1, k - 1)) as pool:
+        try:
+            futures = [pool.submit(score, *run) for run in runs[1:]]
+            score(*runs[0])
+            for future in futures:
+                future.result()
+        finally:
+            # also after an interrupt of this thread while it waits
+            stop.set()
     wall = time.perf_counter() - t0
     if not np.isfinite(scores).all():
         raise NumericalError(f"{np.count_nonzero(~np.isfinite(scores))} of "

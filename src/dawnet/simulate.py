@@ -113,7 +113,7 @@ def leo_eirp_dbw() -> float:
 LEO_EIRP_DBW = leo_eirp_dbw()
 
 
-def sample_leo_link(rng: np.random.Generator) -> tuple:
+def sample_leo_link(rng: "np.random.Generator") -> tuple:
     """Draw one interferer: (in-band power over the unit noise floor,
     Doppler offset in Hz). Consumes exactly 6 uniforms.
 
@@ -133,7 +133,7 @@ def sample_leo_link(rng: np.random.Generator) -> tuple:
     return power * overlap, doppler
 
 
-def _qpsk(rng: np.random.Generator, n: int) -> np.ndarray:
+def _qpsk(rng: "np.random.Generator", n: int) -> np.ndarray:
     """Unit-power QPSK at one sample per symbol with a random carrier phase."""
     phase0 = rng.uniform(0.0, 2.0 * math.pi)
     symbols = rng.integers(0, 4, size=n)
@@ -143,7 +143,7 @@ def _qpsk(rng: np.random.Generator, n: int) -> np.ndarray:
     return constellation[symbols]
 
 
-def synthesize_waveform(cnr_db: float, per_leo, rng: np.random.Generator,
+def synthesize_waveform(cnr_db: float, per_leo, rng: "np.random.Generator",
                         num_samples: int = SNAPSHOT_LEN,
                         include_noise: bool = True) -> np.ndarray:
     """Received complex baseband per the additive interference model.

@@ -1,6 +1,7 @@
 """Autodiff op oracles and gradient checks."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -353,3 +354,15 @@ def test_no_grad_blocks_graph():
     with ad.no_grad():
         y = ad.mul(x, x)
     assert not y.requires_grad and y._backward is None
+
+
+def test_no_grad_holds_per_thread():
+    # a thread started inside this thread's no_grad block builds its graph
+    x, built = _t(1.5), []
+    with ad.no_grad():
+        other = threading.Thread(target=lambda: built.append(ad.mul(x, x)))
+        other.start()
+        other.join()
+        assert not ad.mul(x, x).requires_grad
+    (y,) = built
+    assert y.requires_grad and y._parents == (x, x)

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import types
 import warnings
 import weakref
@@ -750,13 +751,13 @@ def two_batches(tmp_path_factory):
     return data, model
 
 
-def test_eval_files_do_not_depend_on_the_process_count(tmp_path, two_batches,
-                                                       monkeypatch):
+def test_eval_files_do_not_depend_on_the_worker_count(tmp_path, two_batches,
+                                                      monkeypatch):
     data, model = two_batches
-    for cpus in (1, 2):
-        monkeypatch.setattr(evaluation, "_processes", lambda: cpus)
+    for workers in (1, 2):
+        monkeypatch.setattr(evaluation, "_workers", lambda: workers)
         assert cli.main(["eval", "--model", str(model), "--data", str(data),
-                         "--out-dir", str(tmp_path / str(cpus))]) == 0
+                         "--out-dir", str(tmp_path / str(workers))]) == 0
     for name in ("roc.csv", "confusion.csv"):
         assert ((tmp_path / "1" / name).read_bytes()
                 == (tmp_path / "2" / name).read_bytes())
@@ -764,32 +765,31 @@ def test_eval_files_do_not_depend_on_the_process_count(tmp_path, two_batches,
                 for d in "12")
     assert one.pop("volatile").keys() == two.pop("volatile").keys()
     assert one == two
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
-def test_eval_error_in_the_forked_half_exits_2(tmp_path, two_batches,
-                                               monkeypatch, capsys):
+def test_eval_error_on_the_worker_thread_exits_2(tmp_path, two_batches,
+                                                 monkeypatch, capsys):
     data, model = two_batches
-    here, losses = os.getpid(), evaluation.per_sample_losses
+    main, losses = threading.current_thread(), evaluation.per_sample_losses
 
     def failing(*args):
-        if os.getpid() != here:
-            raise NumericalError(f"raised in process {os.getpid()}")
+        if threading.current_thread() is not main:
+            raise NumericalError(
+                f"raised on {threading.current_thread().name}")
         return losses(*args)
 
     monkeypatch.setattr(evaluation, "per_sample_losses", failing)
-    monkeypatch.setattr(evaluation, "_processes", lambda: 2)
+    monkeypatch.setattr(evaluation, "_workers", lambda: 2)
     out_dir = tmp_path / "ev"
+    before = threading.active_count()
     assert cli.main(["eval", "--model", str(model), "--data", str(data),
                      "--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert err.startswith("error:") and "raised in process" in err
-    assert f"raised in process {here}" not in err
+    assert err.startswith("error:") and "raised on" in err
+    assert f"raised on {main.name}" not in err
     assert not (out_dir / "report.json").exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == before
 
 
 def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):

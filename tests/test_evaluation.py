@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -309,8 +310,8 @@ def test_evaluate_scores_each_snapshot_once(monkeypatch):
 
     monkeypatch.setattr(net, "forward", counted_forward)
     monkeypatch.setattr(ev, "per_sample_losses", kept_losses)
-    # the calls are counted in this process, so every batch is scored here
-    monkeypatch.setattr(ev, "_processes", lambda: 1)
+    # the batches are kept in call order, so one thread scores them all
+    monkeypatch.setattr(ev, "_workers", lambda: 1)
     report = ev.evaluate(detector, bundle.test, bundle.norm_stats)
 
     assert len(bundle.test) == 130 and sum(rows) == 130
@@ -410,7 +411,7 @@ def test_zero_row_splits_refused_one_row_accepted(small_world):
     assert report.num_class0 == report.num_class1 == 1
 
 
-# --- scoring on several processes ---------------------------------------------
+# --- scoring on several threads -----------------------------------------------
 
 @pytest.fixture(scope="module")
 def three_batches():
@@ -422,32 +423,22 @@ def three_batches():
     return bundle, detector
 
 
-def _evaluate(monkeypatch, processes, detector, split, norm_stats):
-    """``evaluate`` as it runs where ``_processes()`` is ``processes``."""
-    monkeypatch.setattr(ev, "_processes", lambda: processes)
+def _evaluate(monkeypatch, workers, detector, split, norm_stats):
+    """``evaluate`` as it runs where ``_workers()`` is ``workers``."""
+    monkeypatch.setattr(ev, "_workers", lambda: workers)
     return ev.evaluate(detector, split, norm_stats)
 
 
-def _count_forks(monkeypatch, then=None):
-    """The pids of the processes forked from now on, as this process sees
-    them; ``then(pid)`` runs in this process after each fork."""
-    forks, fork = [], os.fork
+def _count_thread_starts(monkeypatch):
+    """The names of the threads started from now on."""
+    started, start = [], threading.Thread.start
 
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-            if then:
-                then(pid)
-        return pid
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
 
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
 
 
 def _outside_volatile(report):
@@ -457,12 +448,12 @@ def _outside_volatile(report):
 
 
 @pytest.mark.parametrize("one_thread", [True, False])
-def test_one_process_per_cpu_only_on_one_blas_thread(monkeypatch, one_thread):
-    # a BLAS that already uses every core would only lose from the fork
+def test_one_worker_per_cpu_only_on_one_blas_thread(monkeypatch, one_thread):
+    # a BLAS that already uses every core would only lose from more threads
     monkeypatch.setattr(ev, "ONE_BLAS_THREAD", one_thread)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
-    assert ev._processes() == (cpus if one_thread else 1)
+    assert ev._workers() == (cpus if one_thread else 1)
 
 
 @pytest.mark.parametrize("imports, threads, expected", [
@@ -487,118 +478,128 @@ def test_one_blas_thread_reads_the_pin(imports, threads, expected):
     assert out.stdout.strip() == str(expected)
 
 
-@pytest.mark.parametrize("processes", [2, 3, 8])
-def test_forked_scoring_equals_one_process(three_batches, monkeypatch,
-                                           processes):
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_threaded_scoring_equals_one_thread(three_batches, monkeypatch,
+                                            workers):
     bundle, detector = three_batches
     one = _evaluate(monkeypatch, 1, detector, bundle.test, bundle.norm_stats)
-    forks = _count_forks(monkeypatch)
-    many = _evaluate(monkeypatch, processes, detector, bundle.test,
-                     bundle.norm_stats)
-    # never more processes than batches; this one scores the first run
-    assert len(forks) == min(processes, 3) - 1
+    before = threading.active_count()
+    started = _count_thread_starts(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # hand the GIL over as often as it can
+    try:
+        many = _evaluate(monkeypatch, workers, detector, bundle.test,
+                         bundle.norm_stats)
+    finally:
+        sys.setswitchinterval(interval)
+    # never more threads than batches; this one scores the first run
+    assert len(started) == min(workers, 3) - 1
     assert _outside_volatile(many) == _outside_volatile(one)
     volatile = many.to_dict()["volatile"]
     assert volatile["mean_batch_time_s"] > 0
     assert volatile["ms_per_snapshot"] > 0
-    _assert_no_child_left()
+    assert threading.active_count() == before
 
 
 def test_one_batch_is_scored_here(small_world, monkeypatch):
     bundle, net = small_world
-    forks = _count_forks(monkeypatch)
+    started = _count_thread_starts(monkeypatch)
     _evaluate(monkeypatch, 2, _detector(net), bundle.test, bundle.norm_stats)
-    assert forks == []
+    assert started == []
 
 
-def _raising_in(monkeypatch, exc_type, where):
-    """per_sample_losses raising ``exc_type``, naming the raising process,
-    in the forked processes (``where="child"``) or in this one, while the
-    forked processes take a minute to score."""
-    here, losses = os.getpid(), ev.per_sample_losses
-
-    def failing(*args):
-        forked = os.getpid() != here
-        if forked == (where == "child"):
-            raise exc_type(f"raised in process {os.getpid()}")
-        if forked:
-            time.sleep(60)
-        return losses(*args)
-
-    monkeypatch.setattr(ev, "per_sample_losses", failing)
-
-
-def test_error_in_the_forked_half_reaches_the_caller(three_batches,
-                                                     monkeypatch):
+def test_training_after_threaded_scoring_updates_the_parameters(
+        three_batches, monkeypatch):
+    # the scoring threads' no_grad blocks overlap; graph building must be
+    # on again in this thread afterwards
     bundle, detector = three_batches
-    forks = _count_forks(monkeypatch)
-    _raising_in(monkeypatch, NumericalError, "child")
+    _evaluate(monkeypatch, 3, detector, bundle.test, bundle.norm_stats)
+    net = m.DualDomainAutoencoder(m.ModelConfig(), seed=5)
+    before = {name: values.copy() for name, values in net.named_parameters()}
+    tr.train(bundle, net, tr.TrainConfig(epochs=1, batch_size=8))
+    assert any(not np.array_equal(values, before[name])
+               for name, values in net.named_parameters())
+
+
+SLOW_S = 0.5    # one batch of a slow run; a run has 8 of them
+
+
+def _slow_split(bundle):
+    """16 full scoring batches of the test split's rows: 8 per run on two
+    workers, so a run that is not stopped takes at least 4 s."""
+    return bundle.test[np.arange(16 * tr.SCORE_BATCH) % len(bundle.test)]
+
+
+def _scoring(monkeypatch, here, worker):
+    """per_sample_losses that calls ``here()`` on this thread and
+    ``worker()`` on a worker thread before each batch, and scores 0."""
+    main = threading.current_thread()
+
+    def per_sample_losses(model, rows, *args):
+        (here if threading.current_thread() is main else worker)()
+        return np.zeros(len(rows))
+
+    monkeypatch.setattr(ev, "per_sample_losses", per_sample_losses)
+
+
+def _raise(exc_type):
+    def raising():
+        raise exc_type(f"raised on {threading.current_thread().name}")
+    return raising
+
+
+def _slow():
+    time.sleep(SLOW_S)
+
+
+def test_error_on_the_worker_thread_reaches_the_caller(three_batches,
+                                                       monkeypatch):
+    # and stops this thread's run after its current batch
+    bundle, detector = three_batches
+    started = _count_thread_starts(monkeypatch)
+    _scoring(monkeypatch, here=_slow, worker=_raise(NumericalError))
+    before, t0 = threading.active_count(), time.monotonic()
     with pytest.raises(NumericalError) as info:
-        _evaluate(monkeypatch, 2, detector, bundle.test, bundle.norm_stats)
+        _evaluate(monkeypatch, 2, detector, _slow_split(bundle),
+                  bundle.norm_stats)
+    assert time.monotonic() - t0 < 2.5
     assert type(info.value) is NumericalError
-    assert str(info.value) == f"raised in process {forks[0]}"
-    _assert_no_child_left()
+    assert str(info.value) == f"raised on {started[0]}"
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("exc_type", [NumericalError, KeyboardInterrupt])
-def test_error_here_reaps_the_forked_processes(three_batches, monkeypatch,
-                                               exc_type):
+def test_error_here_stops_the_worker_threads(three_batches, monkeypatch,
+                                             exc_type):
     bundle, detector = three_batches
-    forks = _count_forks(monkeypatch)
-    _raising_in(monkeypatch, exc_type, "here")
-    t0 = time.monotonic()
-    with pytest.raises(exc_type, match=f"process {os.getpid()}"):
-        _evaluate(monkeypatch, 3, detector, bundle.test, bundle.norm_stats)
-    # killed, not waited for
-    assert len(forks) == 2 and time.monotonic() - t0 < 30
-    _assert_no_child_left()
+    _scoring(monkeypatch, here=_raise(exc_type), worker=_slow)
+    before, t0 = threading.active_count(), time.monotonic()
+    with pytest.raises(exc_type,
+                       match=f"on {threading.current_thread().name}"):
+        _evaluate(monkeypatch, 2, detector, _slow_split(bundle),
+                  bundle.norm_stats)
+    # the worker's run stopped after its current batch
+    assert time.monotonic() - t0 < 2.5
+    assert threading.active_count() == before
 
 
-def test_interrupt_just_after_the_fork_reaps_the_process(three_batches,
-                                                         monkeypatch):
-    # SIGINT that reaches this process between the fork and the moment the
-    # new process is recorded: it is killed and reaped all the same
+def test_interrupt_while_waiting_stops_the_worker_threads(three_batches,
+                                                          monkeypatch):
+    # Ctrl-C after this thread's run, while it waits for the worker's
     bundle, detector = three_batches
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
-    forks = _count_forks(monkeypatch,
-                         then=lambda pid: os.kill(os.getpid(), signal.SIGINT))
+    sent = []
+
+    def interrupting():
+        if not sent:
+            time.sleep(0.2)     # the calling thread is waiting by now
+            os.kill(os.getpid(), signal.SIGINT)
+            sent.append(True)
+        _slow()
+
+    _scoring(monkeypatch, here=lambda: None, worker=interrupting)
+    before, t0 = threading.active_count(), time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        _evaluate(monkeypatch, 2, detector, bundle.test, bundle.norm_stats)
-    assert len(forks) == 1
-    assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
-    _assert_no_child_left()
-
-
-def test_forked_process_takes_signals_as_this_one(three_batches, monkeypatch):
-    # the signals held across the fork are released in the forked process
-    bundle, detector = three_batches
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
-    here, losses = os.getpid(), ev.per_sample_losses
-
-    def reporting(*args):
-        if os.getpid() != here:
-            raise NumericalError(
-                repr(sorted(signal.pthread_sigmask(signal.SIG_BLOCK, ()))))
-        return losses(*args)
-
-    monkeypatch.setattr(ev, "per_sample_losses", reporting)
-    with pytest.raises(NumericalError) as info:
-        _evaluate(monkeypatch, 2, detector, bundle.test, bundle.norm_stats)
-    assert str(info.value) == repr(sorted(mask))
-    assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("fork", ["missing", "refused"])
-def test_scoring_without_fork_is_unchanged(three_batches, monkeypatch, fork):
-    bundle, detector = three_batches
-    one = _evaluate(monkeypatch, 1, detector, bundle.test, bundle.norm_stats)
-    if fork == "missing":
-        monkeypatch.delattr(os, "fork")
-    else:
-        def refused():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-        monkeypatch.setattr(os, "fork", refused)
-    many = _evaluate(monkeypatch, 3, detector, bundle.test, bundle.norm_stats)
-    assert _outside_volatile(many) == _outside_volatile(one)
-    _assert_no_child_left()
+        _evaluate(monkeypatch, 2, detector, _slow_split(bundle),
+                  bundle.norm_stats)
+    assert sent and time.monotonic() - t0 < 2.5
+    assert threading.active_count() == before

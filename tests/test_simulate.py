@@ -1,6 +1,9 @@
 """Waveform synthesis, Welch PSD, and dataset assembly oracles."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -415,3 +418,16 @@ def test_dataset_unsatisfiable_quota_raises(monkeypatch):
 def test_dataset_rejects_bad_counts():
     with pytest.raises(ConfigError):
         sim.generate_dataset(0, (0, 1, 1))
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # the generator annotations are strings, so a command that draws
+    # nothing, such as eval, never imports numpy.random (10-17 ms)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dawnet; print('numpy.random' in sys.modules)"],
+        env=env, check=True, capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
