@@ -556,7 +556,9 @@ def grad_check(f, params, eps=1e-5, samples_per_param=None, rng=None) -> float:
         raise ConfigError("eps must lie in [1e-6, 1e-3]")
     params = list(params)
     for p in params:
-        p.grad = None
+        # in place: a model's gradients are views of its gradient record
+        if p.grad is not None:
+            p.grad.fill(0)
     loss = f()
     backward(loss)
     f0 = float(loss.data)

@@ -195,7 +195,7 @@ def cmd_train(args) -> int:
     elapsed = time.perf_counter() - t0
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    datafile.write_checkpoint(out, config, result["model"].named_parameters())
+    datafile.write_checkpoint(out, config, result["model"].values)
     _write_manifest(out.with_name(out.name + ".manifest.json"), args,
                     inputs=inputs, outputs={"checkpoint": out},
                     volatile={"elapsed_s": elapsed,
@@ -215,7 +215,7 @@ def _load_checkpoint(path) -> tr.Detector:
     The format holds exactly the model's parameters: the bank is rebuilt
     from the configured scales, so a stored bank is refused as trailing bytes.
     """
-    config, params = datafile.read_checkpoint(path)
+    config, values = datafile.read_checkpoint(path)
     try:
         model_cfg = ModelConfig(**config["model"])
         block = config["train"]
@@ -227,7 +227,7 @@ def _load_checkpoint(path) -> tr.Detector:
         if not all(map(math.isfinite, (threshold.value, threshold.mu,
                                        threshold.sigma))):
             raise ValueError("non-finite threshold")
-        model = DualDomainAutoencoder(model_cfg, parameters=params)
+        model = DualDomainAutoencoder(model_cfg, parameters=values)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(
             f"bad checkpoint {Path(path).name}: {exc!r}") from exc
@@ -298,8 +298,7 @@ def cmd_ablate(args) -> int:
         variant_dir = out_dir / name
         variant_dir.mkdir(parents=True, exist_ok=True)
         ckpt = variant_dir / "checkpoint.dawm"
-        datafile.write_checkpoint(ckpt, config,
-                                  result["model"].named_parameters())
+        datafile.write_checkpoint(ckpt, config, result["model"].values)
         ev.write_report_files(report, variant_dir)
         outputs[f"{name}/checkpoint.dawm"] = ckpt
         for file in REPORT_FILES:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .model import PARAMETERS, check_layout
+from .model import PARAMETERS
 from .simulate import SNAPSHOT, SNAPSHOT_LEN, DatasetBundle
 
 DATASET_MAGIC = b"DAWN"
@@ -155,26 +155,24 @@ def read_dataset(path) -> DatasetBundle:
 # checkpoint container
 # ---------------------------------------------------------------------------
 
-def write_checkpoint(path, config: dict, named_params) -> None:
-    """Write the header, the JSON config block and the values of
-    (name, array) pairs, which must be ``PARAMETERS``' fields in order, as
-    one ``PARAMETERS`` record: raw IEEE doubles, so a write→read→write
-    cycle is byte-identical."""
-    named_params = list(named_params)
-    check_layout(named_params, FormatError)
+def write_checkpoint(path, config: dict, values) -> None:
+    """Write the header, the JSON config block and ``values``, which must be
+    one ``PARAMETERS`` record: raw IEEE doubles, so a write→read→write cycle
+    is byte-identical."""
+    if not (isinstance(values, np.ndarray) and values.dtype == PARAMETERS
+            and values.shape == ()):
+        raise FormatError("parameters must be one PARAMETERS record")
     cfg_blob = json.dumps(config, sort_keys=True).encode("utf-8")
     header = np.array((CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(cfg_blob)),
                       CHECKPOINT_HEADER)
     with Path(path).open("wb") as f:
         header.tofile(f)
         f.write(cfg_blob)
-        for _, values in named_params:
-            np.asarray(values, "<f8").tofile(f)
+        values.tofile(f)
 
 
 def read_checkpoint(path):
-    """Returns (config, list of (name, float64 array)), the arrays in
-    ``PARAMETERS`` order and views of one record the file is read into."""
+    """Returns (config, the ``PARAMETERS`` record the file is read into)."""
     with _open(path, "checkpoint", CHECKPOINT_HEADER, CHECKPOINT_MAGIC,
                CHECKPOINT_VERSION, "retrain it with dawnet train") as (
                    f, size, label, header):
@@ -189,10 +187,8 @@ def read_checkpoint(path):
             raise FormatError(f"bad config block: {exc}", offset=at) from exc
         _check_size(size, end, PARAMETERS, 1, label)
         record = np.fromfile(f, PARAMETERS, 1).reshape(())
-    params = [(name, record[name]) for name in PARAMETERS.names]
-    for name, values in params:
-        if not np.isfinite(values).all():
+    for name, (_, offset) in PARAMETERS.fields.items():
+        if not np.isfinite(record[name]).all():
             raise FormatError(f"non-finite value in parameter {name} of "
-                              f"{label}",
-                              offset=end + PARAMETERS.fields[name][1])
-    return config, params
+                              f"{label}", offset=end + offset)
+    return config, record

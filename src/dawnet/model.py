@@ -12,6 +12,7 @@ every variant shares checkpoints and initialization.
 """
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,16 +62,6 @@ LAYOUT = (
 )
 # one record of every parameter's values: a checkpoint's parameter block
 PARAMETERS = np.dtype([(name, "<f8", shape) for name, shape, _ in LAYOUT])
-
-
-def check_layout(named, error=ConfigError) -> None:
-    """Refuse (name, array) pairs whose names and shapes are not
-    ``LAYOUT``'s, in order, with ``error`` naming where they differ."""
-    got = [(name, np.shape(values)) for name, values in named]
-    want = [(name, shape) for name, shape, _ in LAYOUT]
-    if got != want:
-        odd = sorted(set(got) ^ set(want), key=str) or "order"
-        raise error(f"not the model's parameters: they differ in {odd}")
 
 
 ABLATIONS = ("full", "no_mutual_attention", "no_wavelet_loss", "vanilla")
@@ -133,41 +124,47 @@ def fuse_bidirectional(x: ad.Tensor, y: ad.Tensor, p: AttentionParams):
     return x_ref, y_ref
 
 
-def _initial_parameters(seed: int):
-    """(name, initial values) of every parameter, drawn in ``LAYOUT``
-    order from ``seed``."""
+def _initial_parameters(seed: int) -> np.ndarray:
+    """One ``PARAMETERS`` record drawn in ``LAYOUT`` order from ``seed``."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
+    values = np.zeros((), PARAMETERS)
     for name, shape, fan_in in LAYOUT:
-        if fan_in is None:
-            yield name, np.zeros(shape)
-        else:
+        if fan_in is not None:
             bound = 1.0 / math.sqrt(fan_in)
-            yield name, rng.uniform(-bound, bound, size=shape)
+            values[name] = rng.uniform(-bound, bound, size=shape)
+    return values
 
 
 class DualDomainAutoencoder:
-    """Encoders, shared attention, decoder; parameters in one ordered dict.
+    """Encoders, shared attention, decoder; parameters in two records.
 
-    ``params`` maps each parameter's name to its tensor in ``LAYOUT`` order.
-    Every ablation creates the identical parameter set in the identical
-    order, so checkpoints are interchangeable and seed-matched variants
-    start from bitwise-equal weights.
+    ``params`` maps each name in ``LAYOUT`` order to a tensor whose data and
+    gradient are that field of the ``PARAMETERS`` records ``values`` and
+    ``grads``, so the tape accumulates into ``grads`` in place. Every
+    ablation has the identical parameters, so checkpoints are
+    interchangeable and seed-matched variants start from bitwise-equal
+    weights.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, parameters=None):
-        """Weights drawn from ``seed``, or, with nothing drawn, taken from
-        ``parameters``: (name, array) pairs in ``LAYOUT``'s names and
-        shapes, such as :func:`datafile.read_checkpoint` returns. A float64
-        array becomes the tensor's data itself, not a copy, so the caller
-        must not hand in arrays another model trains."""
+        """Weights drawn from ``seed``, or, with nothing drawn, the
+        ``PARAMETERS`` record ``parameters`` that
+        :func:`datafile.read_checkpoint` returns: that record is trained,
+        not a copy, so it must not be one another model trains."""
         self.config = config
         if parameters is None:
             parameters = _initial_parameters(seed)
-        else:
-            parameters = list(parameters)
-            check_layout(parameters)
-        self.params = {name: ad.Tensor(values, requires_grad=True)
-                       for name, values in parameters}
+        elif not (isinstance(parameters, np.ndarray)
+                  and parameters.dtype == PARAMETERS and parameters.shape == ()):
+            raise ConfigError("parameters must be one PARAMETERS record")
+        self.values = parameters
+        # zero pages of its own, off the malloc heap: touched only in training
+        self.grads = np.frombuffer(mmap.mmap(-1, PARAMETERS.itemsize),
+                                   PARAMETERS).reshape(())
+        self.params = {name: ad.Tensor(parameters[name], requires_grad=True)
+                       for name in PARAMETERS.names}
+        for name, t in self.params.items():
+            t.grad = self.grads[name]
         self.attention = AttentionParams(
             *(self.params[f"attention.{n}"]
               for n in ("w_q", "w_k", "w_v", "gamma")))
@@ -221,4 +218,4 @@ class DualDomainAutoencoder:
     # -- persistence ---------------------------------------------------------
 
     def named_parameters(self):
-        return [(name, t.data) for name, t in self.params.items()]
+        return [(name, self.values[name]) for name in PARAMETERS.names]

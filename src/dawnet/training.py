@@ -23,7 +23,7 @@ from .model import INPUT_LEN
 SCORE_BATCH = 64
 # samples of the stacked (amplitude, PSD) signal the wavelet term filters
 SIGNAL_LEN = 2 * INPUT_LEN
-# elements per piece of a parameter that Adam updates at a time: its two
+# elements of the flat parameters that Adam updates at a time: its two
 # scratch rows of 256 KiB each stay in a 1 MiB L2 cache
 ADAM_CHUNK = 32_768
 
@@ -94,26 +94,23 @@ def wavelet_term(model_config, lambda2: float, scales) -> tuple:
 class Adam:
     """Adaptive-moment optimizer (beta1=0.9, beta2=0.999, eps=1e-8).
 
-    Updates every parameter array in place, in the textbook order of
-    operations, over ``ADAM_CHUNK``-element pieces of each flattened
-    parameter: one scratch pair of that size serves every parameter and
-    stays in cache while a piece goes through all of its passes. Each
-    element sees the same operations in the same order as a whole-array
-    update, so the result is bitwise the same.
+    ``values`` and ``grads`` are C-contiguous float64 buffers of one size,
+    such as a model's two ``PARAMETERS`` records. The textbook update runs
+    in place over ``ADAM_CHUNK``-element pieces, through one scratch pair
+    that stays in cache while a piece goes through all of its passes. Each
+    element sees a whole-buffer update's operations in the same order, so
+    the result is bitwise the same; elements with zero gradient stay put.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr=1e-3):
-        self.params = list(params)
-        for p in self.params:
-            # the update writes through flat views of the parameter
-            if not p.data.flags.c_contiguous:
-                p.data = p.data.copy()
-        self.lr = float(lr)
-        self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+    def __init__(self, values, grads, lr=1e-3):
+        # views, never copies: a buffer that is not C-contiguous is refused
+        self.values, self.grads = (np.frombuffer(a, np.float64)
+                                   for a in (values, grads))
+        self.lr, self.t = float(lr), 0
+        # two arrays: a freed 2n block lifts glibc's mmap threshold too far
+        self._m, self._v = (np.zeros_like(self.values) for _ in range(2))
         self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
 
     def step(self):
@@ -126,20 +123,17 @@ class Adam:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
-            try:
-                with np.errstate(over="raise"):
-                    self._update(p, m, v, b1t, b2t)
-            except FloatingPointError as exc:
-                raise NumericalError(f"Adam update: {exc}") from exc
-            if not np.isfinite(p.data).all():
-                raise NumericalError("non-finite parameter after update")
+        try:
+            with np.errstate(over="raise"):
+                self._update(b1t, b2t)
+        except FloatingPointError as exc:
+            raise NumericalError(f"Adam update: {exc}") from exc
+        if not np.isfinite(self.values).all():
+            raise NumericalError("non-finite parameter after update")
 
-    def _update(self, p, m, v, b1t, b2t):
-        flat = [a.reshape(-1) for a in (p.data, p.grad, m, v)]
-        for lo in range(0, p.data.size, ADAM_CHUNK):
+    def _update(self, b1t, b2t):
+        flat = (self.values, self.grads, self._m, self._v)
+        for lo in range(0, self.values.size, ADAM_CHUNK):
             pc, g, mc, vc = (a[lo:lo + ADAM_CHUNK] for a in flat)
             s, u = (a[:pc.size] for a in self._scratch)
             mc *= self.beta1
@@ -156,8 +150,7 @@ class Adam:
             pc -= u
 
     def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        self.grads.fill(0)
 
 
 def sample_losses(d: np.ndarray, bank, lambda1: float, lambda2: float):
@@ -215,7 +208,7 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
                                  cfg.wavelet_scales)
     n = len(bundle.train)
 
-    opt = Adam(model.params.values(), lr=cfg.learning_rate)
+    opt = Adam(model.values, model.grads, lr=cfg.learning_rate)
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, 2]))
 

@@ -30,15 +30,15 @@ def test_criterion_01_analytic_gradients_match_finite_differences():
     start = time.perf_counter()
     net = m.DualDomainAutoencoder(m.ModelConfig(ablation="full"), seed=6)
     # nonzero mixing coefficient so attention weights receive gradient
-    net.params["attention.gamma"].data = np.array(0.3)
+    net.values["attention.gamma"] = 0.3
     # Freshly initialised biases are zero, which parks every pre-activation
     # whose receptive field sees no signal exactly on the ReLU kink; central
     # differences are meaningless there, so nudge each bias off zero.
     jitter = np.random.default_rng(12)
-    for name, tensor in net.params.items():
+    for name in m.PARAMETERS.names:
         if name.endswith(".bias"):
-            tensor.data = tensor.data + jitter.uniform(
-                0.02, 0.2, size=tensor.data.shape)
+            net.values[name] += jitter.uniform(0.02, 0.2,
+                                               size=net.values[name].shape)
     bank = wavelet.build_bank((4, 8, 16))
     rng = np.random.default_rng(11)
     t_in = rng.standard_normal((2, 800))
@@ -303,6 +303,6 @@ def test_criterion_10_dataset_and_checkpoint_round_trip(tmp_path):
     net = m.DualDomainAutoencoder(m.ModelConfig(), seed=4)
     config = {"model": asdict(net.config), "note": "round-trip"}
     c1, c2 = tmp_path / "one.dawm", tmp_path / "two.dawm"
-    datafile.write_checkpoint(c1, config, net.named_parameters())
+    datafile.write_checkpoint(c1, config, net.values)
     datafile.write_checkpoint(c2, *datafile.read_checkpoint(c1))
     assert c1.read_bytes() == c2.read_bytes()

@@ -47,7 +47,7 @@ def test_loaded_checkpoint_unpacks_into_five(tmp_path):
               "threshold": {"value": 1.0, "mu": 0.5, "sigma": 0.5},
               "dataset_sha256": ""}
     path = tmp_path / "model.dawm"
-    datafile.write_checkpoint(path, config, net.named_parameters())
+    datafile.write_checkpoint(path, config, net.values)
     model, threshold, lambda1, lambda2, bank = cli._load_checkpoint(path)
     assert threshold.value == 1.0 and (lambda1, lambda2) == (1.0, 0.1)
     assert bank is not None

@@ -19,7 +19,7 @@ import pytest
 from dawnet import cli, datafile, evaluation, training, wavelet
 from dawnet import simulate as sim
 from dawnet.errors import NumericalError
-from dawnet.model import ModelConfig
+from dawnet.model import PARAMETERS, ModelConfig
 
 
 @pytest.fixture(scope="module")
@@ -133,13 +133,12 @@ def test_train_metadata_echoes_flags(workspace):
 
 def test_train_checkpoint_carries_threshold(workspace):
     _, _, model = workspace
-    config, params = datafile.read_checkpoint(model)
+    config, values = datafile.read_checkpoint(model)
     assert set(config["threshold"]) == {"value", "mu", "sigma"}
     th = config["threshold"]
     assert th["value"] == th["mu"] + th["sigma"]
     assert config["model"]["ablation"] == "full"
-    names = [n for n, _ in params]
-    assert "attention.gamma" in names
+    assert values.dtype == PARAMETERS and values.shape == ()
 
 
 def test_train_vanilla_disables_attention_and_wavelet(tmp_path, workspace):
@@ -159,11 +158,8 @@ def test_train_vanilla_disables_attention_and_wavelet(tmp_path, workspace):
 def test_load_checkpoint_restores_params(workspace):
     _, _, model = workspace
     net, threshold, lambda1, lambda2, bank = cli._load_checkpoint(model)
-    config, params = datafile.read_checkpoint(model)
-    for (name, stored), (got_name, got) in zip(params,
-                                               net.named_parameters()):
-        assert name == got_name
-        np.testing.assert_array_equal(stored, got)
+    config, values = datafile.read_checkpoint(model)
+    assert net.values.tobytes() == values.tobytes()
     assert threshold.value == config["threshold"]["value"]
     assert lambda1 == 1.0 and lambda2 == 0.1 and bank is not None
 
@@ -171,20 +167,17 @@ def test_load_checkpoint_restores_params(workspace):
 def test_load_checkpoint_builds_the_model_from_the_stored_arrays(
         workspace, monkeypatch):
     # no initial weights are drawn only to be overwritten: the model's
-    # parameters are the checkpoint's arrays, bit for bit
+    # parameters are the checkpoint's record, bit for bit
     _, _, model = workspace
-    _, params = datafile.read_checkpoint(model)
+    _, values = datafile.read_checkpoint(model)
 
     def no_draws(*args, **kwargs):
         raise AssertionError("loading a checkpoint drew random numbers")
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     net = cli._load_checkpoint(model).model
-    got = net.named_parameters()
-    assert [name for name, _ in got] == [name for name, _ in params]
-    for (_, stored), (_, values) in zip(params, got):
-        assert values.dtype == np.float64
-        assert values.tobytes() == stored.tobytes()
+    assert net.values.dtype == PARAMETERS
+    assert net.values.tobytes() == values.tobytes()
 
 
 def test_eval_emits_exactly_four_files(tmp_path, workspace, capsys):
@@ -538,13 +531,13 @@ def test_missing_dataset_file_exits_2(tmp_path, workspace, argv):
     assert cli.main(argv) == 2
 
 
-def _tamper_checkpoint(path, config, params, case):
-    values = {n: a.copy() for n, a in params}
+def _tamper_checkpoint(path, config, values, case):
+    values = values.copy()
     if case == "huge-weights":      # finite, but every score overflows
         values["decoder.out.weight"] *= 1e300
     elif case == "nan-bias":
         values["decoder.out.bias"][-1] = np.nan
-    datafile.write_checkpoint(path, config, values.items())
+    datafile.write_checkpoint(path, config, values)
     if case == "wavelet-kernels":   # a stored wavelet bank, after the model's
         with path.open("ab") as f:
             f.write(wavelet.build_bank((4, 8, 16)).kernels.astype("<f8")
@@ -555,9 +548,9 @@ def _tamper_checkpoint(path, config, params, case):
                                   "wavelet-kernels"])
 def test_unscorable_checkpoint_exits_2(tmp_path, workspace, capsys, case):
     _, data, model = workspace
-    config, params = datafile.read_checkpoint(model)
+    config, values = datafile.read_checkpoint(model)
     bad = tmp_path / "bad.dawm"
-    _tamper_checkpoint(bad, config, params, case)
+    _tamper_checkpoint(bad, config, values, case)
     out_dir = tmp_path / "ev"
     with warnings.catch_warnings():
         # a numpy RuntimeWarning on the way becomes a traceback here
@@ -614,9 +607,9 @@ _BAD_CONFIGS = {
 def test_malformed_checkpoint_config_exits_2(tmp_path, workspace, capsys,
                                              case):
     _, data, model = workspace
-    config, params = datafile.read_checkpoint(model)
+    config, values = datafile.read_checkpoint(model)
     bad = tmp_path / "bad.dawm"
-    datafile.write_checkpoint(bad, _BAD_CONFIGS[case](config), params)
+    datafile.write_checkpoint(bad, _BAD_CONFIGS[case](config), values)
     rc = cli.main(["eval", "--model", str(bad), "--data", str(data),
                    "--out-dir", str(tmp_path / "ev")])
     assert rc == 2
@@ -632,10 +625,10 @@ def test_malformed_checkpoint_config_exits_2(tmp_path, workspace, capsys,
 def test_checkpoint_integer_beyond_float_exits_2(tmp_path, workspace, capsys,
                                                  block, key):
     _, data, model = workspace
-    config, params = datafile.read_checkpoint(model)
+    config, values = datafile.read_checkpoint(model)
     config[block][key] = 10 ** 400
     bad = tmp_path / "bad.dawm"
-    datafile.write_checkpoint(bad, config, params)
+    datafile.write_checkpoint(bad, config, values)
     rc = cli.main(["eval", "--model", str(bad), "--data", str(data),
                    "--out-dir", str(tmp_path / "ev")])
     assert rc == 2

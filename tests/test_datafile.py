@@ -1,6 +1,8 @@
 """Container format round-trips and corruption handling."""
 
 import hashlib
+import itertools
+import math
 import struct
 import tracemalloc
 
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 
 from dawnet import datafile, simulate as sim
 from dawnet.errors import FormatError
-from dawnet.model import PARAMETERS, DualDomainAutoencoder, ModelConfig
+from dawnet.model import (LAYOUT, PARAMETERS, DualDomainAutoencoder,
+                          ModelConfig)
 
 
 def _bundle(seed=3, counts=(20, 6, 5)):
@@ -324,41 +327,58 @@ def test_dataset_damaged_reads_or_fails_inside_file(tmp_path_factory,
 
 # --- checkpoint container ----------------------------------------------------
 
-def _params(seed=5):
-    """A model's parameters: the only list a checkpoint holds."""
-    return DualDomainAutoencoder(ModelConfig(), seed=seed).named_parameters()
+def _values(seed=5):
+    """A model's parameter record: all a checkpoint holds besides config."""
+    return DualDomainAutoencoder(ModelConfig(), seed=seed).values
 
 
 def test_checkpoint_round_trip(tmp_path):
     p = tmp_path / "m.bin"
     cfg = {"scales": [4, 8, 16], "threshold": 1.25, "ablation": "full"}
-    datafile.write_checkpoint(p, cfg, _params())
-    cfg2, params2 = datafile.read_checkpoint(p)
+    datafile.write_checkpoint(p, cfg, _values())
+    cfg2, values = datafile.read_checkpoint(p)
     assert cfg2 == cfg
-    assert [n for n, _ in params2] == [n for n, _ in _params()]
-    for (_, a), (_, b) in zip(_params(), params2):
-        np.testing.assert_array_equal(np.asarray(a, dtype=np.float64), b)
-        assert b.dtype == np.float64
+    assert values.dtype == PARAMETERS and values.shape == ()
+    assert values.tobytes() == _values().tobytes()
 
 
 def test_checkpoint_write_read_write_identical(tmp_path):
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     cfg = {"lambda1": 1.0, "lambda2": 0.01}
-    datafile.write_checkpoint(p1, cfg, _params())
-    c, ps = datafile.read_checkpoint(p1)
-    datafile.write_checkpoint(p2, c, ps)
+    datafile.write_checkpoint(p1, cfg, _values())
+    c, values = datafile.read_checkpoint(p1)
+    datafile.write_checkpoint(p2, c, values)
     assert _digest(p1) == _digest(p2)
 
 
 def test_checkpoint_scalar_rank_zero(tmp_path):
     p = tmp_path / "m.bin"
-    params = dict(_params())
-    params["attention.gamma"] = np.array(2.5)
-    datafile.write_checkpoint(p, {}, params.items())
+    values = _values()
+    values["attention.gamma"] = 2.5
+    datafile.write_checkpoint(p, {}, values)
     _, back = datafile.read_checkpoint(p)
-    gamma = dict(back)["attention.gamma"]
+    gamma = back["attention.gamma"]
     assert gamma.shape == ()
     assert float(gamma) == 2.5
+
+
+def test_checkpoint_parameter_block_is_the_fields_in_layout_order(tmp_path):
+    # the version-2 parameter block is each field's <f8 values in LAYOUT
+    # order with nothing between them: an aligned, padded or reordered
+    # PARAMETERS would change the file without a word
+    sizes = [math.prod(shape) for _, shape, _ in LAYOUT]
+    assert PARAMETERS.names == tuple(name for name, _, _ in LAYOUT)
+    assert PARAMETERS.itemsize == 8 * sum(sizes)
+    assert ([PARAMETERS.fields[name][1] for name in PARAMETERS.names]
+            == [8 * n for n in itertools.accumulate([0, *sizes[:-1]])])
+    values, at = np.zeros((), PARAMETERS), 0
+    for (name, shape, _), n in zip(LAYOUT, sizes):
+        values[name] = np.arange(at, at + n, dtype=np.float64).reshape(shape)
+        at += n
+    p = tmp_path / "m.dawm"
+    datafile.write_checkpoint(p, {}, values)
+    assert (p.read_bytes()[-PARAMETERS.itemsize:]
+            == np.arange(at, dtype="<f8").tobytes())
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -370,7 +390,7 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_checkpoint_corrupt_config(tmp_path):
     p = tmp_path / "m.bin"
-    datafile.write_checkpoint(p, {"a": 1}, _params())
+    datafile.write_checkpoint(p, {"a": 1}, _values())
     blob = bytearray(p.read_bytes())
     (cfg_len,) = struct.unpack_from("<I", blob, 8)
     blob[12:12 + cfg_len] = b"{" * cfg_len
@@ -396,7 +416,7 @@ def test_checkpoint_version_1_refused(tmp_path):
 @pytest.mark.parametrize("config_len", [2**31, 2**32 - 1])
 def test_checkpoint_huge_config_length_is_truncated(tmp_path, config_len):
     p = tmp_path / "m.dawm"
-    datafile.write_checkpoint(p, {}, _params())
+    datafile.write_checkpoint(p, {}, _values())
     blob = bytearray(p.read_bytes())
     struct.pack_into("<I", blob, 8, config_len)
     p.write_bytes(bytes(blob))
@@ -410,10 +430,11 @@ def test_checkpoint_huge_config_length_is_truncated(tmp_path, config_len):
                          ids=["nan", "inf", "neginf"])
 def test_checkpoint_nonfinite_parameter_offset(tmp_path, value):
     p = tmp_path / "m.dawm"
-    params = dict(_params())
-    bad = params["decoder.tconv1.bias"] = np.arange(8.0)
+    values = _values()
+    bad = values["decoder.tconv1.bias"]
+    bad[:] = np.arange(8.0)
     bad[-1] = value
-    datafile.write_checkpoint(p, {}, params.items())
+    datafile.write_checkpoint(p, {}, values)
     # the offset is where the array starts, seven doubles before the bad one
     start = p.read_bytes().index(np.array(value, "<f8").tobytes()) - 7 * 8
     with pytest.raises(FormatError) as exc:
@@ -427,7 +448,7 @@ def test_checkpoint_nonfinite_parameter_offset(tmp_path, value):
 def model_blob(tmp_path_factory):
     """A model checkpoint's bytes and its config block's length."""
     p = tmp_path_factory.mktemp("model") / "m.dawm"
-    datafile.write_checkpoint(p, {"threshold": {"value": 0.5}}, _params(1))
+    datafile.write_checkpoint(p, {"threshold": {"value": 0.5}}, _values(1))
     blob = p.read_bytes()
     return blob, struct.unpack_from("<I", blob, 8)[0]
 

@@ -231,7 +231,7 @@ def test_full_equals_no_attention_at_init():
 
 def test_batch_equivariance():
     net = m.DualDomainAutoencoder(m.ModelConfig(), seed=2)
-    net.params["attention.gamma"].data = np.array(0.5)  # make fusion active
+    net.values["attention.gamma"] = 0.5  # make fusion active
     rng = np.random.default_rng(6)
     t_in = rng.standard_normal((4, 800))
     f_in = rng.standard_normal((4, 800))
@@ -254,13 +254,12 @@ def test_identical_rows_identical_latents():
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
     net = m.DualDomainAutoencoder(m.ModelConfig(), seed=4)
-    net.params["attention.gamma"].data = np.array(0.25)
+    net.values["attention.gamma"] = 0.25
     p = tmp_path / "model.bin"
-    datafile.write_checkpoint(p, {"model": asdict(net.config)},
-                              net.named_parameters())
-    cfg, params = datafile.read_checkpoint(p)
+    datafile.write_checkpoint(p, {"model": asdict(net.config)}, net.values)
+    cfg, values = datafile.read_checkpoint(p)
     net2 = m.DualDomainAutoencoder(m.ModelConfig(**cfg["model"]),
-                                   parameters=params)
+                                   parameters=values)
     rng = np.random.default_rng(9)
     t_in = rng.standard_normal((2, 800))
     f_in = rng.standard_normal((2, 800))
@@ -268,43 +267,74 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     np.testing.assert_array_equal(net.forward(x).data, net2.forward(x).data)
 
 
-@pytest.mark.parametrize("case", ["renamed", "reshaped", "extra", "missing",
-                                  "reordered"])
-def test_checkpoint_write_refuses_other_parameters(tmp_path, case):
-    net = m.DualDomainAutoencoder(m.ModelConfig(), seed=0)
-    params = net.named_parameters()
+def _not_a_record(case):
+    """A model's parameters as anything but one ``PARAMETERS`` record."""
+    fields = [(name, "<f8", shape) for name, shape, _ in m.LAYOUT]
     if case == "renamed":
-        params[0] = ("nope", params[0][1])
+        fields[0] = ("nope", *fields[0][1:])
     elif case == "reshaped":
-        params[1] = (params[1][0], np.zeros(3))
+        fields[1] = (fields[1][0], "<f8", (3,))
     elif case == "extra":
-        params.append(("wavelet.kernels", np.zeros((3, 64))))
+        fields.append(("wavelet.kernels", "<f8", (3, 64)))
     elif case == "missing":
-        params.pop()
-    else:
-        params[0], params[2] = params[2], params[0]
+        fields.pop()
+    elif case == "reordered":
+        fields[0], fields[2] = fields[2], fields[0]
+    elif case == "float32":
+        fields[-1] = (fields[-1][0], "<f4", fields[-1][2])
+    elif case == "batch":
+        return np.zeros((1,), m.PARAMETERS)
+    elif case == "pairs":
+        return m.DualDomainAutoencoder(m.ModelConfig()).named_parameters()
+    return np.zeros((), fields)
+
+
+@pytest.mark.parametrize("case", ["renamed", "reshaped", "extra", "missing",
+                                  "reordered", "float32", "batch", "pairs"])
+def test_checkpoint_write_refuses_other_parameters(tmp_path, case):
     p = tmp_path / "m.dawm"
-    with pytest.raises(FormatError, match="not the model.s parameters"):
-        datafile.write_checkpoint(p, {}, params)
+    with pytest.raises(FormatError, match="one PARAMETERS record"):
+        datafile.write_checkpoint(p, {}, _not_a_record(case))
     assert not p.exists()
 
 
 def test_load_rejects_wrong_names():
-    net = m.DualDomainAutoencoder(m.ModelConfig(), seed=0)
-    bad = [("nope", np.zeros(3))] + net.named_parameters()[1:]
     with pytest.raises(ConfigError):
-        m.DualDomainAutoencoder(m.ModelConfig(), parameters=bad)
+        m.DualDomainAutoencoder(m.ModelConfig(),
+                                parameters=_not_a_record("renamed"))
 
 
-@pytest.mark.parametrize("case", ["reshaped", "missing"])
+@pytest.mark.parametrize("case", ["reshaped", "missing", "batch", "pairs"])
 def test_load_refuses_other_parameters(case):
-    params = m.DualDomainAutoencoder(m.ModelConfig(), seed=1).named_parameters()
-    if case == "reshaped":
-        params[1] = (params[1][0], np.zeros(3))
-    else:
-        params.pop()
-    with pytest.raises(ConfigError, match="not the model.s parameters"):
-        m.DualDomainAutoencoder(m.ModelConfig(), parameters=params)
+    with pytest.raises(ConfigError, match="one PARAMETERS record"):
+        m.DualDomainAutoencoder(m.ModelConfig(),
+                                parameters=_not_a_record(case))
+
+
+def test_parameters_are_fields_of_two_records():
+    # the tape accumulates each gradient into the model's gradient record,
+    # and a loaded record is trained itself, not a copy
+    net = m.DualDomainAutoencoder(m.ModelConfig(), seed=9)
+    loaded = m.DualDomainAutoencoder(m.ModelConfig(), parameters=net.values)
+    assert loaded.values is net.values
+    assert net.values.dtype == net.grads.dtype == m.PARAMETERS
+    assert not np.frombuffer(net.grads, np.float64).any()
+    for tensor in net.params.values():
+        assert tensor.grad.shape == tensor.data.shape
+        assert np.shares_memory(tensor.data, net.values)
+        assert np.shares_memory(tensor.grad, net.grads)
+
+
+def test_initial_values_are_drawn_in_layout_order():
+    # one uniform draw per weight in LAYOUT order from SeedSequence([seed,
+    # 1]), biases and the gate at 0: checkpoints of a seed stay the same
+    rng = np.random.default_rng(np.random.SeedSequence([4, 1]))
+    net = m.DualDomainAutoencoder(m.ModelConfig(), seed=4)
+    for name, shape, fan_in in m.LAYOUT:
+        bound = 1.0 / math.sqrt(fan_in or 1)
+        want = (np.zeros(shape) if fan_in is None else
+                rng.uniform(-bound, bound, size=shape))
+        assert net.values[name].tobytes() == want.tobytes(), name
 
 
 # --- gradients -----------------------------------------------------------------
@@ -328,7 +358,7 @@ def test_grad_check_through_decode():
 def test_grad_check_full_forward():
     net = m.DualDomainAutoencoder(m.ModelConfig(ablation="full"), seed=6)
     # push gamma off zero so attention weights receive gradient
-    net.params["attention.gamma"].data = np.array(0.3)
+    net.values["attention.gamma"] = 0.3
     rng = np.random.default_rng(11)
     t_in = rng.standard_normal((2, 800))
     f_in = rng.standard_normal((2, 800))

@@ -23,22 +23,22 @@ def _sides(tmp_path):
     return sides
 
 
-def _params():
-    return DualDomainAutoencoder(ModelConfig(), seed=11).named_parameters()
+def _values():
+    return DualDomainAutoencoder(ModelConfig(), seed=11).values
 
 
 def test_one_ulp_in_one_parameter_is_named(tmp_path):
     parent, change = _sides(tmp_path)
     config = {"threshold": {"value": 0.5}}
-    params = dict(_params())
-    datafile.write_checkpoint(parent / "model.dawm", config, params.items())
-    moved = params["attention.w_v"].copy()
-    moved[2, 3, 0] = np.nextafter(moved[2, 3, 0], np.inf)
-    datafile.write_checkpoint(change / "model.dawm", config,
-                              {**params, "attention.w_v": moved}.items())
+    values = _values()
+    datafile.write_checkpoint(parent / "model.dawm", config, values)
+    moved = values.copy()
+    w = moved["attention.w_v"]
+    w[2, 3, 0] = np.nextafter(w[2, 3, 0], np.inf)
+    datafile.write_checkpoint(change / "model.dawm", config, moved)
     [(name, difference)] = same_bytes.compare_dirs(parent, change)
     assert name == "model.dawm"
-    ulp = abs(np.spacing(params["attention.w_v"][2, 3, 0]))
+    ulp = abs(np.spacing(values["attention.w_v"][2, 3, 0]))
     assert difference == f"attention.w_v max |diff| {ulp:.3g}"
 
 
@@ -47,7 +47,7 @@ def test_unreadable_checkpoint_is_different(tmp_path):
     parent, change = _sides(tmp_path)
     (parent / "model.dawm").write_bytes(
         b"DAWM" + struct.pack("<II", 1, 2) + b"{}" + struct.pack("<I", 0))
-    datafile.write_checkpoint(change / "model.dawm", {}, _params())
+    datafile.write_checkpoint(change / "model.dawm", {}, _values())
     [(name, difference)] = same_bytes.compare_dirs(parent, change)
     assert name == "model.dawm"
     assert "checkpoint version 1" in difference and "retrain" in difference

@@ -118,16 +118,16 @@ def _json_difference(a: Path, b: Path):
 
 def _checkpoint_difference(a: Path, b: Path) -> str:
     try:
-        (cfg_a, params_a), (cfg_b, params_b) = (datafile.read_checkpoint(p)
+        (cfg_a, values_a), (cfg_b, values_b) = (datafile.read_checkpoint(p)
                                                 for p in (a, b))
     except FormatError as exc:
         # such as the other commit's checkpoint version
         return f"unreadable by this tree's reader: {exc}"
     found = [] if cfg_a == cfg_b else ["config block"]
-    # one reader gives both the same names and shapes
-    found += [f"{name} max |diff| {np.max(np.abs(x - y)):.3g}"
-              for (name, x), (_, y) in zip(params_a, params_b)
-              if not np.array_equal(x, y)]
+    for name in values_a.dtype.names:
+        x, y = values_a[name], values_b[name]
+        if not np.array_equal(x, y):
+            found.append(f"{name} max |diff| {np.max(np.abs(x - y)):.3g}")
     return "; ".join(found) or "bytes differ"
 
 
