@@ -3,34 +3,17 @@
 Scores are per-sample reconstruction losses: higher means more anomalous.
 Classification against the calibrated threshold uses a strict ``>`` so a
 score exactly at the threshold stays in the clean class.
-
-``evaluate`` scores the split in batches of ``training.SCORE_BATCH``
-snapshots, so every snapshot goes through the model once, and times each
-batch. When numpy computes on one BLAS thread (``dawnet.ONE_BLAS_THREAD``)
-the batches are cut into contiguous runs, one per CPU this process may run
-on: the calling thread scores the first run and a worker thread each other
-one, and numpy releases the GIL inside its kernels, so the runs compute
-side by side. Each batch is computed exactly as on one thread, so the
-scores are the same bits. ``mean_batch_time_s`` is the median time of the
-full batches from all runs (normalization, forward pass, reconstruction
-and wavelet loss), or of the one batch when there is no full one;
-``ms_per_snapshot`` is the wall time of the whole scoring over the number
-of snapshots.
 """
 
 import csv
 import json
-import os
 import statistics
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import ONE_BLAS_THREAD
 from . import autodiff as ad
 from .errors import ConfigError, NumericalError, ShapeError
 # evaluate does not use it; kept because perfbench/tracing.py wraps it
@@ -204,32 +187,15 @@ def time_inference(model, x: np.ndarray, repeats: int = 5) -> float:
     return float(np.median(samples))
 
 
-def _workers() -> int:
-    """How many threads ``evaluate`` scores on: one per CPU this process
-    may run on when numpy computes on one BLAS thread, else 1, because a
-    BLAS that already uses every core only loses from more threads."""
-    if not ONE_BLAS_THREAD:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def evaluate(detector, snapshots, norm_stats) -> MetricsReport:
     """Score a labeled test split with a ``training.Detector`` and assemble
     the full report.
 
-    The split is scored once, in batches of ``SCORE_BATCH`` snapshots, and
-    each batch is timed: ``mean_batch_time_s`` is the median time of the
-    full batches (of the one partial batch if there is no full one) and
+    The split is scored once by ``per_sample_losses``, on a thread per
+    core where it can, in batches of ``SCORE_BATCH`` snapshots, and each
+    batch is timed: ``mean_batch_time_s`` is the median time of the full
+    batches (of the one partial batch if there is no full one) and
     ``ms_per_snapshot`` the wall time of the scoring per snapshot.
-
-    The batches are cut into at most ``_workers()`` contiguous runs. This
-    thread scores the first and a worker thread each other one; one batch
-    starts no thread. An exception raised in any run is raised here, with
-    its type and message. A failed run, or an interrupt of this thread,
-    stops the other runs after their current batch, and every worker
-    thread has ended before this returns or raises.
 
     Raises ``NumericalError`` if any score is non-finite: NaN would rank as
     a perfect AUC and inf would pass as a detection.
@@ -240,41 +206,13 @@ def evaluate(detector, snapshots, norm_stats) -> MetricsReport:
     _check_two_classes(labels)
     model, threshold, lambda1, lambda2, bank = detector
     n = len(snapshots)
-    n_batches = -(-n // SCORE_BATCH)
-    k = min(_workers(), n_batches)
-    runs = [(i * n_batches // k, (i + 1) * n_batches // k) for i in range(k)]
-    scores, batch_times = np.empty(n), np.empty(n_batches)
-    stop = threading.Event()
-
-    def score(first, end):
-        try:
-            # parameters that overflow the scores are reported by the
-            # check below, not by numpy warnings on the way
-            with np.errstate(over="ignore", invalid="ignore"):
-                for b in range(first, end):
-                    if stop.is_set():
-                        return
-                    sl = slice(b * SCORE_BATCH, (b + 1) * SCORE_BATCH)
-                    t_batch = time.perf_counter()
-                    scores[sl] = per_sample_losses(model, snapshots[sl],
-                                                   norm_stats, bank, lambda1,
-                                                   lambda2)
-                    batch_times[b] = time.perf_counter() - t_batch
-        except BaseException:
-            stop.set()
-            raise
-
+    batch_times = np.empty(-(-n // SCORE_BATCH))
     t0 = time.perf_counter()
-    # the pool starts a thread only when a run is submitted to it
-    with ThreadPoolExecutor(max(1, k - 1)) as pool:
-        try:
-            futures = [pool.submit(score, *run) for run in runs[1:]]
-            score(*runs[0])
-            for future in futures:
-                future.result()
-        finally:
-            # also after an interrupt of this thread while it waits
-            stop.set()
+    # parameters that overflow the scores are reported by the check below,
+    # not by numpy warnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = per_sample_losses(model, snapshots, norm_stats, bank,
+                                   lambda1, lambda2, batch_times)
     wall = time.perf_counter() - t0
     if not np.isfinite(scores).all():
         raise NumericalError(f"{np.count_nonzero(~np.isfinite(scores))} of "

@@ -1,17 +1,22 @@
-"""Optimization loop, composite reconstruction loss, threshold calibration.
+"""Optimization loop, composite reconstruction loss, scoring, calibration.
 
 Training sees only interference-free snapshots; the detector is the
 reconstruction loss itself, thresholded one standard deviation above its
 mean on the (equally clean) validation split.
 """
 
+import contextvars
 import math
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import ONE_BLAS_THREAD
 from . import autodiff as ad
 from . import simulate as sim
 from . import wavelet
@@ -235,17 +240,71 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
     return history, lambda2, bank
 
 
+def _workers() -> int:
+    """How many threads a split is scored on: one per CPU this process
+    may run on when numpy computes on one BLAS thread, else 1, because a
+    BLAS that already uses every core only loses from more threads."""
+    if not ONE_BLAS_THREAD:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def per_sample_losses(model, snapshots, norm_stats, bank, lambda1: float,
-                      lambda2: float) -> np.ndarray:
+                      lambda2: float, batch_times=None) -> np.ndarray:
     """Composite loss of each snapshot of a split alone, scored and
-    normalized ``SCORE_BATCH`` snapshots at a time."""
+    normalized ``SCORE_BATCH`` snapshots at a time. ``batch_times``, if
+    given, receives each batch's seconds, in batch order.
+
+    The batches are cut into at most ``_workers()`` contiguous runs. This
+    thread scores the first and a worker thread each other one; numpy
+    releases the GIL inside its kernels, so the runs compute side by side,
+    and one run starts no thread. Each batch is computed exactly as on one
+    thread, so the scores are the same bits. A worker runs in a copy of
+    this thread's context, so numpy's error state holds there too. An
+    exception raised in any run is raised here, with its type and message.
+    A failed run, or an interrupt of this thread, stops the other runs
+    after their current batch, and every worker thread has ended before
+    this returns or raises.
+    """
+    n_batches = -(-len(snapshots) // SCORE_BATCH)
     out = np.empty(len(snapshots), dtype=np.float64)
-    with ad.no_grad():
-        for start in range(0, len(snapshots), SCORE_BATCH):
-            sl = slice(start, start + SCORE_BATCH)
-            x = sim.model_inputs(snapshots[sl], norm_stats)
-            out[sl] = sample_losses(model.forward(x).data - x, bank, lambda1,
-                                    lambda2)[0]
+    stop = threading.Event()
+
+    def score(first, end):
+        try:
+            with ad.no_grad():
+                for b in range(first, end):
+                    if stop.is_set():
+                        return
+                    sl = slice(b * SCORE_BATCH, (b + 1) * SCORE_BATCH)
+                    t0 = time.perf_counter()
+                    x = sim.model_inputs(snapshots[sl], norm_stats)
+                    out[sl] = sample_losses(model.forward(x).data - x, bank,
+                                            lambda1, lambda2)[0]
+                    if batch_times is not None:
+                        batch_times[b] = time.perf_counter() - t0
+        except BaseException:
+            stop.set()
+            raise
+
+    k = min(_workers(), n_batches)
+    if k <= 1:
+        score(0, n_batches)
+        return out
+    runs = [(i * n_batches // k, (i + 1) * n_batches // k) for i in range(k)]
+    with ThreadPoolExecutor(k - 1) as pool:
+        try:
+            # one context per run: a context is entered by one thread only
+            futures = [pool.submit(contextvars.copy_context().run, score, *run)
+                       for run in runs[1:]]
+            score(*runs[0])
+            for future in futures:
+                future.result()
+        finally:
+            # also after an interrupt of this thread while it waits
+            stop.set()
     return out
 
 

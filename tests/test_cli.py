@@ -748,7 +748,7 @@ def test_eval_files_do_not_depend_on_the_worker_count(tmp_path, two_batches,
                                                       monkeypatch):
     data, model = two_batches
     for workers in (1, 2):
-        monkeypatch.setattr(evaluation, "_workers", lambda: workers)
+        monkeypatch.setattr(training, "_workers", lambda: workers)
         assert cli.main(["eval", "--model", str(model), "--data", str(data),
                          "--out-dir", str(tmp_path / str(workers))]) == 0
     for name in ("roc.csv", "confusion.csv"):
@@ -763,7 +763,7 @@ def test_eval_files_do_not_depend_on_the_worker_count(tmp_path, two_batches,
 def test_eval_error_on_the_worker_thread_exits_2(tmp_path, two_batches,
                                                  monkeypatch, capsys):
     data, model = two_batches
-    main, losses = threading.current_thread(), evaluation.per_sample_losses
+    main, losses = threading.current_thread(), training.sample_losses
 
     def failing(*args):
         if threading.current_thread() is not main:
@@ -771,8 +771,8 @@ def test_eval_error_on_the_worker_thread_exits_2(tmp_path, two_batches,
                 f"raised on {threading.current_thread().name}")
         return losses(*args)
 
-    monkeypatch.setattr(evaluation, "per_sample_losses", failing)
-    monkeypatch.setattr(evaluation, "_workers", lambda: 2)
+    monkeypatch.setattr(training, "sample_losses", failing)
+    monkeypatch.setattr(training, "_workers", lambda: 2)
     out_dir = tmp_path / "ev"
     before = threading.active_count()
     assert cli.main(["eval", "--model", str(model), "--data", str(data),

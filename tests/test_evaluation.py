@@ -1,6 +1,7 @@
 """Metric oracles: AUC, ROC geometry, confusion arithmetic, timing, and
-scoring on several processes."""
+scoring on several threads."""
 
+import dataclasses
 import json
 import os
 import signal
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -298,20 +300,21 @@ def test_evaluate_scores_each_snapshot_once(monkeypatch):
         want = tr.sample_losses(net.forward(x).data - x, bank, 1.0, 0.1)[0]
 
     rows, batches = [], []
-    forward, losses = net.forward, ev.per_sample_losses
+    forward, losses = net.forward, tr.sample_losses
 
     def counted_forward(x):
         rows.append(len(x))
         return forward(x)
 
-    def kept_losses(*args, **kwargs):
-        batches.append(losses(*args, **kwargs))
-        return batches[-1]
+    def kept_losses(*args):
+        result = losses(*args)
+        batches.append(result[0])
+        return result
 
     monkeypatch.setattr(net, "forward", counted_forward)
-    monkeypatch.setattr(ev, "per_sample_losses", kept_losses)
+    monkeypatch.setattr(tr, "sample_losses", kept_losses)
     # the batches are kept in call order, so one thread scores them all
-    monkeypatch.setattr(ev, "_workers", lambda: 1)
+    monkeypatch.setattr(tr, "_workers", lambda: 1)
     report = ev.evaluate(detector, bundle.test, bundle.norm_stats)
 
     assert len(bundle.test) == 130 and sum(rows) == 130
@@ -425,7 +428,7 @@ def three_batches():
 
 def _evaluate(monkeypatch, workers, detector, split, norm_stats):
     """``evaluate`` as it runs where ``_workers()`` is ``workers``."""
-    monkeypatch.setattr(ev, "_workers", lambda: workers)
+    monkeypatch.setattr(tr, "_workers", lambda: workers)
     return ev.evaluate(detector, split, norm_stats)
 
 
@@ -450,10 +453,10 @@ def _outside_volatile(report):
 @pytest.mark.parametrize("one_thread", [True, False])
 def test_one_worker_per_cpu_only_on_one_blas_thread(monkeypatch, one_thread):
     # a BLAS that already uses every core would only lose from more threads
-    monkeypatch.setattr(ev, "ONE_BLAS_THREAD", one_thread)
+    monkeypatch.setattr(tr, "ONE_BLAS_THREAD", one_thread)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
-    assert ev._workers() == (cpus if one_thread else 1)
+    assert tr._workers() == (cpus if one_thread else 1)
 
 
 @pytest.mark.parametrize("imports, threads, expected", [
@@ -520,6 +523,52 @@ def test_training_after_threaded_scoring_updates_the_parameters(
     assert net.values.tobytes() != before.tobytes()
 
 
+@pytest.fixture(scope="module")
+def three_validation_batches():
+    # 130 clean validation snapshots: two full scoring batches and a
+    # partial one
+    return sim.generate_dataset(45, (1, 130, 1))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_threaded_calibration_equals_one_thread(
+        three_batches, three_validation_batches, monkeypatch, workers):
+    # calibration scores through the same loop as evaluate
+    _, detector = three_batches
+    bundle = three_validation_batches
+    args = (detector.model, bundle.validation, bundle.norm_stats,
+            detector.bank, detector.lambda1, detector.lambda2)
+    monkeypatch.setattr(tr, "_workers", lambda: 1)
+    one = tr.calibrate_threshold(*args)
+    before = threading.active_count()
+    started = _count_thread_starts(monkeypatch)
+    monkeypatch.setattr(tr, "_workers", lambda: workers)
+    many = tr.calibrate_threshold(*args)
+    assert len(started) == min(workers, 3) - 1
+    assert (np.array(dataclasses.astuple(many)).tobytes()
+            == np.array(dataclasses.astuple(one)).tobytes())
+    assert threading.active_count() == before
+
+
+def test_error_state_reaches_the_worker_runs(three_batches, monkeypatch):
+    # numpy's error state is per context, and a worker thread starts in a
+    # context of its own; without the caller's, the overflow below would
+    # warn there, and the suite turns that warning into an error
+    bundle, detector = three_batches
+    net = m.DualDomainAutoencoder(m.ModelConfig(), seed=5)
+    net.values["decoder.out.weight"] *= 1e200
+    monkeypatch.setattr(tr, "_workers", lambda: 2)
+    started = _count_thread_starts(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = tr.per_sample_losses(net, bundle.test, bundle.norm_stats,
+                                          detector.bank, 1.0, 0.1)
+    # the worker scored the second and third batches
+    assert len(started) == 1 and scores.size == 130
+    assert not np.isfinite(scores).any()
+
+
 SLOW_S = 0.5    # one batch of a slow run; a run has 8 of them
 
 
@@ -529,16 +578,17 @@ def _slow_split(bundle):
     return bundle.test[np.arange(16 * tr.SCORE_BATCH) % len(bundle.test)]
 
 
-def _scoring(monkeypatch, here, worker):
-    """per_sample_losses that calls ``here()`` on this thread and
-    ``worker()`` on a worker thread before each batch, and scores 0."""
+def _scoring(monkeypatch, model, here, worker):
+    """Scoring that calls ``here()`` on this thread and ``worker()`` on a
+    worker thread for each batch, and scores 0 without running ``model``."""
     main = threading.current_thread()
 
-    def per_sample_losses(model, rows, *args):
+    def sample_losses(d, *args):
         (here if threading.current_thread() is main else worker)()
-        return np.zeros(len(rows))
+        return np.zeros(len(d)), None
 
-    monkeypatch.setattr(ev, "per_sample_losses", per_sample_losses)
+    monkeypatch.setattr(model, "forward", ad.Tensor)
+    monkeypatch.setattr(tr, "sample_losses", sample_losses)
 
 
 def _raise(exc_type):
@@ -556,7 +606,8 @@ def test_error_on_the_worker_thread_reaches_the_caller(three_batches,
     # and stops this thread's run after its current batch
     bundle, detector = three_batches
     started = _count_thread_starts(monkeypatch)
-    _scoring(monkeypatch, here=_slow, worker=_raise(NumericalError))
+    _scoring(monkeypatch, detector.model, here=_slow,
+             worker=_raise(NumericalError))
     before, t0 = threading.active_count(), time.monotonic()
     with pytest.raises(NumericalError) as info:
         _evaluate(monkeypatch, 2, detector, _slow_split(bundle),
@@ -571,7 +622,8 @@ def test_error_on_the_worker_thread_reaches_the_caller(three_batches,
 def test_error_here_stops_the_worker_threads(three_batches, monkeypatch,
                                              exc_type):
     bundle, detector = three_batches
-    _scoring(monkeypatch, here=_raise(exc_type), worker=_slow)
+    _scoring(monkeypatch, detector.model, here=_raise(exc_type),
+             worker=_slow)
     before, t0 = threading.active_count(), time.monotonic()
     with pytest.raises(exc_type,
                        match=f"on {threading.current_thread().name}"):
@@ -595,7 +647,8 @@ def test_interrupt_while_waiting_stops_the_worker_threads(three_batches,
             sent.append(True)
         _slow()
 
-    _scoring(monkeypatch, here=lambda: None, worker=interrupting)
+    _scoring(monkeypatch, detector.model, here=lambda: None,
+             worker=interrupting)
     before, t0 = threading.active_count(), time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         _evaluate(monkeypatch, 2, detector, _slow_split(bundle),

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,19 +380,34 @@ def test_dataset_synthesizes_only_kept_candidates(monkeypatch):
         assert calls == sorted(set(calls))
 
 
+def _python(code):
+    """The stdout of ``code`` run by a fresh interpreter that imports
+    dawnet from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
 def test_generate_dataset_holds_each_split_once():
     # the kept rows go straight into their split; on top of the splits the
-    # statistics hold one float64 column of the training split
-    tracemalloc.start()
-    try:
-        bundle = sim.generate_dataset(4, (16, 16, 150))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    splits = sum(split.nbytes for split in
-                 (bundle.train, bundle.validation, bundle.test))
+    # statistics hold one float64 column of the training split. The first
+    # call is traced in a fresh interpreter: in this one, the trace would
+    # also take in the interpreter's own tables (its interned strings) if
+    # they happened to grow then, at a moment set by the tests run before.
+    # numpy's lazily loaded submodules are imported before the trace
+    peak, splits, train = map(int, _python(
+        "import tracemalloc\n"
+        "import numpy.fft, numpy.random\n"
+        "from dawnet import simulate as sim\n"
+        "tracemalloc.start()\n"
+        "bundle = sim.generate_dataset(4, (16, 16, 150))\n"
+        "print(tracemalloc.get_traced_memory()[1], sum(split.nbytes for split"
+        " in (bundle.train, bundle.validation, bundle.test)),"
+        " len(bundle.train))").split())
     assert splits == 332 * sim.SNAPSHOT.itemsize
-    column = len(bundle.train) * sim.SNAPSHOT_LEN * 8
+    column = train * sim.SNAPSHOT_LEN * 8
     assert peak <= splits + column + 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -423,11 +437,5 @@ def test_dataset_rejects_bad_counts():
 def test_import_leaves_numpy_random_unloaded():
     # the generator annotations are strings, so a command that draws
     # nothing, such as eval, never imports numpy.random (10-17 ms)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, dawnet; print('numpy.random' in sys.modules)"],
-        env=env, check=True, capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    out = _python("import sys, dawnet; print('numpy.random' in sys.modules)")
+    assert out.strip() == "False"

@@ -84,9 +84,9 @@ def extract(commit: str, dest: Path) -> None:
 def run_once(checkout: Path, workload: str, seed: int, seconds: int):
     """(env, result) of one untraced benchmark run in ``checkout``.
 
-    The run leads a process group of its own: its workload processes, and
-    the scorers they fork, are killed with it when this is interrupted, so
-    none of them writes into the work directory after it is removed.
+    The run leads a process group of its own: its workload processes are
+    killed with it when this is interrupted, so none of them writes into
+    the work directory after it is removed.
     """
     proc = subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", workload,
