@@ -5,16 +5,18 @@ backward closure. Graphs are built eagerly during the forward pass and
 replayed in reverse topological order by :func:`backward`, which consumes
 the graph it walks: each interior node lets go of its gradient, closure and
 parents once its closure has run, so run one backward per forward. The
-convolution and wavelet inner loops dispatch to :mod:`dawnet.backend`.
+convolution inner loops dispatch to :mod:`dawnet.backend`.
 
 A conv layer is one tape node: :func:`conv1d` and :func:`conv1d_transpose`
 add the bias to the kernel's output in place, check the pre-activation for
 non-finite values once and apply the optional ReLU in place, and their
-backward masks the gradient once before the kernel adjoints. :func:`relu`
-and the rank-3 branch of :func:`add_bias` compute the same chain as
-separate nodes, and the tests hold the fused node to them bitwise. A
+backward masks the gradient once before the kernel adjoints. A
 :func:`conv1d` node keeps only its unpadded input: the x-adjoint needs just
 the padded length, and the weight gradient pads the input again.
+
+The reference ops that the tests hold this module to (a separate ReLU and
+channel bias, which a fused conv node matches bitwise, the wavelet
+transform ``dwt`` and the gradient checker) live in ``tests/oracles.py``.
 """
 
 from contextlib import contextmanager
@@ -52,13 +54,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def as_tensor(x) -> Tensor:
@@ -158,18 +153,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), bw)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-
-    def bw(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return _make(a.data * b.data, (a, b), bw)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
@@ -194,38 +177,20 @@ def mul_scalar(a: Tensor, s: Tensor) -> Tensor:
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Broadcast a per-channel bias over (B,C,L) or per-feature over (B,F)."""
+    """Broadcast a per-feature bias over (B,F)."""
     x, b = as_tensor(x), as_tensor(b)
     if b.data.ndim != 1:
         raise ShapeError("bias must be 1-d")
-    if x.data.ndim == 3:
-        if x.data.shape[1] != b.data.shape[0]:
-            raise ShapeError("bias length must match channel count")
-        view = b.data[None, :, None]
-        axes = (0, 2)
-    elif x.data.ndim == 2:
-        if x.data.shape[1] != b.data.shape[0]:
-            raise ShapeError("bias length must match feature count")
-        view = b.data[None, :]
-        axes = (0,)
-    else:
-        raise ShapeError("add_bias supports 2-d or 3-d inputs")
+    if x.data.ndim != 2:
+        raise ShapeError("add_bias expects a (B,F) input")
+    if x.data.shape[1] != b.data.shape[0]:
+        raise ShapeError("bias length must match feature count")
 
     def bw(g):
         _accumulate(x, g)
-        _accumulate(b, g.sum(axis=axes))
+        _accumulate(b, g.sum(axis=0))
 
-    return _make(x.data + view, (x, b), bw)
-
-
-def relu(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    mask = x.data > 0.0
-
-    def bw(g):
-        _accumulate(x, g * mask)
-
-    return _make(np.where(mask, x.data, 0.0), (x,), bw)
+    return _make(x.data + b.data, (x, b), bw)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -295,22 +260,6 @@ def softmax_rows(x: Tensor) -> Tensor:
         _accumulate(x, y * (g - dot))
 
     return _make(y, (x,), bw)
-
-
-def mse(a: Tensor, b) -> Tensor:
-    """Mean of squared differences over all elements."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mse shape mismatch: {a.data.shape} vs {b.data.shape}")
-    diff = a.data - b.data
-    n = diff.size
-
-    def bw(g):
-        common = (2.0 / n) * g * diff
-        _accumulate(a, common)
-        _accumulate(b, -common)
-
-    return _make(np.mean(diff * diff), (a, b), bw)
 
 
 def scalar(x: Tensor, value, dx: np.ndarray) -> Tensor:
@@ -462,39 +411,14 @@ def conv1d_transpose(x: Tensor, w: Tensor, b=None, stride=1,
 
 
 def _dwt_pads(k: int) -> tuple:
-    """(left, right) reflect padding that keeps a K-tap dwt length-preserving."""
+    """(left, right) reflect padding that keeps a K-tap wavelet transform
+    length-preserving."""
     return k // 2, k - 1 - k // 2
 
 
-def dwt(x: Tensor, kernels) -> Tensor:
-    """Depthwise multi-scale correlation with reflection padding.
-
-    (B,C,L) x (S,K) -> (B,C,S,L); each channel is filtered by every kernel
-    row independently and the length is preserved.
-    """
-    x = as_tensor(x)
-    kern = as_tensor(kernels)
-    if x.data.ndim != 3:
-        raise ShapeError("dwt expects a (B,C,L) tensor")
-    if kern.data.ndim != 2:
-        raise ShapeError("dwt kernels must be (S,K)")
-    pl, pr = _dwt_pads(kern.data.shape[1])
-    xp = np.ascontiguousarray(_pad_last(x.data, pl, pr))
-    y = backend.dwt_fw(xp, np.ascontiguousarray(kern.data))
-
-    def bw(g):
-        g = np.ascontiguousarray(g)
-        if x.requires_grad:
-            gxp = backend.dwt_gx(g, kern.data, xp.shape[2])
-            _accumulate(x, _unpad_fold(gxp, pl, pr))
-        if kern.requires_grad:
-            _accumulate(kern, backend.dwt_gk(g, xp))
-
-    return _make(y, (x, kern), bw)
-
-
 def dwt_gram(kernels: np.ndarray, length: int) -> np.ndarray:
-    """G = W^T W of the linear map W = :func:`dwt` at ``length``, as a band.
+    """G = W^T W of the wavelet transform W at ``length``, as a band: W
+    reflect-pads by :func:`_dwt_pads` and correlates with each kernel row.
 
     Returns (L, 2K-1) with band[u, K-1+e] = G[u, u+e]: every row of W reads
     K consecutive padded samples, so G is banded with half-width K-1. In
@@ -527,78 +451,3 @@ def dwt_gram(kernels: np.ndarray, length: int) -> np.ndarray:
     return np.bincount(u * (2 * k - 1) + (v - u + k - 1),
                        weights=padded[inside],
                        minlength=length * (2 * k - 1)).reshape(length, -1)
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-def grad_check(f, params, eps=1e-5, samples_per_param=None, rng=None) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` is a zero-argument callable returning a scalar loss Tensor built
-    from ``params``. With ``samples_per_param`` set, only a seeded random
-    subset of each parameter's elements is probed (needed for model-sized
-    checks; exhaustive otherwise).
-
-    A central difference is meaningless when the stencil straddles a ReLU
-    kink, which is common when a bias shifts every pre-activation in a
-    channel at once. Mismatched samples are therefore cross-examined with
-    two independent smoothness probes -- a second-difference spike at the
-    base point and the disagreement between the eps and eps/2 stencils --
-    and dropped when either probe accounts for the discrepancy. A wrong
-    analytic gradient at a smooth point passes both probes (the numeric
-    estimates agree with each other, not with the analytic value) and still
-    fails the check.
-    """
-    eps = float(eps)
-    if not (1e-6 <= eps <= 1e-3):
-        raise ConfigError("eps must lie in [1e-6, 1e-3]")
-    params = list(params)
-    for p in params:
-        # in place: a model's gradients are views of its gradient record
-        if p.grad is not None:
-            p.grad.fill(0)
-    loss = f()
-    backward(loss)
-    f0 = float(loss.data)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-                for p in params]
-    if rng is None:
-        rng = np.random.default_rng(0)
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        n = flat.size
-        if samples_per_param is not None and samples_per_param < n:
-            idxs = rng.choice(n, size=samples_per_param, replace=False)
-        else:
-            idxs = range(n)
-        def probe(j, h):
-            orig = flat[j]
-            flat[j] = orig + h
-            with no_grad():
-                fp = float(f().data)
-            flat[j] = orig - h
-            with no_grad():
-                fm = float(f().data)
-            flat[j] = orig
-            return fp, fm
-
-        for j in idxs:
-            fp, fm = probe(j, eps)
-            numeric = (fp - fm) / (2.0 * eps)
-            a = ga.reshape(-1)[j]
-            if not np.isfinite(numeric) or not np.isfinite(a):
-                raise NumericalError("non-finite value in gradient check")
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-5)
-            if rel > 1e-4:
-                gap = abs(a - numeric)
-                kink = abs(fp + fm - 2.0 * f0) / (2.0 * eps)
-                fp2, fm2 = probe(j, 0.5 * eps)
-                numeric2 = (fp2 - fm2) / eps
-                stencil = abs(numeric - numeric2)
-                if kink >= 0.5 * gap or stencil >= 0.25 * gap:
-                    continue
-            worst = max(worst, rel)
-    return worst

@@ -235,8 +235,6 @@ def _load_checkpoint(path) -> tr.Detector:
                        bank)
 
 
-# the files ev.write_report_files writes into a report directory
-REPORT_FILES = ("report.json", "roc.csv", "confusion.csv")
 SUMMARY_HEADER = f"{'accuracy':>10} {'f1':>10} {'auc':>10} {'time_s':>10}"
 
 
@@ -262,9 +260,9 @@ def cmd_eval(args) -> int:
                           f"{Path(args.data).name}: {exc}") from exc
     elapsed = time.perf_counter() - t0
     out_dir = Path(args.out_dir)
-    ev.write_report_files(report, out_dir)
+    outputs = ev.write_report_files(report, out_dir)
     _write_manifest(out_dir / "manifest.json", args, inputs=inputs,
-                    outputs={name: out_dir / name for name in REPORT_FILES},
+                    outputs=outputs,
                     volatile={"elapsed_s": elapsed,
                               "mean_batch_time_s": report.mean_batch_time_s})
     print(SUMMARY_HEADER)
@@ -299,10 +297,9 @@ def cmd_ablate(args) -> int:
         variant_dir.mkdir(parents=True, exist_ok=True)
         ckpt = variant_dir / "checkpoint.dawm"
         datafile.write_checkpoint(ckpt, config, result["model"].values)
-        ev.write_report_files(report, variant_dir)
         outputs[f"{name}/checkpoint.dawm"] = ckpt
-        for file in REPORT_FILES:
-            outputs[f"{name}/{file}"] = variant_dir / file
+        for file, path in ev.write_report_files(report, variant_dir).items():
+            outputs[f"{name}/{file}"] = path
     table_path = out_dir / "ablation.csv"
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("variant,accuracy,f1,auc\n")

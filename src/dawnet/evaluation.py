@@ -144,13 +144,6 @@ def roc_curve(scores, labels):
             in zip(fp.tolist(), tp.tolist(), thresholds.tolist())]
 
 
-def trapezoid_area(roc_points) -> float:
-    area = 0.0
-    for (x0, y0, _), (x1, y1, _) in zip(roc_points, roc_points[1:]):
-        area += (x1 - x0) * (y1 + y0) / 2.0
-    return area
-
-
 def f1_accuracy_confusion(pred, labels):
     """Accuracy, class-1 F1 (zero-division -> 0), and (tn, fp, fn, tp)."""
     p = _as_binary(pred, "pred")
@@ -234,20 +227,25 @@ def evaluate(detector, snapshots, norm_stats) -> MetricsReport:
     )
 
 
-def write_report_files(report: MetricsReport, out_dir) -> None:
-    """Emit report.json plus roc.csv / confusion.csv for external plotting."""
+def write_report_files(report: MetricsReport, out_dir) -> dict:
+    """Emit report.json plus roc.csv / confusion.csv for external plotting;
+    return the ``{file name: path}`` of each file written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
+    paths = {name: out / name
+             for name in ("report.json", "roc.csv", "confusion.csv")}
+    with open(paths["report.json"], "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(out / "roc.csv", "w", encoding="utf-8", newline="") as fh:
+    with open(paths["roc.csv"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fpr", "tpr", "thr"])
         for fpr, tpr, thr in report.roc:
             writer.writerow([repr(fpr), repr(tpr), repr(thr)])
     tn, fp, fn, tp = report.confusion
-    with open(out / "confusion.csv", "w", encoding="utf-8", newline="") as fh:
+    with open(paths["confusion.csv"], "w", encoding="utf-8",
+              newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tn", "fp", "fn", "tp"])
         writer.writerow([tn, fp, fn, tp])
+    return paths

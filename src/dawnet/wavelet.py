@@ -5,7 +5,8 @@ linear, so the loss on a residual d = xhat - x is the quadratic form
 d^T G d with G = W^T W (:func:`autodiff.dwt_gram`). G is banded with
 half-width K-1, so it is block tridiagonal in K x K blocks: the bank keeps
 it as ceil(L/K) column panels of 3K x K and applies it with one batched
-matmul. :func:`autodiff.dwt` remains the defining transform.
+matmul. The transform itself, ``dwt``, is a test oracle in
+``tests/oracles.py``.
 """
 
 import math
@@ -40,10 +41,6 @@ class WaveletBank:
         self.kernels = np.array(kernels, dtype=np.float64)
         self.kernels.flags.writeable = False
         self._gram = {}             # signal length -> column panels of G
-
-    @property
-    def kernel_len(self) -> int:
-        return self.kernels.shape[1]
 
     def gram(self, d: np.ndarray) -> np.ndarray:
         """G d over the last axis of ``d``, G = W^T W at that length.

@@ -24,6 +24,8 @@ from dawnet import training as tr
 from dawnet import wavelet
 from dawnet.errors import ConfigError, NumericalError, ShapeError
 
+import oracles
+
 
 def _brute_force_auc(scores, labels):
     scores = np.asarray(scores, dtype=float)
@@ -79,7 +81,7 @@ def test_auc_nan_is_never_detected():
     assert ev.auc([np.nan, np.nan], [0, 1]) == 0.0
     scores = [np.nan, 0.3, 0.1, np.nan, 0.3, 0.9]
     labels = [1, 0, 1, 0, 1, 0]
-    area = ev.trapezoid_area(ev.roc_curve(scores, labels))
+    area = oracles.trapezoid_area(ev.roc_curve(scores, labels))
     assert ev.auc(scores, labels) == pytest.approx(area, abs=1e-15)
 
 
@@ -123,14 +125,14 @@ def test_roc_trapezoid_matches_rank_auc():
         labels = rng.integers(0, 2, size=n)
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
-        area = ev.trapezoid_area(ev.roc_curve(scores, labels))
+        area = oracles.trapezoid_area(ev.roc_curve(scores, labels))
         assert abs(area - ev.auc(scores, labels)) < 1e-10
 
 
 def test_roc_trapezoid_handles_ties_too():
     scores = [1.0, 1.0, 2.0, 2.0, 3.0]
     labels = [0, 1, 0, 1, 1]
-    area = ev.trapezoid_area(ev.roc_curve(scores, labels))
+    area = oracles.trapezoid_area(ev.roc_curve(scores, labels))
     assert abs(area - ev.auc(scores, labels)) < 1e-10
 
 
@@ -649,9 +651,15 @@ def test_interrupt_while_waiting_stops_the_worker_threads(three_batches,
 
     _scoring(monkeypatch, detector.model, here=lambda: None,
              worker=interrupting)
-    before, t0 = threading.active_count(), time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        _evaluate(monkeypatch, 2, detector, _slow_split(bundle),
-                  bundle.norm_stats)
+    # a process started in the background of a shell inherits SIGINT
+    # ignored, and then the signal would raise nothing
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        before, t0 = threading.active_count(), time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            _evaluate(monkeypatch, 2, detector, _slow_split(bundle),
+                      bundle.norm_stats)
+    finally:
+        signal.signal(signal.SIGINT, handler)
     assert sent and time.monotonic() - t0 < 2.5
     assert threading.active_count() == before
