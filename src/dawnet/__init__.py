@@ -12,15 +12,15 @@ import sys
 # One BLAS thread per process, set before numpy is first imported: a
 # matrix product's bits depend on how many threads split it, so this makes
 # every artifact the same whatever the environment holds, and scoring
-# (`training.per_sample_losses`) uses the other cores through threads of
-# its own instead. A caller that imported numpy before dawnet keeps its
-# own thread count.
+# (`training.per_sample_losses`) and training steps (`training.train`) use
+# the other cores through threads of their own instead. A caller that
+# imported numpy before dawnet keeps its own thread count.
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in sys.modules:
     os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
 # whether numpy computes on one BLAS thread: by the pin above, or because a
-# caller that imported numpy first had set one. Only then does scoring use
-# a thread per core; a BLAS that already uses every core would lose.
+# caller that imported numpy first had set one. Only then do scoring and
+# training use other cores; a BLAS that already uses every core would lose.
 ONE_BLAS_THREAD = all(os.environ.get(name) == "1" for name in _BLAS_THREADS)
 
 __version__ = "0.1.0"

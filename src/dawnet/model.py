@@ -150,7 +150,8 @@ class DualDomainAutoencoder:
         """Weights drawn from ``seed``, or, with nothing drawn, the
         ``PARAMETERS`` record ``parameters`` that
         :func:`datafile.read_checkpoint` returns: that record is trained,
-        not a copy, so it must not be one another model trains."""
+        not a copy. Another model may share it, with tensors and gradients
+        of its own, as long as only one optimizer updates it."""
         self.config = config
         if parameters is None:
             parameters = _initial_parameters(seed)

@@ -10,7 +10,8 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -202,7 +203,13 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
     lambda2, bank or None).
 
     Deterministic: shuffles come from a SeedSequence([seed, 2]) stream and
-    every arithmetic step is fixed-order.
+    every arithmetic step is fixed-order. A step is two shards, the first
+    half of the batch (rounded down) and the rest, each with its own
+    forward, loss and backward. A worker thread runs the second on a twin
+    model over the same values when ``_workers()`` is above 1, else this
+    thread runs it after the first. The gradients are summed row-weighted
+    in one fixed order, so the bytes do not depend on the worker count. A
+    one-row batch is one shard. No worker outlives this call.
     """
     if len(bundle.train) == 0:
         raise ConfigError("training split is empty")
@@ -214,36 +221,62 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
     n = len(bundle.train)
 
     opt = Adam(model.values, model.grads, lr=cfg.learning_rate)
+    # the second shard's model: the same values, its own tape and gradients
+    twin = type(model)(model.config, parameters=model.values)
+    twin_grads = np.frombuffer(twin.grads, np.float64)
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, 2]))
 
+    def shard(net, x):
+        """Shard loss times its rows; its gradient accumulates in
+        ``net.grads``."""
+        loss = composite_loss(net.forward(x), x, bank, cfg.lambda1, lambda2)
+        ad.backward(loss)
+        return float(loss.data) * len(x)
+
     history = []
-    for epoch in range(cfg.epochs):
-        perm = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            # normalized per batch: the split's rows are the only copy
-            x = sim.model_inputs(bundle.train[idx], bundle.norm_stats)
-            try:
-                loss = composite_loss(model.forward(x), x, bank, cfg.lambda1,
-                                      lambda2)
-                opt.zero_grad()
-                ad.backward(loss)
-                opt.step()
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"aborted at epoch {epoch} step {start // cfg.batch_size}: "
-                    f"{exc}") from exc
-            epoch_loss += float(loss.data) * len(idx)
-        history.append(epoch_loss / n)
+    with ThreadPoolExecutor(1) if _workers() > 1 else nullcontext() as pool:
+        for epoch in range(cfg.epochs):
+            perm = shuffle_rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                # normalized per batch: the split's rows are the only copy
+                x = sim.model_inputs(bundle.train[idx], bundle.norm_stats)
+                cut = len(x) // 2
+                try:
+                    opt.zero_grad()
+                    if cut == 0:
+                        epoch_loss += shard(model, x)
+                    else:
+                        twin_grads.fill(0)
+                        second = pool and pool.submit(
+                            contextvars.copy_context().run, shard, twin,
+                            x[cut:])
+                        try:
+                            first = shard(model, x[:cut])
+                        finally:
+                            if second:      # its error, if any, comes next
+                                wait([second])
+                        epoch_loss += first + (second.result() if second
+                                               else shard(twin, x[cut:]))
+                        opt.grads *= cut / len(x)
+                        twin_grads *= (len(x) - cut) / len(x)
+                        opt.grads += twin_grads
+                    opt.step()
+                except NumericalError as exc:
+                    raise NumericalError(
+                        f"aborted at epoch {epoch} step "
+                        f"{start // cfg.batch_size}: {exc}") from exc
+            history.append(epoch_loss / n)
     return history, lambda2, bank
 
 
 def _workers() -> int:
-    """How many threads a split is scored on: one per CPU this process
-    may run on when numpy computes on one BLAS thread, else 1, because a
-    BLAS that already uses every core only loses from more threads."""
+    """How many threads a split is scored on (and a training step on, up
+    to 2): one per CPU this process may run on when numpy computes on one
+    BLAS thread, else 1, because a BLAS that already uses every core only
+    loses from more threads."""
     if not ONE_BLAS_THREAD:
         return 1
     if hasattr(os, "sched_getaffinity"):

@@ -1,6 +1,8 @@
 """Loss assembly, optimizer behavior, loop determinism, threshold math."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -347,6 +349,91 @@ def test_train_nan_abort_has_diagnostics():
     with pytest.raises(NumericalError) as exc:
         tr.train(bundle, net, cfg)
     assert "epoch 0" in str(exc.value)
+
+
+# --- two-shard steps ----------------------------------------------------------
+
+def test_sharded_step_gradient_matches_one_batch():
+    # one B=64 step at lr 0 leaves its gradient in the model's record: the
+    # row-weighted sum of the two 32-row shards' gradients, within 1e-13 of
+    # one B=64 pass at every field (1.3e-15 measured)
+    bundle = _bundle(seed=41, counts=(64, 4, 4))
+    net = _net(seed=9)
+    net.values["attention.gamma"] = 0.3
+    cfg = tr.TrainConfig(epochs=1, batch_size=64, learning_rate=0.0, seed=2)
+    _, lambda2, bank = tr.train(bundle, net, cfg)
+    ref = _net(seed=9)
+    ref.values["attention.gamma"] = 0.3
+    x = sim.model_inputs(bundle.train, bundle.norm_stats)
+    ad.backward(tr.composite_loss(ref.forward(x), x, bank, cfg.lambda1,
+                                  lambda2))
+    for name in m.PARAMETERS.names:
+        want = ref.grads[name]
+        assert np.abs(want).max() > 0, name
+        assert (np.abs(net.grads[name] - want).max()
+                <= 1e-13 * np.abs(want).max()), name
+
+
+@pytest.mark.parametrize("ablation", ["full", "vanilla"])
+def test_train_bytes_do_not_depend_on_the_worker_count(monkeypatch,
+                                                       ablation):
+    # batches of 8, 8 and 5 rows: shards of 4/4 and 2/3
+    bundle = _bundle(seed=43, counts=(21, 4, 4))
+    cfg = tr.TrainConfig(epochs=2, batch_size=8, seed=4,
+                         wavelet_scales=(4, 8))
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # hand the GIL over as often as it can
+    try:
+        for workers in (1, 2):
+            monkeypatch.setattr(tr, "_workers", lambda: workers)
+            net = _net(ablation=ablation, seed=6)
+            history, _, _ = tr.train(bundle, net, cfg)
+            runs.append((net.values.tobytes(), history))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1]
+
+
+def test_one_row_batch_is_one_shard(monkeypatch):
+    # 9 rows at batch 4: two batches of two 2-row shards, then one row
+    rows, loss = [], tr.composite_loss
+
+    def counted(xhat, *args):
+        rows.append(len(xhat.data))
+        return loss(xhat, *args)
+
+    monkeypatch.setattr(tr, "composite_loss", counted)
+    monkeypatch.setattr(tr, "_workers", lambda: 1)
+    net = _net(seed=3)
+    start = net.values.copy()
+    history, _, _ = tr.train(_bundle(seed=47, counts=(9, 4, 4)), net,
+                             tr.TrainConfig(epochs=1, batch_size=4))
+    assert rows == [2, 2, 2, 2, 1]
+    assert all(math.isfinite(v) for v in history)
+    assert not np.array_equal(net.values["decoder.out.bias"],
+                              start["decoder.out.bias"])
+
+
+def test_error_in_the_worker_shard_reaches_the_caller(monkeypatch):
+    # batches of 5 rows: the worker's shard has 3, this thread's 2
+    main, loss = threading.current_thread(), tr.composite_loss
+
+    def failing(xhat, *args):
+        if len(xhat.data) == 3:
+            raise NumericalError(
+                f"raised on {threading.current_thread().name}")
+        return loss(xhat, *args)
+
+    monkeypatch.setattr(tr, "composite_loss", failing)
+    monkeypatch.setattr(tr, "_workers", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(NumericalError) as exc:
+        tr.train(_bundle(seed=53, counts=(10, 4, 4)), _net(seed=2),
+                 tr.TrainConfig(epochs=2, batch_size=5))
+    assert "epoch 0 step 0" in str(exc.value)
+    assert f"raised on {main.name}" not in str(exc.value)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("lambda2", [0.0, 0.25])
