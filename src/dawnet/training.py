@@ -6,12 +6,12 @@ mean on the (equally clean) validation split.
 """
 
 import contextvars
+import functools
 import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -155,9 +155,6 @@ class Adam:
             u /= s
             pc -= u
 
-    def zero_grad(self):
-        self.grads.fill(0)
-
 
 def sample_losses(d: np.ndarray, bank, lambda1: float, lambda2: float):
     """(per-row loss, G d or None) of (B, N) residual rows d = xhat - x.
@@ -204,12 +201,13 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
 
     Deterministic: shuffles come from a SeedSequence([seed, 2]) stream and
     every arithmetic step is fixed-order. A step is two shards, the first
-    half of the batch (rounded down) and the rest, each with its own
-    forward, loss and backward. A worker thread runs the second on a twin
-    model over the same values when ``_workers()`` is above 1, else this
-    thread runs it after the first. The gradients are summed row-weighted
-    in one fixed order, so the bytes do not depend on the worker count. A
-    one-row batch is one shard. No worker outlives this call.
+    half of the batch (rounded down) and the rest, run by
+    :func:`_side_by_side`; the second runs on a twin model over the same
+    values. Each shard zeroes its own gradient record, runs its forward,
+    loss and backward, and weights the record by its share of the rows.
+    This thread then adds the twin's record into the model's and takes
+    one Adam step, so the bytes do not depend on the worker count. A
+    one-row batch is one shard.
     """
     if len(bundle.train) == 0:
         raise ConfigError("training split is empty")
@@ -222,66 +220,89 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
 
     opt = Adam(model.values, model.grads, lr=cfg.learning_rate)
     # the second shard's model: the same values, its own tape and gradients
-    twin = type(model)(model.config, parameters=model.values)
-    twin_grads = np.frombuffer(twin.grads, np.float64)
+    nets = (model, type(model)(model.config, parameters=model.values))
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, 2]))
 
-    def shard(net, x):
-        """Shard loss times its rows; its gradient accumulates in
-        ``net.grads``."""
-        loss = composite_loss(net.forward(x), x, bank, cfg.lambda1, lambda2)
+    def shard(net, part, rows, stop):
+        """Shard loss times its rows; ``net.grads`` ends as its gradient
+        times its share of the ``rows``. A shard leaves ``stop`` unread."""
+        grads = np.frombuffer(net.grads, np.float64)
+        grads.fill(0)
+        loss = composite_loss(net.forward(part), part, bank, cfg.lambda1,
+                              lambda2)
         ad.backward(loss)
-        return float(loss.data) * len(x)
+        grads *= len(part) / rows
+        return float(loss.data) * len(part)
 
     history = []
-    with ThreadPoolExecutor(1) if _workers() > 1 else nullcontext() as pool:
-        for epoch in range(cfg.epochs):
-            perm = shuffle_rng.permutation(n)
-            epoch_loss = 0.0
-            for start in range(0, n, cfg.batch_size):
-                idx = perm[start:start + cfg.batch_size]
-                # normalized per batch: the split's rows are the only copy
-                x = sim.model_inputs(bundle.train[idx], bundle.norm_stats)
-                cut = len(x) // 2
-                try:
-                    opt.zero_grad()
-                    if cut == 0:
-                        epoch_loss += shard(model, x)
-                    else:
-                        twin_grads.fill(0)
-                        second = pool and pool.submit(
-                            contextvars.copy_context().run, shard, twin,
-                            x[cut:])
-                        try:
-                            first = shard(model, x[:cut])
-                        finally:
-                            if second:      # its error, if any, comes next
-                                wait([second])
-                        epoch_loss += first + (second.result() if second
-                                               else shard(twin, x[cut:]))
-                        opt.grads *= cut / len(x)
-                        twin_grads *= (len(x) - cut) / len(x)
-                        opt.grads += twin_grads
-                    opt.step()
-                except NumericalError as exc:
-                    raise NumericalError(
-                        f"aborted at epoch {epoch} step "
-                        f"{start // cfg.batch_size}: {exc}") from exc
-            history.append(epoch_loss / n)
+    for epoch in range(cfg.epochs):
+        perm = shuffle_rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            # normalized per batch: the split's rows are the only copy
+            x = sim.model_inputs(bundle.train[idx], bundle.norm_stats)
+            cut = len(x) // 2
+            parts = [p for p in (x[:cut], x[cut:]) if len(p)]
+            try:
+                epoch_loss += sum(_side_by_side(
+                    [functools.partial(shard, net, part, len(x))
+                     for net, part in zip(nets, parts)]))
+                if len(parts) == 2:
+                    opt.grads += np.frombuffer(nets[1].grads, np.float64)
+                opt.step()
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"aborted at epoch {epoch} step "
+                    f"{start // cfg.batch_size}: {exc}") from exc
+        history.append(epoch_loss / n)
     return history, lambda2, bank
 
 
 def _workers() -> int:
-    """How many threads a split is scored on (and a training step on, up
-    to 2): one per CPU this process may run on when numpy computes on one
-    BLAS thread, else 1, because a BLAS that already uses every core only
-    loses from more threads."""
+    """How many threads :func:`_side_by_side` may run its calls on: one per
+    CPU this process may run on when numpy computes on one BLAS thread,
+    else 1, because a BLAS that already uses every core only loses from
+    more threads."""
     if not ONE_BLAS_THREAD:
         return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _side_by_side(calls) -> list:
+    """``[call(stop) for call in calls]``, the calls side by side.
+
+    This thread runs the first call. When ``_workers()`` is above 1, each
+    other one runs on a thread of its own, in a copy of this thread's
+    context (numpy's error state, ``no_grad``); numpy releases the GIL in
+    its kernels, so they compute together. Else this thread runs each in
+    turn. ``stop``, one ``threading.Event``, is set when a call fails or
+    this thread is interrupted. The first exception in call order is
+    raised here, with its type and message, after every thread has ended.
+    """
+    stop = threading.Event()
+
+    def run(call):
+        try:
+            return call(stop)
+        except BaseException:
+            stop.set()
+            raise
+
+    if len(calls) < 2 or _workers() < 2:
+        return [run(call) for call in calls]
+    with ThreadPoolExecutor(len(calls) - 1) as pool:
+        try:
+            # one context per call: a context is entered by one thread only
+            futures = [pool.submit(contextvars.copy_context().run, run, call)
+                       for call in calls[1:]]
+            return [run(calls[0])] + [future.result() for future in futures]
+        finally:
+            # also after an interrupt of this thread while it waits
+            stop.set()
 
 
 def per_sample_losses(model, snapshots, norm_stats, bank, lambda1: float,
@@ -290,54 +311,31 @@ def per_sample_losses(model, snapshots, norm_stats, bank, lambda1: float,
     normalized ``SCORE_BATCH`` snapshots at a time. ``batch_times``, if
     given, receives each batch's seconds, in batch order.
 
-    The batches are cut into at most ``_workers()`` contiguous runs. This
-    thread scores the first and a worker thread each other one; numpy
-    releases the GIL inside its kernels, so the runs compute side by side,
-    and one run starts no thread. Each batch is computed exactly as on one
-    thread, so the scores are the same bits. A worker runs in a copy of
-    this thread's context, so numpy's error state holds there too. An
-    exception raised in any run is raised here, with its type and message.
-    A failed run, or an interrupt of this thread, stops the other runs
-    after their current batch, and every worker thread has ended before
-    this returns or raises.
+    The batches are cut into at most ``_workers()`` contiguous runs, which
+    :func:`_side_by_side` scores; a run stops after its current batch once
+    another has failed. Each batch is computed exactly as on one thread,
+    so the scores are the same bits.
     """
     n_batches = -(-len(snapshots) // SCORE_BATCH)
     out = np.empty(len(snapshots), dtype=np.float64)
-    stop = threading.Event()
 
-    def score(first, end):
-        try:
-            with ad.no_grad():
-                for b in range(first, end):
-                    if stop.is_set():
-                        return
-                    sl = slice(b * SCORE_BATCH, (b + 1) * SCORE_BATCH)
-                    t0 = time.perf_counter()
-                    x = sim.model_inputs(snapshots[sl], norm_stats)
-                    out[sl] = sample_losses(model.forward(x).data - x, bank,
-                                            lambda1, lambda2)[0]
-                    if batch_times is not None:
-                        batch_times[b] = time.perf_counter() - t0
-        except BaseException:
-            stop.set()
-            raise
+    def score(first, end, stop):
+        with ad.no_grad():
+            for b in range(first, end):
+                if stop.is_set():
+                    return
+                sl = slice(b * SCORE_BATCH, (b + 1) * SCORE_BATCH)
+                t0 = time.perf_counter()
+                x = sim.model_inputs(snapshots[sl], norm_stats)
+                out[sl] = sample_losses(model.forward(x).data - x, bank,
+                                        lambda1, lambda2)[0]
+                if batch_times is not None:
+                    batch_times[b] = time.perf_counter() - t0
 
-    k = min(_workers(), n_batches)
-    if k <= 1:
-        score(0, n_batches)
-        return out
-    runs = [(i * n_batches // k, (i + 1) * n_batches // k) for i in range(k)]
-    with ThreadPoolExecutor(k - 1) as pool:
-        try:
-            # one context per run: a context is entered by one thread only
-            futures = [pool.submit(contextvars.copy_context().run, score, *run)
-                       for run in runs[1:]]
-            score(*runs[0])
-            for future in futures:
-                future.result()
-        finally:
-            # also after an interrupt of this thread while it waits
-            stop.set()
+    k = max(1, min(_workers(), n_batches))
+    _side_by_side([functools.partial(score, i * n_batches // k,
+                                     (i + 1) * n_batches // k)
+                   for i in range(k)])
     return out
 
 

@@ -2,6 +2,12 @@
 fixes the hypothesis examples: every run draws the same ones and keeps no
 example database."""
 
+# before anything imports numpy, so that dawnet's one-BLAS-thread pin holds
+# and the suite computes as the commands do: on one BLAS thread, with
+# scoring and training steps on a thread per core. `pytest -p numpy`
+# imports numpy first and so runs the suite on the one-thread path instead
+import dawnet  # noqa: F401
+
 from hypothesis import settings
 
 settings.register_profile("tier1", derandomize=True, database=None)

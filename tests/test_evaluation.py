@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dawnet
 from dawnet import autodiff as ad
 from dawnet import evaluation as ev
 from dawnet import model as m
@@ -481,6 +482,12 @@ def test_one_blas_thread_reads_the_pin(imports, threads, expected):
          f"import {imports}; print(dawnet.ONE_BLAS_THREAD)"],
         env=env, check=True, capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == str(expected)
+
+
+def test_the_suite_computes_as_the_commands_do(request):
+    # conftest.py imports dawnet first, unless `-p numpy` came before it
+    first = not request.config.pluginmanager.has_plugin("numpy")
+    assert dawnet.ONE_BLAS_THREAD == first
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])

@@ -133,7 +133,7 @@ def test_adam_in_place_matches_textbook_update():
     opt = tr.Adam(values, grads, lr=3e-3)
     for t in range(1, 6):
         b1t, b2t = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
-        opt.zero_grad()
+        opt.grads.fill(0)
         g = rng.standard_normal(n)
         g[silent] = 0.0
         grads += g
@@ -170,7 +170,7 @@ def test_adam_descends_quadratic():
     t.grad = grads.reshape(())
     opt = tr.Adam(values, grads, lr=0.1)
     for _ in range(200):
-        opt.zero_grad()
+        opt.grads.fill(0)
         loss = oracles.mul(t, t)
         ad.backward(loss)
         opt.step()
@@ -192,7 +192,7 @@ def test_grad_check_leaves_the_model_trainable():
                   samples_per_param=2)
     before = net.values.copy()
     opt = tr.Adam(net.values, net.grads)
-    opt.zero_grad()
+    opt.grads.fill(0)
     ad.backward(loss())
     opt.step()
     for name in m.PARAMETERS.names:
@@ -244,7 +244,7 @@ def test_training_step_memory_bounds():
         out = net.forward(x)
         after_forward()
         loss = tr.composite_loss(out, x, bank, 1.0, lambda2)
-        opt.zero_grad()
+        opt.grads.fill(0)
         ad.backward(loss)
         opt.step()
 
@@ -396,43 +396,58 @@ def test_train_bytes_do_not_depend_on_the_worker_count(monkeypatch,
 
 
 def test_one_row_batch_is_one_shard(monkeypatch):
-    # 9 rows at batch 4: two batches of two 2-row shards, then one row
+    # 9 rows at batch 4: two batches of two 2-row shards, then one row,
+    # which starts no thread even where a step may use two
     rows, loss = [], tr.composite_loss
+    started, start_thread = [], threading.Thread.start
 
     def counted(xhat, *args):
-        rows.append(len(xhat.data))
+        rows.append((len(xhat.data), len(started)))
         return loss(xhat, *args)
 
+    def counted_start(thread):
+        started.append(thread.name)
+        start_thread(thread)
+
     monkeypatch.setattr(tr, "composite_loss", counted)
-    monkeypatch.setattr(tr, "_workers", lambda: 1)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(tr, "_workers", lambda: 2)
     net = _net(seed=3)
     start = net.values.copy()
     history, _, _ = tr.train(_bundle(seed=47, counts=(9, 4, 4)), net,
                              tr.TrainConfig(epochs=1, batch_size=4))
-    assert rows == [2, 2, 2, 2, 1]
+    assert sorted(r for r, _ in rows) == [1, 2, 2, 2, 2]
+    assert rows[-1] == (1, 2)       # one thread per two-shard step
+    assert len(started) == 2
     assert all(math.isfinite(v) for v in history)
     assert not np.array_equal(net.values["decoder.out.bias"],
                               start["decoder.out.bias"])
 
 
-def test_error_in_the_worker_shard_reaches_the_caller(monkeypatch):
-    # batches of 5 rows: the worker's shard has 3, this thread's 2
+@pytest.mark.parametrize("error", [NumericalError, KeyboardInterrupt])
+@pytest.mark.parametrize("failing_rows", [2, 3])
+def test_error_in_the_worker_shard_reaches_the_caller(monkeypatch, error,
+                                                      failing_rows):
+    # batches of 5 rows: the worker's shard has 3, this thread's 2. Either
+    # one's error reaches the caller as itself, after both shards ended
     main, loss = threading.current_thread(), tr.composite_loss
 
     def failing(xhat, *args):
-        if len(xhat.data) == 3:
-            raise NumericalError(
-                f"raised on {threading.current_thread().name}")
+        if len(xhat.data) == failing_rows:
+            raise error(f"raised on {threading.current_thread().name}")
         return loss(xhat, *args)
 
     monkeypatch.setattr(tr, "composite_loss", failing)
     monkeypatch.setattr(tr, "_workers", lambda: 2)
     before = threading.active_count()
-    with pytest.raises(NumericalError) as exc:
+    with pytest.raises(error) as exc:
         tr.train(_bundle(seed=53, counts=(10, 4, 4)), _net(seed=2),
                  tr.TrainConfig(epochs=2, batch_size=5))
-    assert "epoch 0 step 0" in str(exc.value)
-    assert f"raised on {main.name}" not in str(exc.value)
+    assert type(exc.value) is error
+    if error is NumericalError:
+        assert "epoch 0 step 0" in str(exc.value)
+    on_main = f"raised on {main.name}" in str(exc.value)
+    assert on_main == (failing_rows == 2)
     assert threading.active_count() == before
 
 
