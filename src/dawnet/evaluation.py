@@ -184,10 +184,10 @@ def evaluate(detector, snapshots, norm_stats) -> MetricsReport:
     """Score a labeled test split with a ``training.Detector`` and assemble
     the full report.
 
-    The split is scored once by ``per_sample_losses``, on a thread per
-    core where it can, in batches of ``SCORE_BATCH`` snapshots, and each
-    batch is timed: ``mean_batch_time_s`` is the median time of the full
-    batches (of the one partial batch if there is no full one) and
+    The split is scored once by ``per_sample_losses``, in batches of
+    ``SCORE_BATCH`` snapshots, a batch per core at a time, each timed with
+    the others: ``mean_batch_time_s`` is the median time of the full batches
+    (of the one partial batch if there is no full one) and
     ``ms_per_snapshot`` the wall time of the scoring per snapshot.
 
     Raises ``NumericalError`` if any score is non-finite: NaN would rank as

@@ -9,7 +9,6 @@ import contextvars
 import functools
 import math
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -200,14 +199,13 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
     lambda2, bank or None).
 
     Deterministic: shuffles come from a SeedSequence([seed, 2]) stream and
-    every arithmetic step is fixed-order. A step is two shards, the first
-    half of the batch (rounded down) and the rest, run by
-    :func:`_side_by_side`; the second runs on a twin model over the same
-    values. Each shard zeroes its own gradient record, runs its forward,
-    loss and backward, and weights the record by its share of the rows.
-    This thread then adds the twin's record into the model's and takes
-    one Adam step, so the bytes do not depend on the worker count. A
-    one-row batch is one shard.
+    every arithmetic step is fixed-order. A step is the batch's
+    ``_shards(x, 2)``, run by :func:`_side_by_side`; the second runs on a
+    twin model over the same values. Each shard zeroes its own gradient
+    record, runs its forward, loss and backward, and weights the record by
+    its share of the rows. This thread then adds the twin's record into
+    the model's and takes one Adam step, so the bytes do not depend on the
+    worker count. A batch of at most three rows is one shard.
     """
     if len(bundle.train) == 0:
         raise ConfigError("training split is empty")
@@ -224,9 +222,9 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, 2]))
 
-    def shard(net, part, rows, stop):
+    def shard(net, part, rows):
         """Shard loss times its rows; ``net.grads`` ends as its gradient
-        times its share of the ``rows``. A shard leaves ``stop`` unread."""
+        times its share of the ``rows``."""
         grads = np.frombuffer(net.grads, np.float64)
         grads.fill(0)
         loss = composite_loss(net.forward(part), part, bank, cfg.lambda1,
@@ -243,8 +241,7 @@ def train(bundle: sim.DatasetBundle, model, cfg: TrainConfig):
             idx = perm[start:start + cfg.batch_size]
             # normalized per batch: the split's rows are the only copy
             x = sim.model_inputs(bundle.train[idx], bundle.norm_stats)
-            cut = len(x) // 2
-            parts = [p for p in (x[:cut], x[cut:]) if len(p)]
+            parts = _shards(x, 2)
             try:
                 epoch_loss += sum(_side_by_side(
                     [functools.partial(shard, net, part, len(x))
@@ -272,37 +269,37 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _side_by_side(calls) -> list:
-    """``[call(stop) for call in calls]``, the calls side by side.
-
-    This thread runs the first call. When ``_workers()`` is above 1, each
-    other one runs on a thread of its own, in a copy of this thread's
-    context (numpy's error state, ``no_grad``); numpy releases the GIL in
-    its kernels, so they compute together. Else this thread runs each in
-    turn. ``stop``, one ``threading.Event``, is set when a call fails or
-    this thread is interrupted. The first exception in call order is
-    raised here, with its type and message, after every thread has ended.
+def _shards(x, k: int) -> list:
+    """``x`` cut into ``max(1, min(k, len(x) // 2))`` contiguous parts, in
+    order and as even as integer division makes them, so no part has one
+    row unless ``x`` has. On OpenBLAS 0.3.31 a row's loss has the same bits
+    in any batch of two rows or more (shards of 2 to 32 rows of a 64-row
+    batch, and batches of 2 to 64 rows against their halves, at four model
+    seeds); a one-row batch takes another BLAS path, which changed 17 to
+    23 of 128 rows, by up to 4.3e-14.
     """
-    stop = threading.Event()
+    n = len(x)
+    k = max(1, min(k, n // 2))
+    return [x[i * n // k:(i + 1) * n // k] for i in range(k)]
 
-    def run(call):
-        try:
-            return call(stop)
-        except BaseException:
-            stop.set()
-            raise
 
+def _side_by_side(calls) -> list:
+    """``[call() for call in calls]``, the calls side by side.
+
+    This thread runs the first call. When ``_workers()`` is above 1, the
+    others run on a pool of ``len(calls) - 1`` threads, each in a copy of
+    this thread's context (numpy's error state, ``no_grad``); numpy
+    releases the GIL in its kernels, so they compute together. Else this
+    thread runs each in turn. The first exception in call order is raised
+    here, with its type and message, after every thread has ended.
+    """
     if len(calls) < 2 or _workers() < 2:
-        return [run(call) for call in calls]
+        return [call() for call in calls]
     with ThreadPoolExecutor(len(calls) - 1) as pool:
-        try:
-            # one context per call: a context is entered by one thread only
-            futures = [pool.submit(contextvars.copy_context().run, run, call)
-                       for call in calls[1:]]
-            return [run(calls[0])] + [future.result() for future in futures]
-        finally:
-            # also after an interrupt of this thread while it waits
-            stop.set()
+        # one context per call: a context is entered by one thread only
+        futures = [pool.submit(contextvars.copy_context().run, call)
+                   for call in calls[1:]]
+        return [calls[0]()] + [future.result() for future in futures]
 
 
 def per_sample_losses(model, snapshots, norm_stats, bank, lambda1: float,
@@ -311,31 +308,33 @@ def per_sample_losses(model, snapshots, norm_stats, bank, lambda1: float,
     normalized ``SCORE_BATCH`` snapshots at a time. ``batch_times``, if
     given, receives each batch's seconds, in batch order.
 
-    The batches are cut into at most ``_workers()`` contiguous runs, which
-    :func:`_side_by_side` scores; a run stops after its current batch once
-    another has failed. Each batch is computed exactly as on one thread,
-    so the scores are the same bits.
+    The batches go through :func:`_side_by_side` ``_workers()`` at a time,
+    each cut into ``_shards(x, _workers() // batches)``: whole batches when
+    there are as many as workers, halves or less when fewer, as in a split
+    of one batch. A shard lies within one batch, so the bits do not depend
+    on the worker count; each batch is timed with its group.
     """
-    n_batches = -(-len(snapshots) // SCORE_BATCH)
     out = np.empty(len(snapshots), dtype=np.float64)
+    workers = _workers()
+    step = workers * SCORE_BATCH
 
-    def score(first, end, stop):
-        with ad.no_grad():
-            for b in range(first, end):
-                if stop.is_set():
-                    return
-                sl = slice(b * SCORE_BATCH, (b + 1) * SCORE_BATCH)
-                t0 = time.perf_counter()
-                x = sim.model_inputs(snapshots[sl], norm_stats)
-                out[sl] = sample_losses(model.forward(x).data - x, bank,
-                                        lambda1, lambda2)[0]
-                if batch_times is not None:
-                    batch_times[b] = time.perf_counter() - t0
+    def score(x):
+        return sample_losses(model.forward(x).data - x, bank, lambda1,
+                             lambda2)[0]
 
-    k = max(1, min(_workers(), n_batches))
-    _side_by_side([functools.partial(score, i * n_batches // k,
-                                     (i + 1) * n_batches // k)
-                   for i in range(k)])
+    with ad.no_grad():
+        for lo in range(0, len(snapshots), step):
+            t0 = time.perf_counter()
+            batches = [sim.model_inputs(snapshots[b:b + SCORE_BATCH],
+                                        norm_stats)
+                       for b in range(lo, min(lo + step, len(snapshots)),
+                                      SCORE_BATCH)]
+            out[lo:lo + step] = np.concatenate(_side_by_side(
+                [functools.partial(score, part) for x in batches
+                 for part in _shards(x, workers // len(batches))]))
+            if batch_times is not None:
+                b = lo // SCORE_BATCH
+                batch_times[b:b + len(batches)] = time.perf_counter() - t0
     return out
 
 

@@ -447,6 +447,19 @@ def _count_thread_starts(monkeypatch):
     return started
 
 
+def _count_worker_shards(monkeypatch):
+    """The rows of each shard scored on another thread from now on."""
+    main, losses, rows = threading.current_thread(), tr.sample_losses, []
+
+    def counted(d, *args):
+        if threading.current_thread() is not main:
+            rows.append(len(d))
+        return losses(d, *args)
+
+    monkeypatch.setattr(tr, "sample_losses", counted)
+    return rows
+
+
 def _outside_volatile(report):
     doc = report.to_dict()
     doc.pop("volatile")
@@ -490,34 +503,60 @@ def test_the_suite_computes_as_the_commands_do(request):
     assert dawnet.ONE_BLAS_THREAD == first
 
 
+# shards that three batches, the last of 1 to 3 rows, give other threads:
+# at 2 workers the first two batches are one group and the last another,
+# at 3 one group of three whole batches, and at 8 the full ones in halves
+WORKER_SHARDS = {1: 0, 2: 1, 3: 2, 8: 4}
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_threaded_scoring_equals_one_thread(three_batches, monkeypatch,
                                             workers):
     bundle, detector = three_batches
-    one = _evaluate(monkeypatch, 1, detector, bundle.test, bundle.norm_stats)
-    before = threading.active_count()
     started = _count_thread_starts(monkeypatch)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)     # hand the GIL over as often as it can
-    try:
-        many = _evaluate(monkeypatch, workers, detector, bundle.test,
-                         bundle.norm_stats)
-    finally:
-        sys.setswitchinterval(interval)
-    # never more threads than batches; this one scores the first run
-    assert len(started) == min(workers, 3) - 1
-    assert _outside_volatile(many) == _outside_volatile(one)
-    volatile = many.to_dict()["volatile"]
-    assert volatile["mean_batch_time_s"] > 0
-    assert volatile["ms_per_snapshot"] > 0
-    assert threading.active_count() == before
+    shards = _count_worker_shards(monkeypatch)
+    # the last batch has 1, 2 or 3 rows, so it is one shard
+    for rows in (129, 130, 131):
+        split = bundle.test[np.arange(rows) % len(bundle.test)]
+        one = _evaluate(monkeypatch, 1, detector, split, bundle.norm_stats)
+        before = threading.active_count()
+        started.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # hand the GIL over as often as it can
+        try:
+            many = _evaluate(monkeypatch, workers, detector, split,
+                             bundle.norm_stats)
+        finally:
+            sys.setswitchinterval(interval)
+        # this thread scores the first shard of each group, and each other
+        # one is handed to a thread of the group's pool, which may reuse a
+        # thread whose shard has ended
+        assert len(shards) == WORKER_SHARDS[workers], rows
+        assert (workers > 1) <= len(started) <= len(shards), rows
+        shards.clear()
+        assert _outside_volatile(many) == _outside_volatile(one), rows
+        volatile = many.to_dict()["volatile"]
+        assert volatile["mean_batch_time_s"] > 0
+        assert volatile["ms_per_snapshot"] > 0
+        assert threading.active_count() == before
 
 
-def test_one_batch_is_scored_here(small_world, monkeypatch):
+def test_a_batch_of_at_most_three_rows_is_one_shard(small_world,
+                                                    monkeypatch):
+    # a shard has two rows or more, so a one-row score starts no thread
     bundle, net = small_world
+    monkeypatch.setattr(tr, "_workers", lambda: 2)
     started = _count_thread_starts(monkeypatch)
-    _evaluate(monkeypatch, 2, _detector(net), bundle.test, bundle.norm_stats)
+    for rows in (1, 2, 3):
+        scores = tr.per_sample_losses(net, bundle.test[:rows],
+                                      bundle.norm_stats, None, 1.0, 0.0)
+        assert scores.size == rows
+    ev.score(net, bundle.test[0], bundle.norm_stats, None, 1.0, 0.0)
     assert started == []
+    # four rows are two shards
+    tr.per_sample_losses(net, bundle.test[:4], bundle.norm_stats, None, 1.0,
+                         0.0)
+    assert len(started) == 1
 
 
 def test_training_after_threaded_scoring_updates_the_parameters(
@@ -551,9 +590,11 @@ def test_threaded_calibration_equals_one_thread(
     one = tr.calibrate_threshold(*args)
     before = threading.active_count()
     started = _count_thread_starts(monkeypatch)
+    shards = _count_worker_shards(monkeypatch)
     monkeypatch.setattr(tr, "_workers", lambda: workers)
     many = tr.calibrate_threshold(*args)
-    assert len(started) == min(workers, 3) - 1
+    assert len(shards) == WORKER_SHARDS[workers]
+    assert (workers > 1) <= len(started) <= len(shards)
     assert (np.array(dataclasses.astuple(many)).tobytes()
             == np.array(dataclasses.astuple(one)).tobytes())
     assert threading.active_count() == before
@@ -573,17 +614,18 @@ def test_error_state_reaches_the_worker_runs(three_batches, monkeypatch):
         with np.errstate(over="ignore", invalid="ignore"):
             scores = tr.per_sample_losses(net, bundle.test, bundle.norm_stats,
                                           detector.bank, 1.0, 0.1)
-    # the worker scored the second and third batches
+    # a worker scored the second batch
     assert len(started) == 1 and scores.size == 130
     assert not np.isfinite(scores).any()
 
 
-SLOW_S = 0.5    # one batch of a slow run; a run has 8 of them
+SLOW_S = 0.5    # one slow batch; a slow split has 16 of them
 
 
 def _slow_split(bundle):
-    """16 full scoring batches of the test split's rows: 8 per run on two
-    workers, so a run that is not stopped takes at least 4 s."""
+    """16 full scoring batches of the test split's rows: two at a time on
+    two workers, so scoring that goes on past a failure takes at least
+    4 s."""
     return bundle.test[np.arange(16 * tr.SCORE_BATCH) % len(bundle.test)]
 
 
@@ -612,7 +654,7 @@ def _slow():
 
 def test_error_on_the_worker_thread_reaches_the_caller(three_batches,
                                                        monkeypatch):
-    # and stops this thread's run after its current batch
+    # at the end of the group it failed in: no later batch is scored
     bundle, detector = three_batches
     started = _count_thread_starts(monkeypatch)
     _scoring(monkeypatch, detector.model, here=_slow,
@@ -638,14 +680,14 @@ def test_error_here_stops_the_worker_threads(three_batches, monkeypatch,
                        match=f"on {threading.current_thread().name}"):
         _evaluate(monkeypatch, 2, detector, _slow_split(bundle),
                   bundle.norm_stats)
-    # the worker's run stopped after its current batch
+    # the worker's batch of that group ended, and no later group started
     assert time.monotonic() - t0 < 2.5
     assert threading.active_count() == before
 
 
 def test_interrupt_while_waiting_stops_the_worker_threads(three_batches,
                                                           monkeypatch):
-    # Ctrl-C after this thread's run, while it waits for the worker's
+    # Ctrl-C after this thread's batch, while it waits for the worker's
     bundle, detector = three_batches
     sent = []
 

@@ -353,6 +353,19 @@ def test_train_nan_abort_has_diagnostics():
 
 # --- two-shard steps ----------------------------------------------------------
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_shards_are_contiguous_and_two_rows_or_more(n, k):
+    # a one-row product takes another BLAS path than a longer one, so a
+    # row of a longer batch is never scored or trained on alone
+    x = np.arange(n)
+    parts = tr._shards(x, k)
+    assert 1 <= len(parts) <= k
+    assert np.array_equal(np.concatenate(parts), x)
+    assert all(np.shares_memory(p, x) for p in parts)
+    assert all(len(p) >= 2 for p in parts) or n == 1
+
+
 def test_sharded_step_gradient_matches_one_batch():
     # one B=64 step at lr 0 leaves its gradient in the model's record: the
     # row-weighted sum of the two 32-row shards' gradients, within 1e-13 of
