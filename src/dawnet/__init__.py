@@ -12,9 +12,9 @@ import sys
 # One BLAS thread per process, set before numpy is first imported: a
 # matrix product's bits depend on how many threads split it, so this makes
 # every artifact the same whatever the environment holds. The row shards
-# of scoring batches and training steps use the other cores instead,
-# through the threads of `training._side_by_side`. A caller that imported
-# numpy before dawnet keeps its own thread count.
+# of each scoring block and training batch (`training._shards`) use the
+# other cores instead, through the threads of `training._side_by_side`. A
+# caller that imported numpy before dawnet keeps its own thread count.
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in sys.modules:
     os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))

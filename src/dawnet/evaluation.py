@@ -184,9 +184,9 @@ def evaluate(detector, snapshots, norm_stats) -> MetricsReport:
     """Score a labeled test split with a ``training.Detector`` and assemble
     the full report.
 
-    The split is scored once by ``per_sample_losses``, in batches of
-    ``SCORE_BATCH`` snapshots, a batch per core at a time, each timed with
-    the others: ``mean_batch_time_s`` is the median time of the full batches
+    The split is scored once by ``per_sample_losses``, in blocks of one
+    ``SCORE_BATCH``-snapshot batch per core, each batch timed with its
+    block: ``mean_batch_time_s`` is the median time of the full batches
     (of the one partial batch if there is no full one) and
     ``ms_per_snapshot`` the wall time of the scoring per snapshot.
 

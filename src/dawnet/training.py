@@ -272,11 +272,13 @@ def _workers() -> int:
 def _shards(x, k: int) -> list:
     """``x`` cut into ``max(1, min(k, len(x) // 2))`` contiguous parts, in
     order and as even as integer division makes them, so no part has one
-    row unless ``x`` has. On OpenBLAS 0.3.31 a row's loss has the same bits
-    in any batch of two rows or more (shards of 2 to 32 rows of a 64-row
-    batch, and batches of 2 to 64 rows against their halves, at four model
-    seeds); a one-row batch takes another BLAS path, which changed 17 to
-    23 of 128 rows, by up to 4.3e-14.
+    row unless ``x`` has: a training batch in two, and a scoring block of
+    at most ``k`` batches in parts of at most ``SCORE_BATCH`` rows. On
+    OpenBLAS 0.3.31 a row's loss has the same bits in any batch of two rows
+    or more (shards of 2 to 32 rows of a 64-row batch, and batches of 2 to
+    64 rows against their halves, at four model seeds); a one-row batch
+    takes another BLAS path, which changed 17 to 23 of 128 rows, by up to
+    4.3e-14.
     """
     n = len(x)
     k = max(1, min(k, n // 2))
@@ -304,37 +306,34 @@ def _side_by_side(calls) -> list:
 
 def per_sample_losses(model, snapshots, norm_stats, bank, lambda1: float,
                       lambda2: float, batch_times=None) -> np.ndarray:
-    """Composite loss of each snapshot of a split alone, scored and
-    normalized ``SCORE_BATCH`` snapshots at a time. ``batch_times``, if
-    given, receives each batch's seconds, in batch order.
+    """Composite loss of each snapshot of a split alone.
 
-    The batches go through :func:`_side_by_side` ``_workers()`` at a time,
-    each cut into ``_shards(x, _workers() // batches)``: whole batches when
-    there are as many as workers, halves or less when fewer, as in a split
-    of one batch. A shard lies within one batch, so the bits do not depend
-    on the worker count; each batch is timed with its group.
+    The split goes in blocks of ``_workers()`` ``SCORE_BATCH``-row batches,
+    each normalized once and scored as ``_shards(x, _workers())`` by
+    :func:`_side_by_side`; ``batch_times``, if given, receives each batch's
+    block's seconds, in batch order. A one-row last batch is a block of its
+    own, as at one worker, so the bits do not depend on the worker count.
     """
-    out = np.empty(len(snapshots), dtype=np.float64)
+    n = len(snapshots)
+    out = np.empty(n, dtype=np.float64)
     workers = _workers()
-    step = workers * SCORE_BATCH
+    tail = n % SCORE_BATCH == 1
+    starts = [*range(0, n - tail, workers * SCORE_BATCH)] + [n - 1] * tail
 
     def score(x):
         return sample_losses(model.forward(x).data - x, bank, lambda1,
                              lambda2)[0]
 
     with ad.no_grad():
-        for lo in range(0, len(snapshots), step):
+        for lo, hi in zip(starts, starts[1:] + [n]):
             t0 = time.perf_counter()
-            batches = [sim.model_inputs(snapshots[b:b + SCORE_BATCH],
-                                        norm_stats)
-                       for b in range(lo, min(lo + step, len(snapshots)),
-                                      SCORE_BATCH)]
-            out[lo:lo + step] = np.concatenate(_side_by_side(
-                [functools.partial(score, part) for x in batches
-                 for part in _shards(x, workers // len(batches))]))
+            x = sim.model_inputs(snapshots[lo:hi], norm_stats)
+            out[lo:hi] = np.concatenate(_side_by_side(
+                [functools.partial(score, part)
+                 for part in _shards(x, workers)]))
             if batch_times is not None:
-                b = lo // SCORE_BATCH
-                batch_times[b:b + len(batches)] = time.perf_counter() - t0
+                batch_times[lo // SCORE_BATCH:-(-hi // SCORE_BATCH)] = (
+                    time.perf_counter() - t0)
     return out
 
 

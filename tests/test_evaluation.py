@@ -504,9 +504,10 @@ def test_the_suite_computes_as_the_commands_do(request):
 
 
 # shards that three batches, the last of 1 to 3 rows, give other threads:
-# at 2 workers the first two batches are one group and the last another,
-# at 3 one group of three whole batches, and at 8 the full ones in halves
-WORKER_SHARDS = {1: 0, 2: 1, 3: 2, 8: 4}
+# at 2 workers the first two batches are one block, cut in halves, and the
+# last another, one shard; at 3 and 8 the split is one block, cut into a
+# shard per worker, but for a one-row last batch, which is a block alone
+WORKER_SHARDS = {1: 0, 2: 1, 3: 2, 8: 7}
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
@@ -515,8 +516,11 @@ def test_threaded_scoring_equals_one_thread(three_batches, monkeypatch,
     bundle, detector = three_batches
     started = _count_thread_starts(monkeypatch)
     shards = _count_worker_shards(monkeypatch)
-    # the last batch has 1, 2 or 3 rows, so it is one shard
-    for rows in (129, 130, 131):
+    # the last batch has 1, 2 or 3 rows, so it is one shard; at 2 workers
+    # 194 rows end in a 66-row block, cut across a batch boundary
+    for rows, worker_shards in ((129, WORKER_SHARDS), (130, WORKER_SHARDS),
+                                (131, WORKER_SHARDS),
+                                (194, {1: 0, 2: 2, 3: 2, 8: 7})):
         split = bundle.test[np.arange(rows) % len(bundle.test)]
         one = _evaluate(monkeypatch, 1, detector, split, bundle.norm_stats)
         before = threading.active_count()
@@ -528,10 +532,10 @@ def test_threaded_scoring_equals_one_thread(three_batches, monkeypatch,
                              bundle.norm_stats)
         finally:
             sys.setswitchinterval(interval)
-        # this thread scores the first shard of each group, and each other
-        # one is handed to a thread of the group's pool, which may reuse a
+        # this thread scores the first shard of each block, and each other
+        # one is handed to a thread of the block's pool, which may reuse a
         # thread whose shard has ended
-        assert len(shards) == WORKER_SHARDS[workers], rows
+        assert len(shards) == worker_shards[workers], rows
         assert (workers > 1) <= len(started) <= len(shards), rows
         shards.clear()
         assert _outside_volatile(many) == _outside_volatile(one), rows
@@ -557,6 +561,27 @@ def test_a_batch_of_at_most_three_rows_is_one_shard(small_world,
     tr.per_sample_losses(net, bundle.test[:4], bundle.norm_stats, None, 1.0,
                          0.0)
     assert len(started) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_a_one_row_last_batch_is_scored_alone(small_world, monkeypatch,
+                                              workers):
+    # a row alone takes another BLAS path than among others, so the last
+    # row of 65 or 129 is scored alone at every worker count, as at one
+    bundle, net = small_world
+    rows, losses = [], tr.sample_losses
+
+    def counted(d, *args):
+        rows.append(len(d))
+        return losses(d, *args)
+
+    monkeypatch.setattr(tr, "sample_losses", counted)
+    monkeypatch.setattr(tr, "_workers", lambda: workers)
+    for n in (65, 129):
+        rows.clear()
+        split = bundle.test[np.arange(n) % len(bundle.test)]
+        tr.per_sample_losses(net, split, bundle.norm_stats, None, 1.0, 0.0)
+        assert sum(rows) == n and rows.count(1) == 1, (n, rows)
 
 
 def test_training_after_threaded_scoring_updates_the_parameters(
@@ -654,7 +679,7 @@ def _slow():
 
 def test_error_on_the_worker_thread_reaches_the_caller(three_batches,
                                                        monkeypatch):
-    # at the end of the group it failed in: no later batch is scored
+    # at the end of the block it failed in: no later batch is scored
     bundle, detector = three_batches
     started = _count_thread_starts(monkeypatch)
     _scoring(monkeypatch, detector.model, here=_slow,
@@ -680,7 +705,7 @@ def test_error_here_stops_the_worker_threads(three_batches, monkeypatch,
                        match=f"on {threading.current_thread().name}"):
         _evaluate(monkeypatch, 2, detector, _slow_split(bundle),
                   bundle.norm_stats)
-    # the worker's batch of that group ended, and no later group started
+    # the worker's batch of that block ended, and no later block started
     assert time.monotonic() - t0 < 2.5
     assert threading.active_count() == before
 

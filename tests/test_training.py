@@ -291,7 +291,8 @@ def test_train_normalizes_per_batch(monkeypatch):
 
 
 def test_calibration_normalizes_per_score_batch(monkeypatch):
-    # scoring holds one normalized batch of a split at a time
+    # scoring holds one normalized block of a batch per worker at a time;
+    # the worker counts loop here so that the test keeps one id
     bundle = _bundle(seed=31, counts=(8, 130, 4))
     rows = []
     inputs = sim.model_inputs
@@ -301,9 +302,12 @@ def test_calibration_normalizes_per_score_batch(monkeypatch):
         return inputs(split, norm_stats)
 
     monkeypatch.setattr(sim, "model_inputs", counted)
-    tr.calibrate_threshold(_net(), bundle.validation, bundle.norm_stats,
-                           None, 1.0, 0.0)
-    assert rows == [tr.SCORE_BATCH, tr.SCORE_BATCH, 2]
+    for workers, blocks in ((1, [64, 64, 2]), (2, [128, 2]), (3, [130])):
+        monkeypatch.setattr(tr, "_workers", lambda: workers)
+        rows.clear()
+        tr.calibrate_threshold(_net(), bundle.validation, bundle.norm_stats,
+                               None, 1.0, 0.0)
+        assert rows == blocks, workers
 
 
 def test_train_loss_decreases():

@@ -63,6 +63,10 @@ from pathlib import Path
 from statistics import quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+from checkout import exit_on_sigterm, extract  # noqa: E402
+
 SIDES = ("parent", "change")
 PAIRS = 10
 GAIN_WINS = 9
@@ -71,14 +75,6 @@ GAIN_WINS = 9
 def git(*args) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
-
-
-def extract(commit: str, dest: Path) -> None:
-    """The committed files of ``commit``, in ``dest``."""
-    dest.mkdir(parents=True)
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
-                             check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int):
@@ -166,14 +162,8 @@ def benchmark_spec(checkouts):
             {m["name"]: m for m in spec["end_to_end"]})
 
 
-def _stop(signum, frame):
-    # SIGTERM's default action ends the process without running the
-    # ``finally`` that removes the work directory; an exception runs it
-    raise SystemExit(128 + signum)
-
-
 def main(argv=None):
-    signal.signal(signal.SIGTERM, _stop)
+    exit_on_sigterm()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")

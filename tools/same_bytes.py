@@ -28,17 +28,17 @@ import argparse
 import json
 import os
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "src")]
 
 import numpy as np  # noqa: E402
 
+from checkout import exit_on_sigterm, extract  # noqa: E402
 from dawnet import datafile  # noqa: E402
 from dawnet.errors import FormatError  # noqa: E402
 
@@ -62,14 +62,6 @@ PIPELINE = (
 
 class RunError(Exception):
     pass
-
-
-def extract(commit: str, dest: Path) -> None:
-    """The committed files of ``commit``, in ``dest``."""
-    dest.mkdir(parents=True)
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
-                             check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def run_pipeline(checkout: Path, work: Path) -> list:
@@ -167,14 +159,8 @@ def compare_printed(parent: list, change: list) -> list:
             for argv, a, b in zip(PIPELINE, parent, change)]
 
 
-def _stop(signum, frame):
-    # SIGTERM's default action ends the process without running the
-    # ``finally`` that removes the work directory; an exception runs it
-    raise SystemExit(128 + signum)
-
-
 def main(argv=None) -> int:
-    signal.signal(signal.SIGTERM, _stop)
+    exit_on_sigterm()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
